@@ -1,10 +1,8 @@
 """Vector potential of annular coils and electron diffraction fringes."""
 
 from .constants import PhysicalConstants, constants
-from .units import Quantity
 from .ideal_field import (
     AnnularCoilIdeal,
-    FieldSample,
     WireArraySpec,
     annular_coil_A,
     array_Az_closed,
@@ -17,12 +15,10 @@ from .winding import (
     Box,
     CoilWindingSpec,
     HomogeneityReport,
-    SegmentCurrent,
+    Winding,
     build_winding,
-    coil_A,
-    coil_B,
+    field_at,
     homogeneity_report,
-    segment_A,
 )
 from .diffraction import (
     BeamSpec,

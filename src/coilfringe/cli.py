@@ -14,7 +14,6 @@ import sys
 
 from .errors import CoilfringeError, ScenarioError
 from .export import (
-    field_map_rows,
     fmt,
     fringe_summary,
     write_field_map,
@@ -138,12 +137,11 @@ def _cmd_field_map(args):
     region = _parse_region(args.region)
     grid = _parse_grid(args.grid)
     coil = scen.coil
-    rows = field_map_rows(coil, region, grid, segments_per_turn=args.segments_per_turn)
-    write_field_map(args.out, coil, rows)
     if isinstance(coil, CoilWindingSpec):
         rep = homogeneity_report(
             coil, region, grid, segments_per_turn=args.segments_per_turn
         )
+        rows = [[*p, *A, *B] for p, A, B in zip(rep.points, rep.A, rep.B)]
         report_data = {
             "mean_A": [fmt(v) for v in rep.mean_A],
             "max_rel_deviation": fmt(rep.max_rel_deviation),
@@ -153,6 +151,7 @@ def _cmd_field_map(args):
         }
     else:
         ideal = annular_coil_A(coil)
+        rows = [[*p, 0.0, 0.0, ideal, 0.0, 0.0, 0.0] for p in region.grid_points(grid)]
         report_data = {
             "mean_A": [fmt(0.0), fmt(0.0), fmt(ideal)],
             "max_rel_deviation": fmt(0.0),
@@ -160,6 +159,7 @@ def _cmd_field_map(args):
             "ideal_A": fmt(ideal),
             "rel_error_vs_ideal": fmt(0.0),
         }
+    write_field_map(args.out, coil, rows)
     write_json(args.out + ".homogeneity.json", report_data)
     print(f"wrote {len(rows)} field samples to {args.out}")
     return 0
@@ -207,8 +207,8 @@ def _cmd_validate_coil(args):
     status = 0
     if isinstance(coil, CoilWindingSpec):
         try:
-            segments = build_winding(coil, segments_per_turn=4)
-            print(f"winding constructible: {len(segments)} segments, "
+            winding = build_winding(coil, segments_per_turn=4)
+            print(f"winding constructible: {len(winding.starts)} segments, "
                   f"{coil.turn_count} turns in {coil.layers} layers")
         except CoilfringeError as exc:
             print(f"winding NOT constructible: {exc}")
@@ -240,10 +240,6 @@ def build_parser():
     def common(p):
         p.add_argument("--config", default=None, help="scenario JSON file")
         p.add_argument("--out", default=None, help="output file path")
-        p.add_argument("--format", choices=("csv", "json"), default="csv")
-        p.add_argument(
-            "--tolerance-profile", choices=("paper", "strict"), default="paper"
-        )
         p.add_argument(
             "--geometry-factor",
             type=float,
@@ -253,6 +249,10 @@ def build_parser():
 
     p = sub.add_parser("reproduce-paper", help="recompute the reference estimates")
     common(p)
+    p.add_argument("--format", choices=("csv", "json"), default="csv")
+    p.add_argument(
+        "--tolerance-profile", choices=("paper", "strict"), default="paper"
+    )
     p.set_defaults(func=_cmd_reproduce_paper)
 
     p = sub.add_parser("sweep", help="sweep current or voltage")
@@ -272,6 +272,7 @@ def build_parser():
 
     p = sub.add_parser("diffract", help="predict the fringe pattern")
     common(p)
+    p.add_argument("--format", choices=("csv", "json"), default="csv")
     p.add_argument("--k-max", type=int, default=3)
     p.set_defaults(func=_cmd_diffract)
 

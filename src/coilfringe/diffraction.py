@@ -26,16 +26,12 @@ class BeamSpec:
 
     U: float  # accelerating voltage, V
     beam_width_phi: float  # beam width, m
-    axis: tuple = (0.0, 0.0, 1.0)
 
     def __post_init__(self):
         if self.U <= 0:
             raise DomainError("accelerating voltage U must be positive")
         if self.beam_width_phi <= 0:
             raise DomainError("beam width must be positive")
-        n = np.linalg.norm(np.asarray(self.axis, dtype=float))
-        if abs(n - 1.0) > 1e-9:
-            raise DomainError("beam axis must be a unit vector")
 
 
 @dataclass(frozen=True)
@@ -106,12 +102,6 @@ def effective_momentum(U, A, relativistic=False):
             "outside the model's validity regime"
         )
     return p
-
-
-def effective_momentum_vector(U, A_vec, axis, relativistic=False):
-    """Misalignment variant: projects e*A onto the beam axis."""
-    A_axial = float(np.dot(np.asarray(A_vec, dtype=float), np.asarray(axis, dtype=float)))
-    return effective_momentum(U, A_axial, relativistic)
 
 
 def fringe_pattern(beam, gs, A, k_max, relativistic=False):

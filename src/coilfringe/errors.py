@@ -5,10 +5,6 @@ class CoilfringeError(ValueError):
     """Base class for all package-specific errors."""
 
 
-class UnitMismatchError(CoilfringeError):
-    """Arithmetic or comparison attempted across different unit tags."""
-
-
 class DomainError(CoilfringeError):
     """Input outside the mathematical domain of an operation."""
 

@@ -8,16 +8,7 @@ originating parameters.
 
 import json
 
-import numpy as np
-
-from .winding import (
-    CoilWindingSpec,
-    _coil_A_arrays,
-    _curl_fd,
-    _segment_arrays,
-    build_winding,
-)
-from .ideal_field import AnnularCoilIdeal, annular_coil_A
+from .winding import CoilWindingSpec
 
 
 def fmt(x):
@@ -47,48 +38,9 @@ def _coil_comment_lines(coil):
     ]
 
 
-def field_map_rows(coil, region, grid, include_B=True, segments_per_turn=8):
-    """Evaluate A (and optionally B) on the grid, in fixed point order."""
-    if isinstance(grid, int):
-        grid = (grid, grid, grid)
-    lo = np.asarray(region.lo, dtype=float)
-    hi = np.asarray(region.hi, dtype=float)
-    axes = [np.linspace(lo[i], hi[i], grid[i]) for i in range(3)]
-    rows = []
-    if isinstance(coil, AnnularCoilIdeal):
-        A_ideal = annular_coil_A(coil)
-        for x in axes[0]:
-            for y in axes[1]:
-                for z in axes[2]:
-                    row = [x, y, z, 0.0, 0.0, A_ideal]
-                    if include_B:
-                        row += [0.0, 0.0, 0.0]
-                    rows.append(row)
-        return rows
-    segments = build_winding(coil, segments_per_turn)
-    starts, ends, currents = _segment_arrays(segments)
-    h = 1e-4 * coil.R1
-    for x in axes[0]:
-        for y in axes[1]:
-            for z in axes[2]:
-                p = np.array([x, y, z])
-                A = _coil_A_arrays(starts, ends, currents, p)
-                row = [x, y, z, *A]
-                if include_B:
-                    B = _curl_fd(
-                        lambda q: _coil_A_arrays(starts, ends, currents, q), p, h
-                    )
-                    row += list(B)
-                rows.append(row)
-    return rows
-
-
-def write_field_map(path, coil, rows, include_B=True):
-    """Write a field-map CSV with the standard column layout."""
-    header = "x,y,z,Ax,Ay,Az"
-    if include_B:
-        header += ",Bx,By,Bz"
-    lines = _coil_comment_lines(coil) + [header]
+def write_field_map(path, coil, rows):
+    """Write a field-map CSV: one row of x,y,z,Ax,Ay,Az,Bx,By,Bz per point."""
+    lines = _coil_comment_lines(coil) + ["x,y,z,Ax,Ay,Az,Bx,By,Bz"]
     for row in rows:
         lines.append(",".join(fmt(v) for v in row))
     with open(path, "w", encoding="utf-8", newline="\n") as fh:

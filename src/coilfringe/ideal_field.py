@@ -20,7 +20,6 @@ from dataclasses import dataclass
 import math
 
 import numpy as np
-from scipy.integrate import quad
 
 from .constants import constants
 from .errors import DomainError, QuadratureError, SingularityError
@@ -65,14 +64,6 @@ class AnnularCoilIdeal:
             raise DomainError("turn count N must be >= 1")
 
 
-@dataclass(frozen=True)
-class FieldSample:
-    """Vector potential evaluated at a point (SI)."""
-
-    position: tuple
-    A: tuple
-
-
 def single_wire_Az(r, I):
     """Axial vector potential of an infinite straight wire at distance r.
 
@@ -98,6 +89,8 @@ def array_Az_quadrature(spec, r, tol=DEFAULT_QUAD_TOL):
         raise DomainError("quadrature tolerance must be positive")
     if spec.I == 0.0:
         return 0.0
+    from scipy.integrate import quad  # slow to import; only this oracle needs it
+
     R = spec.R
 
     def integrand(varphi):

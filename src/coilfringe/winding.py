@@ -1,19 +1,23 @@
-"""Finite annular coil as a polyline of straight current segments.
+"""Finite annular coil as closed circuits of straight current segments.
 
 A constructible coil is modeled as closed wire loops: for each turn an
 axial run near R1, a radial fragment out to R2 at one end, a return run
 near R2, and a radial fragment back at the other end. Helicity is the
 azimuthal advance of one turn spacing distributed along the turn path;
 layers may wind with opposite azimuthal sense so their net azimuthal
-advance cancels.
+advance cancels. A Winding holds the segments as arrays.
 
-Field evaluation uses the closed-form potential of a finite straight
-segment,
+Field evaluation sums closed forms over all segments. A segment of
+length Lseg, unit direction l_hat and current I, whose ends lie at
+distances d1 and d2 from the point, contributes
 
     A = mu0*I/(4pi) * l_hat * ln((d1 + d2 + Lseg) / (d1 + d2 - Lseg)),
+    B = mu0*I/(4pi) * 2*Lseg*(d1 + d2) / (d1*d2*((d1 + d2)^2 - Lseg^2))
+        * l_hat x r1,
 
-summed over all segments; B is obtained as the central-difference curl
-of the summed A.
+with r1 the vector from the segment start to the point (the
+finite-filament Biot-Savart field of Hanson & Hirshman, Phys. Plasmas
+9, 4410 (2002)).
 """
 
 from dataclasses import dataclass
@@ -27,6 +31,9 @@ from .ideal_field import AnnularCoilIdeal, annular_coil_A
 
 # Sample points closer to a wire than this are treated as singular.
 WIRE_GUARD = 1e-9
+# Point-segment pairs evaluated per batch in field_at; bounds the size of
+# its temporary arrays.
+BATCH_PAIRS = 2**14
 
 
 @dataclass(frozen=True)
@@ -74,23 +81,6 @@ class CoilWindingSpec:
 
 
 @dataclass(frozen=True)
-class SegmentCurrent:
-    """Straight current segment from start to end carrying current I."""
-
-    start: tuple
-    end: tuple
-    I: float
-
-    def __post_init__(self):
-        a = np.asarray(self.start, dtype=float)
-        b = np.asarray(self.end, dtype=float)
-        if not np.all(np.isfinite(a)) or not np.all(np.isfinite(b)):
-            raise DomainError("segment endpoints must be finite")
-        if np.array_equal(a, b):
-            raise DomainError("segment must have positive length")
-
-
-@dataclass(frozen=True)
 class Box:
     """Axis-aligned box given by its min and max corners (meters)."""
 
@@ -105,10 +95,34 @@ class Box:
         if not np.all(lo < hi):
             raise DomainError("box must have positive extent on every axis")
 
+    def grid_points(self, grid):
+        """(n, 3) points of an (nx, ny, nz) grid spanning the box.
+
+        Points run with x outermost and z innermost.
+        """
+        axes = [np.linspace(self.lo[i], self.hi[i], grid[i]) for i in range(3)]
+        return np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, 3)
+
+
+@dataclass(frozen=True)
+class Winding:
+    """Straight current segments held as arrays.
+
+    Segment k runs from starts[k] to ends[k] (both (n, 3) arrays, meters)
+    and carries currents[k] (amperes).
+    """
+
+    starts: np.ndarray
+    ends: np.ndarray
+    currents: np.ndarray
+
 
 @dataclass(frozen=True)
 class HomogeneityReport:
-    """Uniformity of the bore field sampled over a box."""
+    """Uniformity of the bore field sampled over a box.
+
+    points, A and B are the (n, 3) sample points and the field there.
+    """
 
     region: Box
     mean_A: tuple
@@ -116,148 +130,121 @@ class HomogeneityReport:
     max_B_magnitude: float
     ideal_A: float
     rel_error_vs_ideal: float
+    points: np.ndarray
+    A: np.ndarray
+    B: np.ndarray
 
 
 def build_winding(spec, segments_per_turn=8):
-    """Construct the coil polyline as a list of SegmentCurrent.
+    """Construct the coil as a Winding of closed layer circuits.
 
     Each turn contributes segments_per_turn segments (the four legs,
-    subdivided evenly). Turns of one layer chain head to tail: layer
-    with helicity sign s places turn j at azimuth s*2pi*j/M plus a
-    per-layer interleaving offset, and advances by one turn spacing over
-    the turn path, so each layer closes on itself with net azimuthal
-    advance s*2pi.
+    subdivided evenly), so segments_per_turn must be a positive multiple
+    of 4. Turns of one layer chain head to tail: layer with helicity
+    sign s places turn j at azimuth s*2pi*j/M plus a per-layer
+    interleaving offset, and advances by one turn spacing over the turn
+    path, so each layer closes on itself with net azimuthal advance
+    s*2pi.
     """
-    if segments_per_turn < 4:
-        raise DomainError("segments_per_turn must be >= 4")
+    if segments_per_turn < 4 or segments_per_turn % 4:
+        raise DomainError(
+            f"segments_per_turn must be a positive multiple of 4, got {segments_per_turn}"
+        )
     per_layer_density = spec.turn_density / spec.layers
     if spec.wire_diameter * per_layer_density > 1.0 + 1e-12:
         raise ConstructionError(
             "turns overlap: wire_diameter * per-layer turn density = "
             f"{spec.wire_diameter * per_layer_density:.3f} > 1"
         )
-    N_total = spec.turn_count
-    base, rem = divmod(N_total, spec.layers)
-    sub = max(1, segments_per_turn // 4)
+    base, rem = divmod(spec.turn_count, spec.layers)
+    if base < 1:
+        raise ConstructionError(
+            f"{spec.turn_count} turns cannot fill {spec.layers} layers"
+        )
+    sub = segments_per_turn // 4
     R1, R2, L = spec.R1, spec.R2, spec.L
     # (r_start, z_start, r_end, z_end, length) for the four legs of a turn
-    legs = (
-        (R1, -L / 2, R1, +L / 2, L),
-        (R1, +L / 2, R2, +L / 2, R2 - R1),
-        (R2, +L / 2, R2, -L / 2, L),
-        (R2, -L / 2, R1, -L / 2, R2 - R1),
-    )
+    ra, za, rb, zb, leg_len = np.array(
+        [
+            (R1, -L / 2, R1, +L / 2, L),
+            (R1, +L / 2, R2, +L / 2, R2 - R1),
+            (R2, +L / 2, R2, -L / 2, L),
+            (R2, -L / 2, R1, -L / 2, R2 - R1),
+        ]
+    ).T[:, :, None]
     perimeter = 2 * L + 2 * (R2 - R1)
+    walked = np.concatenate(([[0.0]], np.cumsum(leg_len, axis=0)[:-1]))
+    f = np.arange(sub) / sub
+    # radius, height and fraction of the turn path at each segment start
+    r = (ra + (rb - ra) * f).ravel()
+    z = (za + (zb - za) * f).ravel()
+    t = ((walked + leg_len * f) / perimeter).ravel()
 
-    segments = []
+    starts, ends = [], []
     for layer in range(spec.layers):
         M = base + (1 if layer < rem else 0)
         s = spec.helicity_sign_per_layer[layer]
-        offset = 2 * math.pi * layer / (spec.layers * max(M, 1))
-        pts = []
-        for j in range(M):
-            phi0 = s * 2 * math.pi * j / M + offset
-            walked = 0.0
-            for (ra, za, rb, zb, leg_len) in legs:
-                for k in range(sub):
-                    f = k / sub
-                    r = ra + (rb - ra) * f
-                    z = za + (zb - za) * f
-                    t = (walked + leg_len * f) / perimeter
-                    phi = phi0 + s * 2 * math.pi / M * t
-                    pts.append((r * math.cos(phi), r * math.sin(phi), z))
-                walked += leg_len
-        pts.append(pts[0])  # close the layer circuit
-        for a, b in zip(pts[:-1], pts[1:]):
-            segments.append(SegmentCurrent(start=a, end=b, I=spec.I))
-    return segments
-
-
-def _segment_arrays(segments):
-    starts = np.array([s.start for s in segments], dtype=float)
-    ends = np.array([s.end for s in segments], dtype=float)
-    currents = np.array([s.I for s in segments], dtype=float)
-    return starts, ends, currents
-
-
-def _point_segment_distance(starts, ends, p):
-    d = ends - starts
-    lengths_sq = np.einsum("ij,ij->i", d, d)
-    t = np.clip(np.einsum("ij,ij->i", p - starts, d) / lengths_sq, 0.0, 1.0)
-    closest = starts + t[:, None] * d
-    return np.linalg.norm(closest - p, axis=1)
-
-
-def segment_A(seg, p, guard=WIRE_GUARD):
-    """Vector potential of one finite straight segment at point p."""
-    starts, ends, currents = _segment_arrays([seg])
-    return _coil_A_arrays(starts, ends, currents, np.asarray(p, dtype=float), guard)
-
-
-def coil_A(segments, p, guard=WIRE_GUARD):
-    """Vector potential at p: sum of segment_A over all segments."""
-    starts, ends, currents = _segment_arrays(segments)
-    return _coil_A_arrays(starts, ends, currents, np.asarray(p, dtype=float), guard)
-
-
-def _coil_A_arrays(starts, ends, currents, p, guard=WIRE_GUARD):
-    dist = _point_segment_distance(starts, ends, p)
-    if np.any(dist < guard):
-        idx = int(np.argmin(dist))
-        raise SingularityError(
-            f"point {p.tolist()} within wire guard of segment {idx} "
-            f"(distance {dist[idx]:.3e} m)"
-        )
-    d1 = np.linalg.norm(starts - p, axis=1)
-    d2 = np.linalg.norm(ends - p, axis=1)
-    seg_vec = ends - starts
-    seg_len = np.linalg.norm(seg_vec, axis=1)
-    mu0 = constants().mu0
-    mag = mu0 * currents / (4 * math.pi) * np.log(
-        (d1 + d2 + seg_len) / (d1 + d2 - seg_len)
-    )
-    return (seg_vec / seg_len[:, None] * mag[:, None]).sum(axis=0)
-
-
-def _curl_fd(field, p, h):
-    """Central-difference curl of a 3-vector field at p with step h."""
-    p = np.asarray(p, dtype=float)
-    eye = np.eye(3) * h
-    grad = [(field(p + eye[i]) - field(p - eye[i])) / (2 * h) for i in range(3)]
-    return np.array(
-        [
-            grad[1][2] - grad[2][1],
-            grad[2][0] - grad[0][2],
-            grad[0][1] - grad[1][0],
-        ]
+        offset = 2 * math.pi * layer / (spec.layers * M)
+        phi0 = s * 2 * math.pi * np.arange(M) / M + offset
+        phi = phi0[:, None] + s * 2 * math.pi / M * t
+        pts = np.stack(
+            [r * np.cos(phi), r * np.sin(phi), np.broadcast_to(z, phi.shape)], axis=-1
+        ).reshape(-1, 3)
+        starts.append(pts)
+        ends.append(np.roll(pts, -1, axis=0))  # the last segment closes the layer
+    starts = np.concatenate(starts)
+    if not np.all(np.isfinite(starts)):
+        raise DomainError("segment endpoints must be finite")
+    return Winding(
+        starts=starts,
+        ends=np.concatenate(ends),
+        currents=np.full(len(starts), float(spec.I)),
     )
 
 
-def coil_B(segments, p, h=None, guard=WIRE_GUARD):
-    """Magnetic field at p as the finite-difference curl of coil_A.
+def field_at(winding, points):
+    """Vector potential A (T*m) and magnetic field B (T) of the winding.
 
-    Default step h = 1e-4 * (shortest distance scale of the segments is
-    unknown here, so callers with a CoilWindingSpec should pass
-    h = 1e-4 * R1); falls back to 1e-4 * |p-to-nearest-segment| scale.
+    points is an (n, 3) array, or one 3-vector; A and B are returned as
+    (n, 3) arrays. Raises SingularityError if a point lies within
+    WIRE_GUARD of a segment.
     """
-    starts, ends, currents = _segment_arrays(segments)
-    p = np.asarray(p, dtype=float)
-    if h is None:
-        h = 1e-4 * max(float(np.min(_point_segment_distance(starts, ends, p))), guard)
-    if h <= 0:
-        raise DomainError("finite-difference step h must be positive")
+    points = np.asarray(points, dtype=float).reshape(-1, 3)
+    starts, ends = winding.starts, winding.ends
+    seg = ends - starts
+    seg_len_sq = np.einsum("ij,ij->i", seg, seg)
+    seg_len = np.linalg.norm(seg, axis=1)
+    unit = seg / seg_len[:, None]
+    scale = constants().mu0 * winding.currents / (4 * math.pi)
+    A = np.empty_like(points)
+    B = np.empty_like(points)
+    step = max(1, BATCH_PAIRS // len(seg))
+    for i in range(0, len(points), step):
+        p = points[i:i + step, None, :]
+        r1 = p - starts
+        t = np.clip(np.einsum("cmk,mk->cm", r1, seg) / seg_len_sq, 0.0, 1.0)
+        dist = np.linalg.norm(r1 - t[..., None] * seg, axis=2)
+        if dist.min() < WIRE_GUARD:
+            c, k = np.unravel_index(np.argmin(dist), dist.shape)
+            raise SingularityError(
+                f"point {points[i + c].tolist()} within wire guard of segment {k} "
+                f"(distance {dist[c, k]:.3e} m)"
+            )
+        d1 = np.linalg.norm(r1, axis=2)
+        d2 = np.linalg.norm(p - ends, axis=2)
+        dsum = d1 + d2
+        A[i:i + step] = (scale * np.log((dsum + seg_len) / (dsum - seg_len))) @ unit
+        coef = scale * 2 * seg_len * dsum / (d1 * d2 * (dsum**2 - seg_len**2))
+        B[i:i + step] = np.einsum("cm,cmk->ck", coef, np.cross(unit, r1))
+    return A, B
 
-    def field(q):
-        return _coil_A_arrays(starts, ends, currents, q, guard)
 
-    return _curl_fd(field, p, h)
+def homogeneity_report(spec, region, grid, segments_per_turn=8):
+    """Sample A and B on a grid inside the bore and report uniformity.
 
-
-def homogeneity_report(spec, region, grid, segments_per_turn=8, guard=WIRE_GUARD):
-    """Sample coil_A on a grid inside the bore and report uniformity.
-
-    grid is the per-axis point count (>= 2). The region must stay
-    strictly inside the bore cylinder of radius R1.
+    grid is the per-axis point count (>= 2), one int or a 3-tuple. The
+    region must stay strictly inside the bore cylinder of radius R1.
+    Every input is checked before any field is evaluated.
     """
     if isinstance(grid, int):
         grid = (grid, grid, grid)
@@ -270,7 +257,7 @@ def homogeneity_report(spec, region, grid, segments_per_turn=8, guard=WIRE_GUARD
     max_transverse = max(
         math.hypot(x, y) for x in (lo[0], hi[0]) for y in (lo[1], hi[1])
     )
-    if max_transverse >= spec.R1 - guard:
+    if max_transverse >= spec.R1 - WIRE_GUARD:
         raise DomainError(
             f"region transverse extent {max_transverse:.4g} m reaches the "
             f"winding at R1 = {spec.R1} m"
@@ -278,27 +265,11 @@ def homogeneity_report(spec, region, grid, segments_per_turn=8, guard=WIRE_GUARD
     if abs(lo[2]) >= spec.L / 2 or abs(hi[2]) >= spec.L / 2:
         raise DomainError("region must lie inside the coil length")
 
-    segments = build_winding(spec, segments_per_turn)
-    starts, ends, currents = _segment_arrays(segments)
-    axes = [np.linspace(lo[i], hi[i], grid[i]) for i in range(3)]
-    h = 1e-4 * spec.R1
-
-    samples = []
-    max_B = 0.0
-    for x in axes[0]:
-        for y in axes[1]:
-            for z in axes[2]:
-                p = np.array([x, y, z])
-                samples.append(_coil_A_arrays(starts, ends, currents, p, guard))
-                B = _curl_fd(
-                    lambda q: _coil_A_arrays(starts, ends, currents, q, guard), p, h
-                )
-                max_B = max(max_B, float(np.linalg.norm(B)))
-    samples = np.array(samples)
-    mean_A = samples.mean(axis=0)
-    mean_mag = float(np.linalg.norm(mean_A))
+    points = region.grid_points(grid)
+    A, B = field_at(build_winding(spec, segments_per_turn), points)
+    mean_A = A.mean(axis=0)
     max_rel_dev = float(
-        np.max(np.linalg.norm(samples - mean_A, axis=1)) / mean_mag
+        np.max(np.linalg.norm(A - mean_A, axis=1)) / np.linalg.norm(mean_A)
     )
     ideal = annular_coil_A(spec.ideal_equivalent())
     rel_err = abs(float(mean_A[2]) - ideal) / abs(ideal)
@@ -306,7 +277,10 @@ def homogeneity_report(spec, region, grid, segments_per_turn=8, guard=WIRE_GUARD
         region=region,
         mean_A=tuple(mean_A),
         max_rel_deviation=max_rel_dev,
-        max_B_magnitude=max_B,
+        max_B_magnitude=float(np.max(np.linalg.norm(B, axis=1))),
         ideal_A=ideal,
         rel_error_vs_ideal=rel_err,
+        points=points,
+        A=A,
+        B=B,
     )

@@ -31,8 +31,7 @@ from coilfringe.winding import (
     Box,
     CoilWindingSpec,
     build_winding,
-    coil_A,
-    coil_B,
+    field_at,
     homogeneity_report,
 )
 
@@ -167,8 +166,8 @@ def test_criterion_5_linearity_and_pattern_scaling():
 def test_criterion_6_helicity_cancellation():
     L = 12.0
     probe = np.array([0.05, 0.0, 0.0])  # mid-plane bore probe; azimuthal = +y here
-    opposite = coil_A(build_winding(coil_spec(L, helicity=(1, -1)), 8), probe)
-    same = coil_A(build_winding(coil_spec(L, helicity=(1, 1)), 8), probe)
+    opposite = field_at(build_winding(coil_spec(L, helicity=(1, -1)), 8), probe)[0][0]
+    same = field_at(build_winding(coil_spec(L, helicity=(1, 1)), 8), probe)[0][0]
     ratio = abs(same[1]) / abs(opposite[1])
     report(
         "6",
@@ -180,8 +179,7 @@ def test_criterion_6_helicity_cancellation():
 
 def test_criterion_7_field_confinement():
     spec = coil_spec(L=12.0)
-    segments = build_winding(spec, 8)
-    B = coil_B(segments, (0.0, 0.0, 0.0), h=1e-4 * spec.R1)
+    B = field_at(build_winding(spec, 8), (0.0, 0.0, 0.0))[1][0]
     scale = constants().mu0 * spec.turn_density * abs(spec.I)
     ratio = float(np.linalg.norm(B)) / scale
     report("7", ratio <= 1e-3, f"|B|/(mu0*n*I) = {ratio:.2e} <= 1e-3")

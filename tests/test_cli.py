@@ -1,7 +1,11 @@
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
+import coilfringe
 from coilfringe.cli import main
 
 
@@ -122,6 +126,20 @@ class TestFieldMap:
             "--grid", "2", "--out", out_path,
         ]
         assert main(args) == 1
+        assert not os.path.exists(out_path)
+        assert not os.path.exists(out_path + ".homogeneity.json")
+
+    def test_zero_current_rejected_before_writing(self, tmp_path, capsys):
+        # the default scenario has I = 0, where relative deviations are undefined
+        out_path = str(tmp_path / "map.csv")
+        args = [
+            "field-map",
+            "--region=-0.02,0.02,-0.02,0.02,-0.02,0.02",
+            "--grid", "2", "--out", out_path,
+        ]
+        assert main(args) == 1
+        assert not os.path.exists(out_path)
+        assert not os.path.exists(out_path + ".homogeneity.json")
 
 
 class TestDiffract:
@@ -158,6 +176,20 @@ class TestValidateCoil:
         config = tmp_path / "short.json"
         config.write_text(json.dumps({"coil": {"L_m": 0.5}}))
         assert main(["validate-coil", "--config", str(config)]) == 1
+
+
+class TestImport:
+    def test_cli_import_leaves_scipy_integrate_unloaded(self):
+        # scipy.integrate takes most of a command's start-up time and only
+        # the quadrature oracle needs it
+        src = os.path.dirname(os.path.dirname(coilfringe.__file__))
+        env = dict(os.environ, PYTHONPATH=src)
+        code = "import sys, coilfringe.cli; print('scipy.integrate' in sys.modules)"
+        out = subprocess.run(
+            [sys.executable, "-c", code], env=env, capture_output=True, text=True,
+            check=True,
+        ).stdout
+        assert out.strip() == "False"
 
 
 class TestConfigHandling:

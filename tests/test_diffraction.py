@@ -200,5 +200,3 @@ def test_beam_and_grating_validation():
         BeamSpec(U=-1.0, beam_width_phi=1e-3)
     with pytest.raises(DomainError):
         GratingScreenSpec(a=0.0, D=0.1)
-    with pytest.raises(DomainError):
-        BeamSpec(U=30e3, beam_width_phi=1e-3, axis=(1.0, 1.0, 0.0))

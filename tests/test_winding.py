@@ -9,13 +9,10 @@ from coilfringe.ideal_field import annular_coil_A
 from coilfringe.winding import (
     Box,
     CoilWindingSpec,
-    SegmentCurrent,
-    _curl_fd,
+    Winding,
     build_winding,
-    coil_A,
-    coil_B,
+    field_at,
     homogeneity_report,
-    segment_A,
 )
 
 
@@ -32,44 +29,74 @@ def paper_coil(L=6.0, layers=2, helicity=(1, -1), I=1.0):
     )
 
 
+def segment(start, end, I):
+    """Winding of one straight segment."""
+    return Winding(
+        starts=np.array([start], dtype=float),
+        ends=np.array([end], dtype=float),
+        currents=np.array([I], dtype=float),
+    )
+
+
+def A_at(winding, p):
+    return field_at(winding, p)[0][0]
+
+
+def B_at(winding, p):
+    return field_at(winding, p)[1][0]
+
+
+def _curl_fd(field, p, h):
+    """Central-difference curl of a 3-vector field at p with step h."""
+    p = np.asarray(p, dtype=float)
+    eye = np.eye(3) * h
+    grad = [(field(p + eye[i]) - field(p - eye[i])) / (2 * h) for i in range(3)]
+    return np.array(
+        [
+            grad[1][2] - grad[2][1],
+            grad[2][0] - grad[0][2],
+            grad[0][1] - grad[1][0],
+        ]
+    )
+
+
 class TestBuildWinding:
     def test_turn_count_matches_inner_circumference_density(self):
         assert paper_coil().turn_count == 1257
 
     def test_segment_count(self):
         spec = paper_coil()
-        segs = build_winding(spec, segments_per_turn=4)
+        w = build_winding(spec, segments_per_turn=4)
         # each turn contributes segments_per_turn chained segments and
         # every layer closes on itself with no extra closure segment
-        assert len(segs) == spec.turn_count * 4
-        segs8 = build_winding(spec, segments_per_turn=8)
-        assert len(segs8) == spec.turn_count * 8
+        assert w.starts.shape == w.ends.shape == (spec.turn_count * 4, 3)
+        assert w.currents.shape == (spec.turn_count * 4,)
+        w8 = build_winding(spec, segments_per_turn=8)
+        assert len(w8.starts) == spec.turn_count * 8
 
     def test_net_axial_ampere_turns_through_midplane(self):
         # signed crossings of z=0 inside the bore annulus: every inner
         # axial run carries +I upward once
         spec = paper_coil()
-        segs = build_winding(spec, segments_per_turn=4)
+        w = build_winding(spec, segments_per_turn=4)
         mid = (spec.R1 + spec.R2) / 2
-        net = 0.0
-        for s in segs:
-            za, zb = s.start[2], s.end[2]
-            if za < 0 <= zb or zb < 0 <= za:
-                r = math.hypot(s.start[0], s.start[1])
-                if r < mid:
-                    net += s.I if zb > za else -s.I
+        za, zb = w.starts[:, 2], w.ends[:, 2]
+        crossing = ((za < 0) & (0 <= zb)) | ((zb < 0) & (0 <= za))
+        inner = np.hypot(w.starts[:, 0], w.starts[:, 1]) < mid
+        signed = np.where(zb > za, w.currents, -w.currents)
+        net = signed[crossing & inner].sum()
         assert net == pytest.approx(spec.turn_count * spec.I)
 
     def test_helicity_mirrored_axial_geometry(self):
         a = build_winding(paper_coil(helicity=(1, -1)), 4)
         b = build_winding(paper_coil(helicity=(1, 1)), 4)
         # same radii/z structure, only the azimuthal advance differs
-        za = sorted(round(s.start[2], 12) for s in a)
-        zb = sorted(round(s.start[2], 12) for s in b)
-        assert za == zb
-        ra = sorted(round(math.hypot(s.start[0], s.start[1]), 9) for s in a)
-        rb = sorted(round(math.hypot(s.start[0], s.start[1]), 9) for s in b)
-        assert ra == rb
+        za = np.sort(np.round(a.starts[:, 2], 12))
+        zb = np.sort(np.round(b.starts[:, 2], 12))
+        assert np.array_equal(za, zb)
+        ra = np.sort(np.round(np.hypot(a.starts[:, 0], a.starts[:, 1]), 9))
+        rb = np.sort(np.round(np.hypot(b.starts[:, 0], b.starts[:, 1]), 9))
+        assert np.array_equal(ra, rb)
 
     def test_overlapping_turns_rejected(self):
         spec = CoilWindingSpec(
@@ -85,48 +112,102 @@ class TestBuildWinding:
         with pytest.raises(ConstructionError):
             build_winding(spec, 4)
 
-    def test_minimum_segments_per_turn(self):
+    def test_matches_turn_by_turn_construction(self):
+        # reference: walk each layer turn by turn, leg by leg
+        spec = paper_coil(L=2.0, layers=3, helicity=(1, -1, 1))
+        legs = (
+            (spec.R1, -1.0, spec.R1, 1.0, 2.0),
+            (spec.R1, 1.0, spec.R2, 1.0, spec.R2 - spec.R1),
+            (spec.R2, 1.0, spec.R2, -1.0, 2.0),
+            (spec.R2, -1.0, spec.R1, -1.0, spec.R2 - spec.R1),
+        )
+        perimeter = 2 * 2.0 + 2 * (spec.R2 - spec.R1)
+        base, rem = divmod(spec.turn_count, spec.layers)
+        starts, ends = [], []
+        for layer, s in enumerate(spec.helicity_sign_per_layer):
+            M = base + (1 if layer < rem else 0)
+            pts = []
+            for j in range(M):
+                phi0 = s * 2 * math.pi * j / M + 2 * math.pi * layer / (spec.layers * M)
+                walked = 0.0
+                for ra, za, rb, zb, length in legs:
+                    for k in range(2):
+                        f = k / 2
+                        phi = phi0 + s * 2 * math.pi / M * (walked + length * f) / perimeter
+                        r = ra + (rb - ra) * f
+                        pts.append((r * math.cos(phi), r * math.sin(phi), za + (zb - za) * f))
+                    walked += length
+            starts += pts
+            ends += pts[1:] + pts[:1]
+        w = build_winding(spec, 8)
+        assert np.allclose(w.starts, starts, rtol=0, atol=1e-14)
+        assert np.allclose(w.ends, ends, rtol=0, atol=1e-14)
+        assert np.all(w.currents == spec.I)
+
+    def test_fewer_turns_than_layers_rejected(self):
+        spec = CoilWindingSpec(
+            R1=0.1,
+            R2=0.12,
+            L=1.0,
+            turn_density=1.0,  # one turn in all
+            layers=2,
+            helicity_sign_per_layer=(1, -1),
+            wire_diameter=1e-3,
+            I=1.0,
+        )
+        with pytest.raises(ConstructionError):
+            build_winding(spec, 4)
+
+    def test_non_finite_geometry_rejected(self):
         with pytest.raises(DomainError):
-            build_winding(paper_coil(), 3)
+            build_winding(paper_coil(L=float("nan")), 4)
+
+    def test_minimum_segments_per_turn(self):
+        # the four legs are subdivided evenly, so only multiples of 4 work
+        for segments_per_turn in (3, 6, 10):
+            with pytest.raises(DomainError):
+                build_winding(paper_coil(), segments_per_turn)
 
 
 class TestSegmentA:
     def test_symmetric_segment_is_parallel(self):
-        seg = SegmentCurrent(start=(0, 0, -1), end=(0, 0, 1), I=2.0)
-        A = segment_A(seg, (0.3, 0.0, 0.0))
+        A = A_at(segment((0, 0, -1), (0, 0, 1), 2.0), (0.3, 0.0, 0.0))
         assert A[0] == 0.0 and A[1] == 0.0
         assert A[2] > 0
 
     def test_zero_current(self):
-        seg = SegmentCurrent(start=(0, 0, -1), end=(0, 0, 1), I=0.0)
-        assert np.all(segment_A(seg, (0.5, 0.2, 0.1)) == 0.0)
+        A, B = field_at(segment((0, 0, -1), (0, 0, 1), 0.0), (0.5, 0.2, 0.1))
+        assert np.all(A == 0.0)
+        assert np.all(B == 0.0)
 
     def test_split_additivity(self):
         p = np.array([0.2, -0.1, 0.35])
-        full = SegmentCurrent(start=(0, 0, -1), end=(0, 0, 1), I=1.5)
-        half1 = SegmentCurrent(start=(0, 0, -1), end=(0, 0, 0.1), I=1.5)
-        half2 = SegmentCurrent(start=(0, 0, 0.1), end=(0, 0, 1), I=1.5)
-        combined = segment_A(half1, p) + segment_A(half2, p)
-        assert np.allclose(segment_A(full, p), combined, rtol=1e-13, atol=1e-25)
+        full = segment((0, 0, -1), (0, 0, 1), 1.5)
+        half1 = segment((0, 0, -1), (0, 0, 0.1), 1.5)
+        half2 = segment((0, 0, 0.1), (0, 0, 1), 1.5)
+        combined = A_at(half1, p) + A_at(half2, p)
+        assert np.allclose(A_at(full, p), combined, rtol=1e-13, atol=1e-25)
 
     def test_long_segment_approaches_infinite_wire_difference(self):
         # A(r1) - A(r2) -> -mu0 I/(2pi) ln(r1/r2) as the segment grows
-        seg = SegmentCurrent(start=(0, 0, -5000), end=(0, 0, 5000), I=1.0)
-        d = segment_A(seg, (0.5, 0, 0))[2] - segment_A(seg, (1.0, 0, 0))[2]
+        seg = segment((0, 0, -5000), (0, 0, 5000), 1.0)
+        d = A_at(seg, (0.5, 0, 0))[2] - A_at(seg, (1.0, 0, 0))[2]
         expected = -constants().mu0 * 1.0 / (2 * math.pi) * math.log(0.5)
         assert d == pytest.approx(expected, rel=1e-6)
 
     def test_guard_rejection(self):
-        seg = SegmentCurrent(start=(0, 0, -1), end=(0, 0, 1), I=1.0)
+        seg = segment((0, 0, -1), (0, 0, 1), 1.0)
         with pytest.raises(SingularityError):
-            segment_A(seg, (0.0, 0.0, 0.5))
+            field_at(seg, (0.0, 0.0, 0.5))
+        # every point of a batch is checked, not only the first
+        with pytest.raises(SingularityError):
+            field_at(seg, [(0.3, 0.0, 0.0), (0.0, 0.0, 0.5)])
 
 
 class TestCoilField:
     def test_center_matches_ideal_at_L_over_R2_50(self):
         spec = paper_coil(L=50 * 0.12)
-        segs = build_winding(spec, 8)
-        A = coil_A(segs, (0.0, 0.0, 0.0))
+        A = A_at(build_winding(spec, 8), (0.0, 0.0, 0.0))
         ideal = annular_coil_A(spec.ideal_equivalent())
         assert A[2] == pytest.approx(ideal, rel=0.02)
         # transverse leakage stays small for paired opposite helicity
@@ -137,28 +218,26 @@ class TestCoilField:
         spec_p = paper_coil(L=2.0)
         spec_m = paper_coil(L=2.0, I=-1.0)
         p = (0.01, 0.02, 0.05)
-        Ap = coil_A(build_winding(spec_p, 4), p)
-        Am = coil_A(build_winding(spec_m, 4), p)
+        Ap = A_at(build_winding(spec_p, 4), p)
+        Am = A_at(build_winding(spec_m, 4), p)
         assert np.allclose(Ap, -Am, rtol=1e-14, atol=0)
 
     def test_marginal_fragments_cancel_transverse_at_midplane(self):
         # only the two end fragments, symmetric currents
         spec = paper_coil(L=2.0)
-        segs = build_winding(spec, 8)
-        ends = [
-            s
-            for s in segs
-            if abs(abs(s.start[2]) - spec.L / 2) < 1e-12
-            and abs(abs(s.end[2]) - spec.L / 2) < 1e-12
-        ]
-        A = coil_A(ends, (0.0, 0.0, 0.0))
+        w = build_winding(spec, 8)
+        radial = (np.abs(np.abs(w.starts[:, 2]) - spec.L / 2) < 1e-12) & (
+            np.abs(np.abs(w.ends[:, 2]) - spec.L / 2) < 1e-12
+        )
+        ends = Winding(w.starts[radial], w.ends[radial], w.currents[radial])
+        A = A_at(ends, (0.0, 0.0, 0.0))
         assert abs(A[0]) <= 1e-10 * max(abs(A[2]), 1e-12) + 1e-20
         assert abs(A[1]) <= 1e-10 * max(abs(A[2]), 1e-12) + 1e-20
 
     def test_segment_split_changes_little(self):
         spec = paper_coil(L=2.0)
-        a4 = coil_A(build_winding(spec, 4), (0.0, 0.0, 0.0))
-        a8 = coil_A(build_winding(spec, 8), (0.0, 0.0, 0.0))
+        a4 = A_at(build_winding(spec, 4), (0.0, 0.0, 0.0))
+        a8 = A_at(build_winding(spec, 8), (0.0, 0.0, 0.0))
         assert a8[2] == pytest.approx(a4[2], rel=1e-3)
 
 
@@ -175,9 +254,9 @@ class TestCoilB:
         assert np.allclose(B, [0, 0, 1], atol=1e-9)
 
     def test_long_wire_amperes_law(self):
-        seg = [SegmentCurrent(start=(0, 0, -100), end=(0, 0, 100), I=2.0)]
+        seg = segment((0, 0, -100), (0, 0, 100), 2.0)
         r = 1.0
-        B = coil_B(seg, (r, 0, 0), h=1e-4)
+        B = B_at(seg, (r, 0, 0))
         expected = constants().mu0 * 2.0 / (2 * math.pi * r)
         assert np.linalg.norm(B) == pytest.approx(expected, rel=0.01)
         # field circulates: at +x the field of +z current points +y
@@ -185,9 +264,54 @@ class TestCoilB:
 
     def test_bore_field_small_vs_winding_scale(self):
         spec = paper_coil(L=12.0)
-        segs = build_winding(spec, 8)
-        B = coil_B(segs, (0.0, 0.0, 0.0), h=1e-4 * spec.R1)
+        B = B_at(build_winding(spec, 8), (0.0, 0.0, 0.0))
         assert np.linalg.norm(B) <= 1e-3 * constants().mu0 * spec.turn_density * abs(spec.I)
+
+    # bore, inside the winding cross-section, and outside the coil
+    PROBES = (
+        (0.01, 0.02, 0.05),
+        (0.0, 0.0, 0.0),
+        (-0.06, 0.07, -0.8),
+        (0.11, 0.0, 0.0),
+        (0.0, -0.105, 0.3),
+        (0.08, 0.08, -0.5),
+        (0.15, 0.1, 0.2),
+        (0.206, 0.0, 0.0),
+        (0.0, 0.3, 1.5),
+    )
+
+    def test_closed_form_B_equals_fd_curl_of_A(self):
+        w = build_winding(paper_coil(L=2.0), 8)
+        for p in self.PROBES:
+            B_fd = _curl_fd(lambda q: A_at(w, q), p, 1e-5)
+            B = B_at(w, p)
+            assert np.all(np.abs(B - B_fd) <= 1e-7 * np.linalg.norm(B) + 1e-13), p
+
+    def test_amperes_law_in_winding_cross_section(self):
+        # |B| = mu0*N*I/(2 pi r), circulating in +phi, at mid-plane
+        spec = paper_coil(L=2.0, I=2.5)
+        w = build_winding(spec, 8)
+        r = 0.11
+        expected = constants().mu0 * spec.turn_count * spec.I / (2 * math.pi * r)
+        for phi in (0.3, 2.0, 4.0):
+            e_phi = np.array([-math.sin(phi), math.cos(phi), 0.0])
+            B = B_at(w, (r * math.cos(phi), r * math.sin(phi), 0.0))
+            assert np.allclose(B, expected * e_phi, rtol=0, atol=1e-9 * expected)
+
+    def test_field_free_in_bore_and_outside(self):
+        spec = paper_coil(L=2.0, I=2.5)
+        w = build_winding(spec, 8)
+        scale = constants().mu0 * spec.turn_count * abs(spec.I) / (2 * math.pi * spec.R1)
+        for p in self.PROBES:
+            if spec.R1 <= math.hypot(p[0], p[1]) <= spec.R2:
+                continue
+            assert np.linalg.norm(B_at(w, p)) <= 1e-11 * scale, p
+
+    def test_A_and_B_flip_sign_with_current(self):
+        Ap, Bp = field_at(build_winding(paper_coil(L=2.0, I=1.5), 8), self.PROBES)
+        Am, Bm = field_at(build_winding(paper_coil(L=2.0, I=-1.5), 8), self.PROBES)
+        assert np.allclose(Am, -Ap, rtol=1e-14, atol=0)
+        assert np.allclose(Bm, -Bp, rtol=1e-14, atol=0)
 
 
 class TestHomogeneityReport:
@@ -222,3 +346,16 @@ class TestHomogeneityReport:
         region = Box(lo=(-0.01, -0.01, -0.01), hi=(0.01, 0.01, 0.01))
         with pytest.raises(DomainError):
             homogeneity_report(spec, region, 1)
+
+    def test_report_carries_the_sampled_grid(self):
+        spec = paper_coil(L=2.0)
+        region = Box(lo=(-0.02, -0.01, -0.03), hi=(0.02, 0.01, 0.03))
+        rep = homogeneity_report(spec, region, (2, 3, 4))
+        assert rep.points.shape == rep.A.shape == rep.B.shape == (24, 3)
+        # x outermost, z innermost
+        assert np.array_equal(rep.points[:4, 2], np.linspace(-0.03, 0.03, 4))
+        assert np.array_equal(rep.points[::12, 0], [-0.02, 0.02])
+        A, B = field_at(build_winding(spec, 8), rep.points)
+        assert np.array_equal(rep.A, A) and np.array_equal(rep.B, B)
+        assert rep.mean_A == tuple(A.mean(axis=0))
+        assert rep.max_B_magnitude == np.max(np.linalg.norm(B, axis=1))
