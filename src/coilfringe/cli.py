@@ -16,6 +16,7 @@ from .errors import CoilfringeError, ScenarioError
 from .export import (
     fmt,
     fringe_summary,
+    json_text,
     write_field_map,
     write_fringe_csv,
     write_json,
@@ -31,7 +32,13 @@ from .scenario import (
     paper_scenario,
 )
 from .sweep import run_sweep, write_sweep_csv
-from .winding import Box, CoilWindingSpec, build_winding, homogeneity_report
+from .winding import (
+    Box,
+    CoilWindingSpec,
+    build_winding,
+    check_bore_grid,
+    homogeneity_report,
+)
 
 CONFIG_DIR_ENV = "COILFRINGE_CONFIG_DIR"
 
@@ -59,27 +66,28 @@ def _load(args):
 
 def _cmd_reproduce_paper(args):
     rep = reproduce_paper(profile=args.tolerance_profile)
-    if args.format == "json" and args.out:
-        write_json(
-            args.out,
-            {
-                "profile": rep.profile,
-                "rows": [
-                    {
-                        "name": r.name,
-                        "equation": r.equation,
-                        "computed": fmt(r.computed),
-                        "reference": fmt(r.reference),
-                        "rel_deviation": fmt(r.rel_deviation),
-                        "tolerance": fmt(r.tolerance),
-                        "flagged": r.flagged,
-                        "ok": r.ok,
-                    }
-                    for r in rep.rows
-                ],
-                "all_ok": rep.all_ok,
-            },
-        )
+    if args.format == "json":
+        data = {
+            "profile": rep.profile,
+            "rows": [
+                {
+                    "name": r.name,
+                    "equation": r.equation,
+                    "computed": fmt(r.computed),
+                    "reference": fmt(r.reference),
+                    "rel_deviation": fmt(r.rel_deviation),
+                    "tolerance": fmt(r.tolerance),
+                    "flagged": r.flagged,
+                    "ok": r.ok,
+                }
+                for r in rep.rows
+            ],
+            "all_ok": rep.all_ok,
+        }
+        if args.out is None:
+            print(json_text(data))
+            return 0 if rep.all_ok else 1
+        write_json(args.out, data)
     for r in rep.rows:
         flag = " (flagged)" if r.flagged else ""
         status = "ok" if r.ok else "FAIL"
@@ -150,6 +158,7 @@ def _cmd_field_map(args):
             "rel_error_vs_ideal": fmt(rep.rel_error_vs_ideal),
         }
     else:
+        grid = check_bore_grid(coil.R1, region, grid)
         ideal = annular_coil_A(coil)
         rows = [[*p, 0.0, 0.0, ideal, 0.0, 0.0, 0.0] for p in region.grid_points(grid)]
         report_data = {

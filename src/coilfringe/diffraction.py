@@ -3,9 +3,9 @@
 Grating-equation model: a*sin(theta_k) = k*lambda with screen positions
 y_k = D*tan(theta_k). The de Broglie wavelength uses the canonical
 momentum mv + e*A, with the sign of A carried by the coil current
-polarity. The model is non-relativistic by default; a relativistic
-momentum mode exists for comparison but is not used for the reference
-numbers.
+polarity. The model is non-relativistic; mechanical_momentum has a
+relativistic mode for comparison, which the rest of the model does not
+use.
 """
 
 from dataclasses import dataclass, field
@@ -66,36 +66,36 @@ class FringePattern:
 
 
 def mechanical_momentum(U, relativistic=False):
-    """Momentum of an electron accelerated through voltage U.
+    """Momentum of an electron accelerated through voltage U (scalar or array).
 
     sqrt(2*m_e*e*U) by default; the relativistic mode returns
     sqrt(2*m*e*U*(1 + e*U/(2*m*c^2))) and is provided for comparison
     only.
     """
-    if U <= 0:
+    if np.any(np.less_equal(U, 0)):
         raise DomainError("accelerating voltage U must be positive")
     c = constants()
-    p = math.sqrt(2 * c.m_e * c.e * U)
+    p = np.sqrt(2 * c.m_e * c.e * U)
     if relativistic:
-        p *= math.sqrt(1 + c.e * U / (2 * c.m_e * C_LIGHT**2))
+        p *= np.sqrt(1 + c.e * U / (2 * c.m_e * C_LIGHT**2))
     return p
 
 
 def de_broglie_lambda(p):
-    """de Broglie wavelength lambda = h/p."""
-    if p <= 0:
+    """de Broglie wavelength lambda = h/p (scalar or array)."""
+    if np.any(np.less_equal(p, 0)):
         raise DomainError("momentum must be positive")
     return constants().h / p
 
 
-def effective_momentum(U, A, relativistic=False):
+def effective_momentum(U, A):
     """Canonical momentum mv + e*A for the signed axial potential A.
 
     The beam axis and A are collinear; the coil current polarity carries
     the sign of A.
     """
     c = constants()
-    p = mechanical_momentum(U, relativistic) + c.e * A
+    p = mechanical_momentum(U) + c.e * A
     if p <= 0:
         raise ModelDomainError(
             f"effective momentum {p:.3e} kg*m/s is non-positive; "
@@ -104,7 +104,12 @@ def effective_momentum(U, A, relativistic=False):
     return p
 
 
-def fringe_pattern(beam, gs, A, k_max, relativistic=False):
+def small_angle_interfringe(lam, gs):
+    """Small-angle interfringe lambda*D/a for wavelength lam (scalar or array)."""
+    return lam * gs.D / gs.a
+
+
+def fringe_pattern(beam, gs, A, k_max):
     """Predict the ring pattern for orders 0..k_max.
 
     theta_k = arcsin(k*lambda_eff/a), y_k = D*tan(theta_k). The small
@@ -113,7 +118,7 @@ def fringe_pattern(beam, gs, A, k_max, relativistic=False):
     """
     if k_max < 1:
         raise DomainError("k_max must be >= 1")
-    P_eff = effective_momentum(beam.U, A, relativistic)
+    P_eff = effective_momentum(beam.U, A)
     lam = de_broglie_lambda(P_eff)
     s_max = k_max * lam / gs.a
     if s_max >= 1.0:
@@ -138,7 +143,7 @@ def fringe_pattern(beam, gs, A, k_max, relativistic=False):
     return FringePattern(
         orders=tuple(orders),
         interfringe_i=orders[1].y_k - orders[0].y_k,
-        interfringe_small_angle=lam * gs.D / gs.a,
+        interfringe_small_angle=small_angle_interfringe(lam, gs),
         wavelength=lam,
         P_eff=P_eff,
         small_angle_valid=small_angle_valid,
@@ -149,28 +154,23 @@ def fringe_pattern(beam, gs, A, k_max, relativistic=False):
 def inverse_interfringe(U, I, coil_K, gs):
     """Inverse small-angle interfringe a*(sqrt(2*m*e*U) + e*K*I)/(h*D).
 
-    Linear in I at fixed U; identically 1 over the small-angle
-    interfringe.
+    Linear in I at fixed U; 1 over the small-angle interfringe.
     """
-    c = constants()
-    P_eff = effective_momentum(U, coil_K * I)
-    return gs.a * P_eff / (c.h * gs.D)
+    lam = de_broglie_lambda(effective_momentum(U, coil_K * I))
+    return 1.0 / small_angle_interfringe(lam, gs)
 
 
-def linear_response_fit(samples):
-    """Least squares of inverse interfringe against (sqrt(U), I).
+def linear_response_fit(U, I, f):
+    """Least squares of inverse interfringe f against (sqrt(U), I).
 
-    samples is a sequence of (U, I, inverse_i). Returns (alpha, beta,
-    r_squared) where alpha multiplies sqrt(U) and beta multiplies I.
+    U, I and f are equal-length sequences of samples. Returns (alpha,
+    beta, r_squared) where alpha multiplies sqrt(U) and beta multiplies I.
     """
-    samples = list(samples)
-    if len(samples) < 3:
+    U, I, f = (np.asarray(x, dtype=float) for x in (U, I, f))
+    if len(f) < 3:
         raise FitError("need at least 3 samples")
-    if len({i for _, i, _ in samples}) < 2:
+    if len(np.unique(I)) < 2:
         raise FitError("samples must span at least 2 distinct currents")
-    U = np.array([u for u, _, _ in samples], dtype=float)
-    I = np.array([i for _, i, _ in samples], dtype=float)
-    f = np.array([v for _, _, v in samples], dtype=float)
     X = np.column_stack([np.sqrt(U), I])
     if np.linalg.matrix_rank(X) < 2:
         raise FitError("rank-deficient design: sqrt(U) and I columns are degenerate")

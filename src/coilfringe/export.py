@@ -38,13 +38,18 @@ def _coil_comment_lines(coil):
     ]
 
 
+def write_lines(path, lines):
+    """Write lines as UTF-8 text with '\\n' endings, the last one included."""
+    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+        fh.write("\n".join(lines) + "\n")
+
+
 def write_field_map(path, coil, rows):
     """Write a field-map CSV: one row of x,y,z,Ax,Ay,Az,Bx,By,Bz per point."""
     lines = _coil_comment_lines(coil) + ["x,y,z,Ax,Ay,Az,Bx,By,Bz"]
     for row in rows:
         lines.append(",".join(fmt(v) for v in row))
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("\n".join(lines) + "\n")
+    write_lines(path, lines)
 
 
 def write_fringe_csv(path, pattern, scenario_comment=()):
@@ -54,8 +59,7 @@ def write_fringe_csv(path, pattern, scenario_comment=()):
         lines.append(
             f"{o.k},{fmt(o.theta_k)},{fmt(o.y_k)},{fmt(o.ring_radius)}"
         )
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("\n".join(lines) + "\n")
+    write_lines(path, lines)
 
 
 def fringe_summary(pattern):
@@ -68,7 +72,10 @@ def fringe_summary(pattern):
     }
 
 
+def json_text(data):
+    """The fixed JSON layout of every emitted JSON document."""
+    return json.dumps(data, indent=2, sort_keys=True)
+
+
 def write_json(path, data):
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        json.dump(data, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    write_lines(path, [json_text(data)])

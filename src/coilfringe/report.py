@@ -8,23 +8,20 @@ tolerance and the artifact reports its own arithmetic.
 """
 
 from dataclasses import dataclass
-import math
 
 from .constants import constants
 from .diffraction import (
-    GratingScreenSpec,
+    de_broglie_lambda,
+    effective_momentum,
     inverse_interfringe,
     mechanical_momentum,
+    small_angle_interfringe,
 )
-from .ideal_field import AnnularCoilIdeal, coil_constant_K
+from .ideal_field import coil_constant_K
+from .scenario import ideal_coil_of, paper_scenario
 
-# Reference setup: copper foil, 30 kV beam, two-layer annular coil.
-REF_A = 2.55e-10
-REF_D = 0.1
-REF_U = 30e3
-REF_R1 = 0.1
-REF_R2 = 0.12
-REF_TURN_DENSITY = 2000.0
+# Largest coil current of the reference estimates, A; the reference setup
+# itself is the built-in paper scenario.
 REF_I_MAX = 10.0
 
 # (name, equation tag, printed value, relative tolerance, flagged)
@@ -72,33 +69,28 @@ class PaperReport:
         return all(row.ok for row in self.rows)
 
 
-def reference_coil():
-    """Ideal coil with the reference geometry and integer turn count."""
-    n_turns = round(2 * math.pi * REF_R1 * REF_TURN_DENSITY)
-    return AnnularCoilIdeal(R1=REF_R1, R2=REF_R2, N=n_turns, I=1.0)
-
-
 def computed_quantities():
     """Model values for every quantity in the reference estimate set."""
-    c = constants()
-    gs = GratingScreenSpec(a=REF_A, D=REF_D)
-    K = coil_constant_K(reference_coil())
-    p_mec = mechanical_momentum(REF_U)
-    p_add_coeff = c.e * K
-    p_min = p_mec - p_add_coeff * REF_I_MAX
-    p_max = p_mec + p_add_coeff * REF_I_MAX
-    i_of = lambda p: c.h * gs.D / (gs.a * p)  # small-angle interfringe
+    scen = paper_scenario()
+    U, gs = scen.beam.U, scen.grating_screen
+    K = coil_constant_K(ideal_coil_of(scen))
+    p_mec = mechanical_momentum(U)
+    p_min = effective_momentum(U, K * -REF_I_MAX)
+    p_max = effective_momentum(U, K * +REF_I_MAX)
+    i_zero, i_min, i_max = (
+        small_angle_interfringe(de_broglie_lambda(p), gs) for p in (p_mec, p_max, p_min)
+    )
     return {
         "p_mec": p_mec,
         "K": K,
-        "p_add_coeff": p_add_coeff,
+        "p_add_coeff": constants().e * K,
         "P_eff_min": p_min,
         "P_eff_max": p_max,
-        "i_zero_field": i_of(p_mec),
-        "i_eff_min": i_of(p_max),
-        "i_eff_max": i_of(p_min),
-        "inverse_i_min": inverse_interfringe(REF_U, -REF_I_MAX, K, gs),
-        "inverse_i_max": inverse_interfringe(REF_U, +REF_I_MAX, K, gs),
+        "i_zero_field": i_zero,
+        "i_eff_min": i_min,
+        "i_eff_max": i_max,
+        "inverse_i_min": inverse_interfringe(U, -REF_I_MAX, K, gs),
+        "inverse_i_max": inverse_interfringe(U, +REF_I_MAX, K, gs),
     }
 
 
@@ -110,7 +102,7 @@ def reproduce_paper(profile="paper"):
     values = computed_quantities()
     rows = []
     for name, eq, ref, tol, flagged in _PAPER_ROWS:
-        computed = values[name]
+        computed = float(values[name])  # plain floats for JSON emission
         rows.append(
             ReportRow(
                 name=name,

@@ -13,6 +13,9 @@ annular coil):
 from dataclasses import dataclass
 import json
 import math
+import numbers
+
+import numpy as np
 
 from .errors import ScenarioError
 from .ideal_field import AnnularCoilIdeal
@@ -20,6 +23,9 @@ from .diffraction import BeamSpec, GratingScreenSpec
 from .winding import CoilWindingSpec
 
 SCHEMA_VERSION = 1
+
+# Largest number of values in one sweep.
+MAX_SWEEP_POINTS = 10**6
 
 # Factor demanded of each ">>" setup relation before it is flagged ok.
 DEFAULT_GEOMETRY_FACTOR = 10.0
@@ -77,7 +83,10 @@ class ExperimentScenario:
 
 @dataclass(frozen=True)
 class SweepSpec:
-    """Sweep of current or voltage; the rest of the scenario is fixed."""
+    """Sweep of current or voltage; the rest of the scenario is fixed.
+
+    A sweep holds at most MAX_SWEEP_POINTS values.
+    """
 
     variable: str  # "current" or "voltage"
     start: float
@@ -88,16 +97,27 @@ class SweepSpec:
     def __post_init__(self):
         if self.variable not in ("current", "voltage"):
             raise ScenarioError(f"unknown sweep variable {self.variable!r}")
+        for name in ("start", "stop", "step"):
+            _number(getattr(self, name), f"sweep {name}")
         if self.step <= 0:
             raise ScenarioError("sweep step must be positive")
         if self.start > self.stop:
             raise ScenarioError("sweep start must not exceed stop")
-        if len(self.values()) < 2:
+        # count() <= MAX_SWEEP_POINTS, checked before anything is allocated
+        if not self._span() < MAX_SWEEP_POINTS:
+            raise ScenarioError(f"sweep exceeds {MAX_SWEEP_POINTS} points")
+        if self.count() < 2:
             raise ScenarioError("sweep must contain at least 2 samples")
 
+    def _span(self):
+        return (self.stop - self.start) / self.step + 1e-9
+
+    def count(self):
+        """Number of sweep values, both ends included."""
+        return math.floor(self._span()) + 1
+
     def values(self):
-        count = int(math.floor((self.stop - self.start) / self.step + 1e-9)) + 1
-        return [self.start + k * self.step for k in range(count)]
+        return self.start + np.arange(self.count()) * self.step
 
 
 def _merge_defaults(data):
@@ -124,32 +144,50 @@ def _merge_defaults(data):
 _IDEAL_COIL_KEYS = {"N_turns"}
 
 
+def _number(value, name, integer=False):
+    """value as a finite float, or as an int if integer; ScenarioError otherwise."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        raise ScenarioError(f"{name} must be a number, got {value!r}")
+    try:
+        x = float(value)
+    except OverflowError:  # an int literal beyond the float range
+        x = math.inf
+    if not math.isfinite(x):
+        raise ScenarioError(f"{name} must be finite, got {x!r}")
+    if integer:
+        if not x.is_integer():
+            raise ScenarioError(f"{name} must be an integer, got {value!r}")
+        return int(value)
+    return x
+
+
 def _build_coil(coil_data, current):
+    def num(key, integer=False):
+        return _number(coil_data[key], f"coil.{key}", integer)
+
     ctype = coil_data["type"]
     if ctype == "winding":
+        helicity = coil_data["helicity_sign_per_layer"]
+        if not isinstance(helicity, list):
+            raise ScenarioError("coil.helicity_sign_per_layer must be a list")
         return CoilWindingSpec(
-            R1=float(coil_data["R1_m"]),
-            R2=float(coil_data["R2_m"]),
-            L=float(coil_data["L_m"]),
-            turn_density=float(coil_data["turn_density_per_m"]),
-            layers=int(coil_data["layers"]),
-            helicity_sign_per_layer=tuple(coil_data["helicity_sign_per_layer"]),
-            wire_diameter=float(coil_data["wire_diameter_m"]),
+            R1=num("R1_m"),
+            R2=num("R2_m"),
+            L=num("L_m"),
+            turn_density=num("turn_density_per_m"),
+            layers=num("layers", integer=True),
+            helicity_sign_per_layer=tuple(
+                _number(h, "coil.helicity_sign_per_layer", integer=True) for h in helicity
+            ),
+            wire_diameter=num("wire_diameter_m"),
             I=current,
         )
     if ctype == "ideal":
         if "N_turns" in coil_data:
-            n_turns = int(coil_data["N_turns"])
+            n_turns = num("N_turns", integer=True)
         else:
-            n_turns = round(
-                2 * math.pi * float(coil_data["R1_m"]) * float(coil_data["turn_density_per_m"])
-            )
-        return AnnularCoilIdeal(
-            R1=float(coil_data["R1_m"]),
-            R2=float(coil_data["R2_m"]),
-            N=n_turns,
-            I=current,
-        )
+            n_turns = round(2 * math.pi * num("R1_m") * num("turn_density_per_m"))
+        return AnnularCoilIdeal(R1=num("R1_m"), R2=num("R2_m"), N=n_turns, I=current)
     raise ScenarioError(f"unknown coil type {ctype!r}")
 
 
@@ -161,16 +199,17 @@ def scenario_from_dict(data, geometry_factor=DEFAULT_GEOMETRY_FACTOR):
     if version != SCHEMA_VERSION:
         raise ScenarioError(f"unsupported schema_version {version}")
     merged = _merge_defaults(data)
-    current = float(merged["current_A"])
+    current = _number(merged["current_A"], "current_A")
+    beam_data, screen_data = merged["beam"], merged["grating_screen"]
     try:
         coil = _build_coil(merged["coil"], current)
         beam = BeamSpec(
-            U=float(merged["beam"]["U_V"]),
-            beam_width_phi=float(merged["beam"]["beam_width_m"]),
+            U=_number(beam_data["U_V"], "beam.U_V"),
+            beam_width_phi=_number(beam_data["beam_width_m"], "beam.beam_width_m"),
         )
         gs = GratingScreenSpec(
-            a=float(merged["grating_screen"]["a_m"]),
-            D=float(merged["grating_screen"]["D_m"]),
+            a=_number(screen_data["a_m"], "grating_screen.a_m"),
+            D=_number(screen_data["D_m"], "grating_screen.D_m"),
         )
     except ScenarioError:
         raise

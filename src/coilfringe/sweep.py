@@ -5,9 +5,14 @@ import math
 import numpy as np
 
 from .constants import constants
-from .diffraction import linear_response_fit
-from .errors import DomainError
-from .export import fmt
+from .diffraction import (
+    de_broglie_lambda,
+    linear_response_fit,
+    mechanical_momentum,
+    small_angle_interfringe,
+)
+from .errors import FitError
+from .export import fmt, write_lines
 from .ideal_field import coil_constant_K
 from .scenario import ideal_coil_of
 
@@ -21,30 +26,28 @@ def run_sweep(sweep):
     (swept_value, P_eff, lambda_eff_m, interfringe_m, inverse_interfringe_per_m)
     with NaN in the last four columns for points outside the model
     domain (P_eff <= 0), and fit is (alpha, beta, r_squared) for current
-    sweeps with enough valid points (None otherwise).
+    sweeps whose valid points determine it (None otherwise).
     """
     scen = sweep.scenario
-    gs = scen.grating_screen
     K = coil_constant_K(ideal_coil_of(scen))
-    c = constants()
-    values = np.array(sweep.values())
+    values = sweep.values()
     if sweep.variable == "current":
         U, I = np.full_like(values, scen.beam.U), values
     else:
         U, I = values, np.full_like(values, scen.I)
-    if np.any(U <= 0):
-        raise DomainError("accelerating voltage U must be positive")
-    P_eff = np.sqrt(2 * c.m_e * c.e * U) + c.e * (K * I)
+    P_eff = mechanical_momentum(U) + constants().e * (K * I)
     valid = ~(P_eff <= 0)
-    lam = c.h / P_eff[valid]
-    interfringe = lam * gs.D / gs.a
+    lam = de_broglie_lambda(P_eff[valid])
+    interfringe = small_angle_interfringe(lam, scen.grating_screen)
     rows = np.full((len(values), 5), np.nan)
     rows[:, 0] = values
     rows[valid, 1:] = np.column_stack([P_eff[valid], lam, interfringe, 1.0 / interfringe])
     fit = None
-    if sweep.variable == "current" and valid.sum() >= 3:
-        if len(np.unique(I[valid])) >= 2:
-            fit = linear_response_fit(zip(U[valid], I[valid], rows[valid, 4]))
+    if sweep.variable == "current":
+        try:
+            fit = linear_response_fit(U[valid], I[valid], rows[valid, 4])
+        except FitError:
+            pass
     return rows, fit
 
 
@@ -62,5 +65,4 @@ def write_sweep_csv(path, sweep, rows):
     full_row = ",".join(["%.8e"] * 5)
     for row in rows.tolist():
         lines.append(error_row % row[0] if math.isnan(row[1]) else full_row % tuple(row))
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("\n".join(lines) + "\n")
+    write_lines(path, lines)

@@ -239,30 +239,40 @@ def field_at(winding, points):
     return A, B
 
 
-def homogeneity_report(spec, region, grid, segments_per_turn=8):
-    """Sample A and B on a grid inside the bore and report uniformity.
+def check_bore_grid(R1, region, grid):
+    """Check a sampling grid of the bore; returns the per-axis point counts.
 
     grid is the per-axis point count (>= 2), one int or a 3-tuple. The
     region must stay strictly inside the bore cylinder of radius R1.
-    Every input is checked before any field is evaluated.
     """
     if isinstance(grid, int):
         grid = (grid, grid, grid)
     if any(g < 2 for g in grid):
         raise DomainError("grid must have >= 2 points per axis")
-    if spec.I == 0.0:
-        raise DomainError("relative field deviations are undefined at zero current")
     lo = np.asarray(region.lo, dtype=float)
     hi = np.asarray(region.hi, dtype=float)
     max_transverse = max(
         math.hypot(x, y) for x in (lo[0], hi[0]) for y in (lo[1], hi[1])
     )
-    if max_transverse >= spec.R1 - WIRE_GUARD:
+    if max_transverse >= R1 - WIRE_GUARD:
         raise DomainError(
             f"region transverse extent {max_transverse:.4g} m reaches the "
-            f"winding at R1 = {spec.R1} m"
+            f"winding at R1 = {R1} m"
         )
-    if abs(lo[2]) >= spec.L / 2 or abs(hi[2]) >= spec.L / 2:
+    return grid
+
+
+def homogeneity_report(spec, region, grid, segments_per_turn=8):
+    """Sample A and B on a grid inside the bore and report uniformity.
+
+    The grid and region are checked by check_bore_grid, and the region
+    must also lie inside the coil length. Every input is checked before
+    any field is evaluated.
+    """
+    grid = check_bore_grid(spec.R1, region, grid)
+    if spec.I == 0.0:
+        raise DomainError("relative field deviations are undefined at zero current")
+    if abs(region.lo[2]) >= spec.L / 2 or abs(region.hi[2]) >= spec.L / 2:
         raise DomainError("region must lie inside the coil length")
 
     points = region.grid_points(grid)

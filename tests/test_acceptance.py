@@ -136,10 +136,9 @@ def test_criterion_5_linearity_and_pattern_scaling():
     gs = GratingScreenSpec(a=2.55e-10, D=0.1)
     coil = coil_spec(L=12.0).ideal_equivalent()
     K = coil_constant_K(coil)
-    samples = [
-        (30e3, i, inverse_interfringe(30e3, i, K, gs)) for i in np.linspace(-10, 10, 21)
-    ]
-    alpha, beta, r2 = linear_response_fit(samples)
+    I = np.linspace(-10, 10, 21)
+    f = [inverse_interfringe(30e3, i, K, gs) for i in I]
+    alpha, beta, r2 = linear_response_fit(np.full_like(I, 30e3), I, f)
     beta_expected = gs.a * c.e * K / (c.h * gs.D)
     beta_ok = abs(beta - beta_expected) / beta_expected <= 1e-10
     report(

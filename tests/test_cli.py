@@ -38,6 +38,12 @@ class TestReproducePaper:
         assert data["all_ok"] is True
         assert len(data["rows"]) == 10
 
+    def test_json_to_stdout_without_out(self, capsys):
+        assert main(["reproduce-paper", "--format", "json"]) == 0
+        data = json.loads(capsys.readouterr().out)
+        assert data["all_ok"] is True
+        assert len(data["rows"]) == 10
+
 
 class TestSweep:
     def test_current_sweep_with_fit_sidecar(self, tmp_path, capsys):
@@ -103,6 +109,25 @@ class TestFieldMap:
         assert len(field_cols) == 1  # homogeneous: identical A on every row
         hom = json.loads(read(out_path + ".homogeneity.json"))
         assert float(hom["rel_error_vs_ideal"]) == 0.0
+
+    @pytest.mark.parametrize(
+        "region, grid",
+        [
+            ("-0.5,0.5,-0.5,0.5,-0.02,0.02", "2"),  # far outside the bore
+            ("-0.02,0.02,-0.02,0.02,-0.02,0.02", "1"),
+        ],
+    )
+    def test_ideal_coil_checks_region_and_grid(self, tmp_path, capsys, region, grid):
+        config = tmp_path / "ideal.json"
+        config.write_text(json.dumps({"coil": {"type": "ideal"}, "current_A": 1.0}))
+        out_path = str(tmp_path / "map.csv")
+        args = [
+            "field-map", "--config", str(config),
+            f"--region={region}", "--grid", grid, "--out", out_path,
+        ]
+        assert main(args) == 1
+        assert not os.path.exists(out_path)
+        assert not os.path.exists(out_path + ".homogeneity.json")
 
     def test_winding_map_and_homogeneity(self, tmp_path, capsys):
         config = tmp_path / "on.json"

@@ -168,11 +168,9 @@ class TestInverseInterfringe:
 class TestLinearResponseFit:
     def test_noiseless_grid_recovers_coefficients(self):
         c = constants()
-        samples = [
-            (30e3, i, inverse_interfringe(30e3, i, REF_K, GS))
-            for i in np.linspace(-10, 10, 21)
-        ]
-        alpha, beta, r2 = linear_response_fit(samples)
+        I = np.linspace(-10, 10, 21)
+        f = [inverse_interfringe(30e3, i, REF_K, GS) for i in I]
+        alpha, beta, r2 = linear_response_fit(np.full_like(I, 30e3), I, f)
         assert r2 >= 1 - 1e-12
         beta_expected = GS.a * c.e * REF_K / (c.h * GS.D)
         alpha_expected = GS.a * math.sqrt(2 * c.m_e * c.e) / (c.h * GS.D)
@@ -181,11 +179,11 @@ class TestLinearResponseFit:
 
     def test_degenerate_design_rejected(self):
         with pytest.raises(FitError):
-            linear_response_fit([(10e3, 0.0, 100.0), (20e3, 0.0, 150.0), (30e3, 0.0, 180.0)])
+            linear_response_fit([10e3, 20e3, 30e3], [0.0, 0.0, 0.0], [100.0, 150.0, 180.0])
 
     def test_too_few_samples_rejected(self):
         with pytest.raises(FitError):
-            linear_response_fit([(30e3, 0.0, 1.0), (30e3, 1.0, 2.0)])
+            linear_response_fit([30e3, 30e3], [0.0, 1.0], [1.0, 2.0])
 
     def test_reference_endpoint_slope(self):
         # difference quotient over the printed interval endpoints

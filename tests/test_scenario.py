@@ -6,6 +6,7 @@ import pytest
 from coilfringe.errors import ScenarioError
 from coilfringe.ideal_field import AnnularCoilIdeal
 from coilfringe.scenario import (
+    MAX_SWEEP_POINTS,
     SweepSpec,
     load_scenario,
     paper_scenario,
@@ -69,6 +70,26 @@ class TestLoadScenario:
         assert scen.coil.I == 2.0
 
 
+@pytest.mark.parametrize(
+    "text",
+    [
+        '{"beam": {"U_V": NaN}}',
+        '{"current_A": NaN}',
+        '{"coil": {"turn_density_per_m": 1e400}}',  # json reads inf
+        '{"coil": {"layers": 2.7}}',
+        '{"coil": {"L_m": NaN}}',
+        '{"coil": {"helicity_sign_per_layer": [1, NaN]}}',
+        '{"coil": {"helicity_sign_per_layer": 1}}',
+        '{"current_A": "2.5"}',
+    ],
+)
+def test_malformed_numbers_rejected(tmp_path, text):
+    path = tmp_path / "scenario.json"
+    path.write_text(text)
+    with pytest.raises(ScenarioError, match="must be"):
+        load_scenario(str(path))
+
+
 class TestGeometryChecks:
     def test_paper_defaults_satisfy_factors(self):
         scen = paper_scenario()
@@ -106,3 +127,11 @@ class TestSweepSpec:
             SweepSpec("radius", 0.0, 1.0, 0.1, scen)
         with pytest.raises(ScenarioError):
             SweepSpec("current", 0.0, 1.0, -0.1, scen)
+
+    def test_point_limit(self):
+        scen = paper_scenario()
+        assert SweepSpec("current", 0.0, MAX_SWEEP_POINTS - 1.0, 1.0, scen).count() == (
+            MAX_SWEEP_POINTS
+        )
+        with pytest.raises(ScenarioError, match="exceeds"):
+            SweepSpec("current", 0.0, float(MAX_SWEEP_POINTS), 1.0, scen)
