@@ -22,11 +22,11 @@ from .export import (
     write_json,
 )
 from .diffraction import fringe_pattern
-from .ideal_field import AnnularCoilIdeal, annular_coil_A, coil_constant_K
+from .ideal_field import annular_coil_A, coil_constant_K
 from .report import reproduce_paper
 from .scenario import (
-    DEFAULT_GEOMETRY_FACTOR,
     SweepSpec,
+    geometry_ratios,
     ideal_coil_of,
     load_scenario,
     paper_scenario,
@@ -41,6 +41,9 @@ from .winding import (
 )
 
 CONFIG_DIR_ENV = "COILFRINGE_CONFIG_DIR"
+
+# Factor validate-coil demands of each ">>" setup relation by default.
+DEFAULT_GEOMETRY_FACTOR = 10.0
 
 
 def _resolve_config(path):
@@ -58,13 +61,14 @@ def _resolve_config(path):
 
 def _load(args):
     path = _resolve_config(args.config)
-    factor = getattr(args, "geometry_factor", DEFAULT_GEOMETRY_FACTOR)
     if path is None:
-        return paper_scenario(geometry_factor=factor)
-    return load_scenario(path, geometry_factor=factor)
+        return paper_scenario()
+    return load_scenario(path)
 
 
 def _cmd_reproduce_paper(args):
+    if args.out is not None and args.format != "json":
+        raise ValueError("reproduce-paper --out requires --format json")
     rep = reproduce_paper(profile=args.tolerance_profile)
     if args.format == "json":
         data = {
@@ -176,13 +180,13 @@ def _cmd_field_map(args):
 
 def _cmd_diffract(args):
     scen = _load(args)
-    K = coil_constant_K(ideal_coil_of(scen))
-    pattern = fringe_pattern(scen.beam, scen.grating_screen, K * scen.I, args.k_max)
+    A = annular_coil_A(ideal_coil_of(scen))
+    pattern = fringe_pattern(scen.beam, scen.grating_screen, A, args.k_max)
     summary = fringe_summary(pattern)
     if args.out:
         comment = [
             f"# U_V = {fmt(scen.beam.U)}",
-            f"# I_A = {fmt(scen.I)}",
+            f"# I_A = {fmt(scen.coil.I)}",
             f"# a_m = {fmt(scen.grating_screen.a)}",
             f"# D_m = {fmt(scen.grating_screen.D)}",
         ]
@@ -225,15 +229,11 @@ def _cmd_validate_coil(args):
         print(f"ideal coil constant K = {fmt(coil_constant_K(coil.ideal_equivalent()))} T*m/A")
     else:
         print(f"ideal coil: N = {coil.N}, K = {fmt(coil_constant_K(coil))} T*m/A")
-    g = scen.geometry
-    for name, value in (
-        ("L/D", g.L_over_D),
-        ("D/phi", g.D_over_phi),
-        ("phi/a", g.phi_over_a),
-    ):
-        ok = value >= g.threshold
+    factor = args.geometry_factor
+    for name, value in geometry_ratios(scen).items():
+        ok = value >= factor
         print(f"geometry {name} = {value:.3g} "
-              f"({'ok' if ok else 'BELOW'} threshold {g.threshold:g})")
+              f"({'ok' if ok else 'BELOW'} threshold {factor:g})")
         if not ok:
             status = 1
     return status
@@ -246,18 +246,11 @@ def build_parser():
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p):
+    def config(p):
         p.add_argument("--config", default=None, help="scenario JSON file")
-        p.add_argument("--out", default=None, help="output file path")
-        p.add_argument(
-            "--geometry-factor",
-            type=float,
-            default=DEFAULT_GEOMETRY_FACTOR,
-            help="required factor for the setup '>>' separations",
-        )
 
     p = sub.add_parser("reproduce-paper", help="recompute the reference estimates")
-    common(p)
+    p.add_argument("--out", default=None, help="JSON report file (with --format json)")
     p.add_argument("--format", choices=("csv", "json"), default="csv")
     p.add_argument(
         "--tolerance-profile", choices=("paper", "strict"), default="paper"
@@ -265,7 +258,8 @@ def build_parser():
     p.set_defaults(func=_cmd_reproduce_paper)
 
     p = sub.add_parser("sweep", help="sweep current or voltage")
-    common(p)
+    config(p)
+    p.add_argument("--out", required=True, help="sweep CSV file")
     p.add_argument("--variable", choices=("current", "voltage"), default="current")
     p.add_argument("--from", dest="start", type=float, required=True)
     p.add_argument("--to", dest="stop", type=float, required=True)
@@ -273,32 +267,35 @@ def build_parser():
     p.set_defaults(func=_cmd_sweep)
 
     p = sub.add_parser("field-map", help="sample A and B over a grid")
-    common(p)
+    config(p)
+    p.add_argument("--out", required=True, help="field-map CSV file")
     p.add_argument("--region", required=True, help="x0,x1,y0,y1,z0,z1 in meters")
     p.add_argument("--grid", default="3", help="n or nx,ny,nz")
     p.add_argument("--segments-per-turn", type=int, default=8)
     p.set_defaults(func=_cmd_field_map)
 
     p = sub.add_parser("diffract", help="predict the fringe pattern")
-    common(p)
+    config(p)
+    p.add_argument("--out", default=None, help="fringe CSV or JSON file")
     p.add_argument("--format", choices=("csv", "json"), default="csv")
     p.add_argument("--k-max", type=int, default=3)
     p.set_defaults(func=_cmd_diffract)
 
     p = sub.add_parser("validate-coil", help="check winding and setup geometry")
-    common(p)
+    config(p)
+    p.add_argument(
+        "--geometry-factor",
+        type=float,
+        default=DEFAULT_GEOMETRY_FACTOR,
+        help="required factor for the setup '>>' separations",
+    )
     p.set_defaults(func=_cmd_validate_coil)
 
     return parser
 
 
 def main(argv=None):
-    parser = build_parser()
-    args = parser.parse_args(argv)
-    if args.command in ("sweep",) and args.out is None:
-        parser.error("sweep requires --out")
-    if args.command in ("field-map",) and args.out is None:
-        parser.error("field-map requires --out")
+    args = build_parser().parse_args(argv)
     try:
         return args.func(args)
     except ScenarioError as exc:

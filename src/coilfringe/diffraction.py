@@ -62,7 +62,6 @@ class FringePattern:
     wavelength: float
     P_eff: float
     small_angle_valid: bool
-    distant_screen_ok: bool
 
 
 def mechanical_momentum(U, relativistic=False):
@@ -139,7 +138,6 @@ def fringe_pattern(beam, gs, A, k_max):
     small_angle_valid = (
         abs(math.tan(theta1) - math.sin(theta1)) / math.sin(theta1) < SMALL_ANGLE_LIMIT
     )
-    distant_screen_ok = gs.D >= 10 * orders[-1].y_k
     return FringePattern(
         orders=tuple(orders),
         interfringe_i=orders[1].y_k - orders[0].y_k,
@@ -147,7 +145,6 @@ def fringe_pattern(beam, gs, A, k_max):
         wavelength=lam,
         P_eff=P_eff,
         small_angle_valid=small_angle_valid,
-        distant_screen_ok=distant_screen_ok,
     )
 
 

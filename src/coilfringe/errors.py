@@ -48,4 +48,5 @@ class FitError(CoilfringeError):
 
 
 class ScenarioError(CoilfringeError):
-    """Scenario file failed to parse or violates an invariant."""
+    """Scenario or command input is malformed, violates an invariant or
+    asks for more work than a documented limit allows."""

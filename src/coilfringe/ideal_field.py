@@ -64,6 +64,17 @@ class AnnularCoilIdeal:
             raise DomainError("turn count N must be >= 1")
 
 
+def turn_count(R1, turn_density):
+    """Turns on the inner circumference, round(2*pi*R1*turn_density).
+
+    Raises DomainError if the count overflows to infinity.
+    """
+    n = 2 * math.pi * R1 * turn_density
+    if not math.isfinite(n):
+        raise DomainError(f"turn count 2*pi*R1*turn_density must be finite, got {n!r}")
+    return round(n)
+
+
 def single_wire_Az(r, I):
     """Axial vector potential of an infinite straight wire at distance r.
 
@@ -150,8 +161,7 @@ def annular_coil_A(coil):
     R1 cylinder with current I and the R2 cylinder with current -I at
     any bore radius r < R1.
     """
-    mu0 = constants().mu0
-    return mu0 * coil.N * coil.I / (2 * math.pi) * math.log(coil.R2 / coil.R1)
+    return coil_constant_K(coil) * coil.I
 
 
 def coil_constant_K(coil):

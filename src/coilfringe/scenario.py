@@ -18,7 +18,7 @@ import numbers
 import numpy as np
 
 from .errors import ScenarioError
-from .ideal_field import AnnularCoilIdeal
+from .ideal_field import AnnularCoilIdeal, turn_count
 from .diffraction import BeamSpec, GratingScreenSpec
 from .winding import CoilWindingSpec
 
@@ -26,9 +26,6 @@ SCHEMA_VERSION = 1
 
 # Largest number of values in one sweep.
 MAX_SWEEP_POINTS = 10**6
-
-# Factor demanded of each ">>" setup relation before it is flagged ok.
-DEFAULT_GEOMETRY_FACTOR = 10.0
 
 PAPER_DEFAULTS = {
     "schema_version": SCHEMA_VERSION,
@@ -55,30 +52,10 @@ PAPER_DEFAULTS = {
 
 
 @dataclass(frozen=True)
-class GeometryChecks:
-    """Setup-scale separations; each factor should exceed the threshold."""
-
-    L_over_D: float
-    D_over_phi: float
-    phi_over_a: float
-    threshold: float
-
-    @property
-    def all_ok(self):
-        return (
-            self.L_over_D >= self.threshold
-            and self.D_over_phi >= self.threshold
-            and self.phi_over_a >= self.threshold
-        )
-
-
-@dataclass(frozen=True)
 class ExperimentScenario:
     coil: object  # CoilWindingSpec or AnnularCoilIdeal
     beam: BeamSpec
     grating_screen: GratingScreenSpec
-    I: float
-    geometry: GeometryChecks
 
 
 @dataclass(frozen=True)
@@ -186,12 +163,12 @@ def _build_coil(coil_data, current):
         if "N_turns" in coil_data:
             n_turns = num("N_turns", integer=True)
         else:
-            n_turns = round(2 * math.pi * num("R1_m") * num("turn_density_per_m"))
+            n_turns = turn_count(num("R1_m"), num("turn_density_per_m"))
         return AnnularCoilIdeal(R1=num("R1_m"), R2=num("R2_m"), N=n_turns, I=current)
     raise ScenarioError(f"unknown coil type {ctype!r}")
 
 
-def scenario_from_dict(data, geometry_factor=DEFAULT_GEOMETRY_FACTOR):
+def scenario_from_dict(data):
     """Build a validated ExperimentScenario from a plain dict."""
     if not isinstance(data, dict):
         raise ScenarioError("scenario must be a JSON object")
@@ -215,19 +192,10 @@ def scenario_from_dict(data, geometry_factor=DEFAULT_GEOMETRY_FACTOR):
         raise
     except ValueError as exc:
         raise ScenarioError(str(exc)) from exc
-    length = coil.L if isinstance(coil, CoilWindingSpec) else math.inf
-    geometry = GeometryChecks(
-        L_over_D=length / gs.D,
-        D_over_phi=gs.D / beam.beam_width_phi,
-        phi_over_a=beam.beam_width_phi / gs.a,
-        threshold=geometry_factor,
-    )
-    return ExperimentScenario(
-        coil=coil, beam=beam, grating_screen=gs, I=current, geometry=geometry
-    )
+    return ExperimentScenario(coil=coil, beam=beam, grating_screen=gs)
 
 
-def load_scenario(path, geometry_factor=DEFAULT_GEOMETRY_FACTOR):
+def load_scenario(path):
     """Load and validate a scenario file."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
@@ -238,13 +206,26 @@ def load_scenario(path, geometry_factor=DEFAULT_GEOMETRY_FACTOR):
         raise ScenarioError(
             f"scenario parse error in {path} at line {exc.lineno}: {exc.msg}"
         ) from exc
-    return scenario_from_dict(data, geometry_factor)
+    return scenario_from_dict(data)
 
 
-def paper_scenario(current=0.0, geometry_factor=DEFAULT_GEOMETRY_FACTOR):
+def paper_scenario(current=0.0):
     """The built-in reference scenario, optionally with a current."""
-    data = {"current_A": current}
-    return scenario_from_dict(data, geometry_factor)
+    return scenario_from_dict({"current_A": current})
+
+
+def geometry_ratios(scenario):
+    """The setup separations L/D, D/phi and phi/a, each meant to be >> 1.
+
+    An ideal coil has no length, so its L/D is infinite.
+    """
+    coil, beam, gs = scenario.coil, scenario.beam, scenario.grating_screen
+    length = coil.L if isinstance(coil, CoilWindingSpec) else math.inf
+    return {
+        "L/D": length / gs.D,
+        "D/phi": gs.D / beam.beam_width_phi,
+        "phi/a": beam.beam_width_phi / gs.a,
+    }
 
 
 def ideal_coil_of(scenario):

@@ -34,7 +34,7 @@ def run_sweep(sweep):
     if sweep.variable == "current":
         U, I = np.full_like(values, scen.beam.U), values
     else:
-        U, I = values, np.full_like(values, scen.I)
+        U, I = values, np.full_like(values, scen.coil.I)
     P_eff = mechanical_momentum(U) + constants().e * (K * I)
     valid = ~(P_eff <= 0)
     lam = de_broglie_lambda(P_eff[valid])

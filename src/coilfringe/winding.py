@@ -26,14 +26,19 @@ import math
 import numpy as np
 
 from .constants import constants
-from .errors import ConstructionError, DomainError, SingularityError
-from .ideal_field import AnnularCoilIdeal, annular_coil_A
+from .errors import ConstructionError, DomainError, ScenarioError, SingularityError
+from .ideal_field import AnnularCoilIdeal, annular_coil_A, turn_count
 
 # Sample points closer to a wire than this are treated as singular.
 WIRE_GUARD = 1e-9
 # Point-segment pairs evaluated per batch in field_at; bounds the size of
 # its temporary arrays.
 BATCH_PAIRS = 2**14
+# Largest bore sampling grid, in points; bounds the memory of a field map.
+MAX_GRID_POINTS = 10**6
+# Largest point-segment pair count of one homogeneity report, which bounds
+# its run time (the reference winding at grid 5 needs 1.26e6 pairs).
+MAX_FIELD_PAIRS = 10**9
 
 
 @dataclass(frozen=True)
@@ -69,11 +74,12 @@ class CoilWindingSpec:
             raise DomainError("helicity_sign_per_layer must have one entry per layer")
         if any(s not in (-1, +1) for s in self.helicity_sign_per_layer):
             raise DomainError("helicity signs must be +1 or -1")
+        turn_count(self.R1, self.turn_density)  # rejects a count that overflows
 
     @property
     def turn_count(self):
         """Total number of turns over all layers."""
-        return round(2 * math.pi * self.R1 * self.turn_density)
+        return turn_count(self.R1, self.turn_density)
 
     def ideal_equivalent(self):
         """Ideal annular coil with the same radii and ampere-turns."""
@@ -242,13 +248,16 @@ def field_at(winding, points):
 def check_bore_grid(R1, region, grid):
     """Check a sampling grid of the bore; returns the per-axis point counts.
 
-    grid is the per-axis point count (>= 2), one int or a 3-tuple. The
-    region must stay strictly inside the bore cylinder of radius R1.
+    grid is the per-axis point count (>= 2), one int or a 3-tuple, with
+    at most MAX_GRID_POINTS points in all. The region must stay strictly
+    inside the bore cylinder of radius R1.
     """
     if isinstance(grid, int):
         grid = (grid, grid, grid)
     if any(g < 2 for g in grid):
         raise DomainError("grid must have >= 2 points per axis")
+    if math.prod(grid) > MAX_GRID_POINTS:
+        raise ScenarioError(f"grid exceeds {MAX_GRID_POINTS} points")
     lo = np.asarray(region.lo, dtype=float)
     hi = np.asarray(region.hi, dtype=float)
     max_transverse = max(
@@ -266,14 +275,17 @@ def homogeneity_report(spec, region, grid, segments_per_turn=8):
     """Sample A and B on a grid inside the bore and report uniformity.
 
     The grid and region are checked by check_bore_grid, and the region
-    must also lie inside the coil length. Every input is checked before
-    any field is evaluated.
+    must also lie inside the coil length. The grid points times the
+    winding's segments may not exceed MAX_FIELD_PAIRS. Every input is
+    checked before anything is allocated.
     """
     grid = check_bore_grid(spec.R1, region, grid)
     if spec.I == 0.0:
         raise DomainError("relative field deviations are undefined at zero current")
     if abs(region.lo[2]) >= spec.L / 2 or abs(region.hi[2]) >= spec.L / 2:
         raise DomainError("region must lie inside the coil length")
+    if math.prod(grid) * spec.turn_count * segments_per_turn > MAX_FIELD_PAIRS:
+        raise ScenarioError(f"field evaluation exceeds {MAX_FIELD_PAIRS} point-segment pairs")
 
     points = region.grid_points(grid)
     A, B = field_at(build_winding(spec, segments_per_turn), points)

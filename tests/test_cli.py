@@ -1,3 +1,4 @@
+import argparse
 import json
 import os
 import subprocess
@@ -6,7 +7,7 @@ import sys
 import pytest
 
 import coilfringe
-from coilfringe.cli import main
+from coilfringe.cli import build_parser, main
 
 
 def read(path):
@@ -43,6 +44,11 @@ class TestReproducePaper:
         data = json.loads(capsys.readouterr().out)
         assert data["all_ok"] is True
         assert len(data["rows"]) == 10
+
+    def test_out_without_json_rejected(self, tmp_path, capsys):
+        out_path = str(tmp_path / "report.txt")
+        assert main(["reproduce-paper", "--out", out_path]) == 2
+        assert not os.path.exists(out_path)
 
 
 class TestSweep:
@@ -154,6 +160,27 @@ class TestFieldMap:
         assert not os.path.exists(out_path)
         assert not os.path.exists(out_path + ".homogeneity.json")
 
+    @pytest.mark.parametrize(
+        "coil, grid",
+        [
+            ("ideal", "100000"),  # 1e15 points
+            ("winding", "100"),  # 1e6 points, but 1e6 * 10056 segments
+        ],
+    )
+    def test_work_limits(self, tmp_path, capsys, coil, grid):
+        config = tmp_path / "on.json"
+        config.write_text(json.dumps({"coil": {"type": coil}, "current_A": 1.0}))
+        out_path = str(tmp_path / "map.csv")
+        args = [
+            "field-map", "--config", str(config),
+            "--region=-0.02,0.02,-0.02,0.02,-0.02,0.02",
+            "--grid", grid, "--out", out_path,
+        ]
+        assert main(args) == 2
+        assert "exceeds" in capsys.readouterr().err
+        assert not os.path.exists(out_path)
+        assert not os.path.exists(out_path + ".homogeneity.json")
+
     def test_zero_current_rejected_before_writing(self, tmp_path, capsys):
         # the default scenario has I = 0, where relative deviations are undefined
         out_path = str(tmp_path / "map.csv")
@@ -221,8 +248,11 @@ class TestConfigHandling:
     def test_bad_config_exit_2(self, tmp_path, capsys):
         config = tmp_path / "bad.json"
         config.write_text("{not json")
-        assert main(["reproduce-paper", "--config", str(config)]) == 0
-        # reproduce-paper ignores --config (built-in defaults); diffract uses it
+        # reproduce-paper takes its setup from the built-in scenario and
+        # has no --config; diffract reads it
+        with pytest.raises(SystemExit) as exc:
+            main(["reproduce-paper", "--config", str(config)])
+        assert exc.value.code == 2
         assert main(["diffract", "--config", str(config)]) == 2
 
     def test_config_dir_env(self, tmp_path, capsys, monkeypatch):
@@ -231,3 +261,31 @@ class TestConfigHandling:
         assert main(["diffract", "--config", "scen.json"]) == 0
         out = capsys.readouterr().out
         assert "interfringe_m" in out
+
+
+def test_each_subcommand_declares_only_the_options_it_reads():
+    parser = build_parser()
+    (sub,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    # option -> required, per subcommand
+    options = {
+        name: {
+            opt: action.required
+            for action in p._actions if action.dest != "help"
+            for opt in action.option_strings
+        }
+        for name, p in sub.choices.items()
+    }
+    assert options == {
+        "reproduce-paper": {"--out": False, "--format": False, "--tolerance-profile": False},
+        "sweep": {
+            "--config": False, "--out": True, "--variable": False,
+            "--from": True, "--to": True, "--step": True,
+        },
+        "field-map": {
+            "--config": False, "--out": True, "--region": True, "--grid": False,
+            "--segments-per-turn": False,
+        },
+        "diffract": {"--config": False, "--out": False, "--format": False, "--k-max": False},
+        "validate-coil": {"--config": False, "--geometry-factor": False},
+    }
+

@@ -3,11 +3,13 @@ import math
 
 import pytest
 
+from coilfringe.cli import DEFAULT_GEOMETRY_FACTOR, main
 from coilfringe.errors import ScenarioError
 from coilfringe.ideal_field import AnnularCoilIdeal
 from coilfringe.scenario import (
     MAX_SWEEP_POINTS,
     SweepSpec,
+    geometry_ratios,
     load_scenario,
     paper_scenario,
     scenario_from_dict,
@@ -30,7 +32,7 @@ class TestLoadScenario:
         assert isinstance(scen.coil, CoilWindingSpec)
         assert scen.coil.R1 == 0.1 and scen.coil.R2 == 0.12
         assert scen.coil.turn_density == 2000.0
-        assert scen.I == 0.0  # omitted current defaults to zero field
+        assert scen.coil.I == 0.0  # omitted current defaults to zero field
 
     def test_invalid_radii_named(self, tmp_path):
         path = write_scenario(tmp_path, {"coil": {"R1_m": 0.12, "R2_m": 0.1}})
@@ -81,6 +83,11 @@ class TestLoadScenario:
         '{"coil": {"helicity_sign_per_layer": [1, NaN]}}',
         '{"coil": {"helicity_sign_per_layer": 1}}',
         '{"current_A": "2.5"}',
+        # the turn count 2*pi*R1*n overflows to infinity
+        '{"coil": {"type": "ideal", "R1_m": 1e200, "R2_m": 1e201, '
+        '"turn_density_per_m": 1e200}}',
+        '{"coil": {"R1_m": 1e200, "R2_m": 1e201, "turn_density_per_m": 1e200, '
+        '"wire_diameter_m": 1e-300}}',
     ],
 )
 def test_malformed_numbers_rejected(tmp_path, text):
@@ -92,20 +99,19 @@ def test_malformed_numbers_rejected(tmp_path, text):
 
 class TestGeometryChecks:
     def test_paper_defaults_satisfy_factors(self):
-        scen = paper_scenario()
-        g = scen.geometry
-        assert g.L_over_D == pytest.approx(120.0)
-        assert g.D_over_phi == pytest.approx(100.0)
-        assert g.phi_over_a > 1e6
-        assert g.all_ok
+        g = geometry_ratios(paper_scenario())
+        assert g["L/D"] == pytest.approx(120.0)
+        assert g["D/phi"] == pytest.approx(100.0)
+        assert g["phi/a"] > 1e6
+        assert min(g.values()) >= DEFAULT_GEOMETRY_FACTOR
 
     def test_ideal_coil_has_infinite_length_factor(self):
         scen = scenario_from_dict({"coil": {"type": "ideal"}})
-        assert math.isinf(scen.geometry.L_over_D)
+        assert math.isinf(geometry_ratios(scen)["L/D"])
 
-    def test_tight_threshold_flags(self):
-        scen = paper_scenario(geometry_factor=1000.0)
-        assert not scen.geometry.all_ok
+    def test_tight_threshold_flags(self, capsys):
+        assert main(["validate-coil", "--geometry-factor", "1000"]) == 1
+        assert "BELOW threshold 1000" in capsys.readouterr().out
 
 
 class TestSweepSpec:

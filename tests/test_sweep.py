@@ -15,7 +15,7 @@ def pointwise_rows(sweep):
     K = coil_constant_K(ideal_coil_of(scen))
     rows = []
     for v in sweep.values():
-        U, I = (scen.beam.U, v) if sweep.variable == "current" else (v, scen.I)
+        U, I = (scen.beam.U, v) if sweep.variable == "current" else (v, scen.coil.I)
         try:
             P_eff = effective_momentum(U, K * I)
         except ModelDomainError:

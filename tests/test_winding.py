@@ -4,13 +4,16 @@ import numpy as np
 import pytest
 
 from coilfringe.constants import constants
-from coilfringe.errors import ConstructionError, DomainError, SingularityError
+from coilfringe.errors import ConstructionError, DomainError, ScenarioError, SingularityError
 from coilfringe.ideal_field import annular_coil_A
 from coilfringe.winding import (
+    MAX_FIELD_PAIRS,
+    MAX_GRID_POINTS,
     Box,
     CoilWindingSpec,
     Winding,
     build_winding,
+    check_bore_grid,
     field_at,
     homogeneity_report,
 )
@@ -346,6 +349,18 @@ class TestHomogeneityReport:
         region = Box(lo=(-0.01, -0.01, -0.01), hi=(0.01, 0.01, 0.01))
         with pytest.raises(DomainError):
             homogeneity_report(spec, region, 1)
+
+    def test_work_limits(self):
+        spec = paper_coil(L=6.0)
+        region = Box(lo=(-0.01, -0.01, -0.01), hi=(0.01, 0.01, 0.01))
+        assert MAX_GRID_POINTS == 100**3
+        assert check_bore_grid(spec.R1, region, 100) == (100, 100, 100)
+        with pytest.raises(ScenarioError, match="exceeds"):
+            check_bore_grid(spec.R1, region, (100, 100, 101))
+        pairs_per_point = spec.turn_count * 8
+        assert 4 * 24860 * pairs_per_point <= MAX_FIELD_PAIRS < 4 * 24861 * pairs_per_point
+        with pytest.raises(ScenarioError, match="exceeds"):
+            homogeneity_report(spec, region, (2, 2, 24861))
 
     def test_report_carries_the_sampled_grid(self):
         spec = paper_coil(L=2.0)
