@@ -9,10 +9,13 @@ is searched for relative --config paths that do not exist locally.
 """
 
 import argparse
+import math
 import os
 import sys
 
-from .errors import CoilfringeError, ScenarioError
+import numpy as np
+
+from .errors import CoilfringeError, ConstructionError, DomainError, ScenarioError
 from .export import (
     fmt,
     fringe_summary,
@@ -153,7 +156,7 @@ def _cmd_field_map(args):
         rep = homogeneity_report(
             coil, region, grid, segments_per_turn=args.segments_per_turn
         )
-        rows = [[*p, *A, *B] for p, A, B in zip(rep.points, rep.A, rep.B)]
+        points, A, B = rep.points, rep.A, rep.B
         report_data = {
             "mean_A": [fmt(v) for v in rep.mean_A],
             "max_rel_deviation": fmt(rep.max_rel_deviation),
@@ -164,7 +167,10 @@ def _cmd_field_map(args):
     else:
         grid = check_bore_grid(coil.R1, region, grid)
         ideal = annular_coil_A(coil)
-        rows = [[*p, 0.0, 0.0, ideal, 0.0, 0.0, 0.0] for p in region.grid_points(grid)]
+        points = region.grid_points(grid)
+        A = np.zeros_like(points)
+        A[:, 2] = ideal
+        B = np.zeros_like(points)
         report_data = {
             "mean_A": [fmt(0.0), fmt(0.0), fmt(ideal)],
             "max_rel_deviation": fmt(0.0),
@@ -172,9 +178,9 @@ def _cmd_field_map(args):
             "ideal_A": fmt(ideal),
             "rel_error_vs_ideal": fmt(0.0),
         }
-    write_field_map(args.out, coil, rows)
+    write_field_map(args.out, coil, np.hstack([points, A, B]))
     write_json(args.out + ".homogeneity.json", report_data)
-    print(f"wrote {len(rows)} field samples to {args.out}")
+    print(f"wrote {len(points)} field samples to {args.out}")
     return 0
 
 
@@ -215,6 +221,9 @@ def _cmd_diffract(args):
 
 
 def _cmd_validate_coil(args):
+    factor = args.geometry_factor
+    if not 0 < factor < math.inf:
+        raise ValueError(f"--geometry-factor must be finite and positive, got {factor:g}")
     scen = _load(args)
     coil = scen.coil
     status = 0
@@ -223,13 +232,12 @@ def _cmd_validate_coil(args):
             winding = build_winding(coil, segments_per_turn=4)
             print(f"winding constructible: {len(winding.starts)} segments, "
                   f"{coil.turn_count} turns in {coil.layers} layers")
-        except CoilfringeError as exc:
+        except (ConstructionError, DomainError) as exc:
             print(f"winding NOT constructible: {exc}")
             status = 1
         print(f"ideal coil constant K = {fmt(coil_constant_K(coil.ideal_equivalent()))} T*m/A")
     else:
         print(f"ideal coil: N = {coil.N}, K = {fmt(coil_constant_K(coil))} T*m/A")
-    factor = args.geometry_factor
     for name, value in geometry_ratios(scen).items():
         ok = value >= factor
         print(f"geometry {name} = {value:.3g} "

@@ -45,10 +45,11 @@ def write_lines(path, lines):
 
 
 def write_field_map(path, coil, rows):
-    """Write a field-map CSV: one row of x,y,z,Ax,Ay,Az,Bx,By,Bz per point."""
+    """Write a field-map CSV from an (n, 9) array of x,y,z,Ax,Ay,Az,Bx,By,Bz rows."""
+    # "%.8e" % x is fmt(x), without a call per value
+    row = ",".join(["%.8e"] * 9)
     lines = _coil_comment_lines(coil) + ["x,y,z,Ax,Ay,Az,Bx,By,Bz"]
-    for row in rows:
-        lines.append(",".join(fmt(v) for v in row))
+    lines += [row % tuple(r) for r in rows.tolist()]
     write_lines(path, lines)
 
 

@@ -18,6 +18,17 @@ distances d1 and d2 from the point, contributes
 with r1 the vector from the segment start to the point (the
 finite-filament Biot-Savart field of Hanson & Hirshman, Phys. Plasmas
 9, 4410 (2002)).
+
+field_at works on (points, segments) arrays of d1, d2 and the log's
+denominator gap = d1 + d2 - Lseg. Through the point of the segment
+nearest to the sample, gap <= 2*distance, so only pairs with
+gap < 2*WIRE_GUARD (plus a rounding margin) can lie inside the wire
+guard, and only those get the exact clipped-projection distance. The B
+sum splits into two matrix products,
+
+    sum(coef * l_hat x (p - s)) = (sum(coef * l_hat)) x p - sum(coef * (l_hat x s)),
+
+with s the segment start and l_hat x s computed once per call.
 """
 
 from dataclasses import dataclass
@@ -36,6 +47,9 @@ WIRE_GUARD = 1e-9
 BATCH_PAIRS = 2**14
 # Largest bore sampling grid, in points; bounds the memory of a field map.
 MAX_GRID_POINTS = 10**6
+# Largest segment count of one winding; bounds the memory of build_winding
+# (the reference coil at 8 segments per turn has 10056).
+MAX_SEGMENTS = 10**6
 # Largest point-segment pair count of one homogeneity report, which bounds
 # its run time (the reference winding at grid 5 needs 1.26e6 pairs).
 MAX_FIELD_PAIRS = 10**9
@@ -150,12 +164,15 @@ def build_winding(spec, segments_per_turn=8):
     sign s places turn j at azimuth s*2pi*j/M plus a per-layer
     interleaving offset, and advances by one turn spacing over the turn
     path, so each layer closes on itself with net azimuthal advance
-    s*2pi.
+    s*2pi. A winding of more than MAX_SEGMENTS segments is rejected
+    before anything is allocated.
     """
     if segments_per_turn < 4 or segments_per_turn % 4:
         raise DomainError(
             f"segments_per_turn must be a positive multiple of 4, got {segments_per_turn}"
         )
+    if spec.turn_count * segments_per_turn > MAX_SEGMENTS:
+        raise ScenarioError(f"winding exceeds {MAX_SEGMENTS} segments")
     per_layer_density = spec.turn_density / spec.layers
     if spec.wire_diameter * per_layer_density > 1.0 + 1e-12:
         raise ConstructionError(
@@ -213,35 +230,52 @@ def field_at(winding, points):
 
     points is an (n, 3) array, or one 3-vector; A and B are returned as
     (n, 3) arrays. Raises SingularityError if a point lies within
-    WIRE_GUARD of a segment.
+    WIRE_GUARD of a segment, or so close to a long one that
+    d1 + d2 - Lseg rounds to 0.
     """
     points = np.asarray(points, dtype=float).reshape(-1, 3)
     starts, ends = winding.starts, winding.ends
     seg = ends - starts
-    seg_len_sq = np.einsum("ij,ij->i", seg, seg)
     seg_len = np.linalg.norm(seg, axis=1)
     unit = seg / seg_len[:, None]
+    unit_x_start = np.cross(unit, starts)
+    seg_len_sq = seg_len**2
     scale = constants().mu0 * winding.currents / (4 * math.pi)
+    B_scale = scale * 2 * seg_len
+    sx, sy, sz = starts.T
+    ex, ey, ez = ends.T
     A = np.empty_like(points)
     B = np.empty_like(points)
     step = max(1, BATCH_PAIRS // len(seg))
     for i in range(0, len(points), step):
-        p = points[i:i + step, None, :]
-        r1 = p - starts
-        t = np.clip(np.einsum("cmk,mk->cm", r1, seg) / seg_len_sq, 0.0, 1.0)
-        dist = np.linalg.norm(r1 - t[..., None] * seg, axis=2)
-        if dist.min() < WIRE_GUARD:
-            c, k = np.unravel_index(np.argmin(dist), dist.shape)
-            raise SingularityError(
-                f"point {points[i + c].tolist()} within wire guard of segment {k} "
-                f"(distance {dist[c, k]:.3e} m)"
-            )
-        d1 = np.linalg.norm(r1, axis=2)
-        d2 = np.linalg.norm(p - ends, axis=2)
+        p = points[i:i + step]
+        x, y, z = p[:, 0:1], p[:, 1:2], p[:, 2:3]
+        d1 = np.sqrt((x - sx) ** 2 + (y - sy) ** 2 + (z - sz) ** 2)
+        d2 = np.sqrt((x - ex) ** 2 + (y - ey) ** 2 + (z - ez) ** 2)
         dsum = d1 + d2
-        A[i:i + step] = (scale * np.log((dsum + seg_len) / (dsum - seg_len))) @ unit
-        coef = scale * 2 * seg_len * dsum / (d1 * d2 * (dsum**2 - seg_len**2))
-        B[i:i + step] = np.einsum("cm,cmk->ck", coef, np.cross(unit, r1))
+        gap = dsum - seg_len
+        if gap.min() < 2 * WIRE_GUARD + 1e-12:
+            # gap <= 2*distance: only these pairs can lie inside the guard
+            c, k = np.nonzero(gap < 2 * WIRE_GUARD + 1e-12)
+            r1 = p[c] - starts[k]
+            t = np.clip(np.einsum("nk,nk->n", r1, seg[k]) / seg_len_sq[k], 0.0, 1.0)
+            dist = np.linalg.norm(r1 - t[:, None] * seg[k], axis=1)
+            j = np.argmin(dist)
+            if dist[j] < WIRE_GUARD:
+                raise SingularityError(
+                    f"point {p[c[j]].tolist()} within wire guard of segment {k[j]} "
+                    f"(distance {dist[j]:.3e} m)"
+                )
+            # the closed forms divide by gap, which can round to 0 off the guard
+            j = np.argmin(gap[c, k])
+            if gap[c[j], k[j]] <= 0:
+                raise SingularityError(
+                    f"point {p[c[j]].tolist()} too close to segment {k[j]} for the "
+                    f"closed form (distance {dist[j]:.3e} m)"
+                )
+        A[i:i + step] = (scale * np.log((dsum + seg_len) / gap)) @ unit
+        coef = B_scale * dsum / (d1 * d2 * (dsum**2 - seg_len_sq))
+        B[i:i + step] = np.cross(coef @ unit, p) - coef @ unit_x_start
     return A, B
 
 

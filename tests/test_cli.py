@@ -229,6 +229,22 @@ class TestValidateCoil:
         config.write_text(json.dumps({"coil": {"L_m": 0.5}}))
         assert main(["validate-coil", "--config", str(config)]) == 1
 
+    def test_segment_limit(self, tmp_path, capsys):
+        # about 2.5e9 segments at 4 per turn: a usage error, not a build
+        config = tmp_path / "dense.json"
+        config.write_text(
+            json.dumps({"coil": {"turn_density_per_m": 1e9, "wire_diameter_m": 1e-9}})
+        )
+        assert main(["validate-coil", "--config", str(config)]) == 2
+        assert "exceeds" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("factor", ["nan", "inf", "0", "-3"])
+    def test_geometry_factor_must_be_finite_and_positive(self, factor, capsys):
+        assert main(["validate-coil", f"--geometry-factor={factor}"]) == 2
+        captured = capsys.readouterr()
+        assert "--geometry-factor" in captured.err
+        assert captured.out == ""
+
 
 class TestImport:
     def test_cli_import_leaves_scipy_integrate_unloaded(self):

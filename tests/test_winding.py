@@ -1,5 +1,6 @@
 import math
 
+from hypothesis import assume, given, strategies as st
 import numpy as np
 import pytest
 
@@ -7,8 +8,10 @@ from coilfringe.constants import constants
 from coilfringe.errors import ConstructionError, DomainError, ScenarioError, SingularityError
 from coilfringe.ideal_field import annular_coil_A
 from coilfringe.winding import (
+    BATCH_PAIRS,
     MAX_FIELD_PAIRS,
     MAX_GRID_POINTS,
+    WIRE_GUARD,
     Box,
     CoilWindingSpec,
     Winding,
@@ -61,6 +64,50 @@ def _curl_fd(field, p, h):
             grad[0][1] - grad[1][0],
         ]
     )
+
+
+def _field_at_per_pair(winding, points):
+    """Reference kernel: the closed forms with (points, segments, 3) arrays.
+
+    Each batch checks every pair's clipped-projection distance against
+    WIRE_GUARD, and B sums coef * l_hat x r1 pair by pair.
+    """
+    points = np.asarray(points, dtype=float).reshape(-1, 3)
+    starts, ends = winding.starts, winding.ends
+    seg = ends - starts
+    seg_len_sq = np.einsum("ij,ij->i", seg, seg)
+    seg_len = np.linalg.norm(seg, axis=1)
+    unit = seg / seg_len[:, None]
+    scale = constants().mu0 * winding.currents / (4 * math.pi)
+    A = np.empty_like(points)
+    B = np.empty_like(points)
+    step = max(1, BATCH_PAIRS // len(seg))
+    for i in range(0, len(points), step):
+        p = points[i:i + step, None, :]
+        r1 = p - starts
+        t = np.clip(np.einsum("cmk,mk->cm", r1, seg) / seg_len_sq, 0.0, 1.0)
+        dist = np.linalg.norm(r1 - t[..., None] * seg, axis=2)
+        if dist.min() < WIRE_GUARD:
+            c, k = np.unravel_index(np.argmin(dist), dist.shape)
+            raise SingularityError(
+                f"point {points[i + c].tolist()} within wire guard of segment {k} "
+                f"(distance {dist[c, k]:.3e} m)"
+            )
+        d1 = np.linalg.norm(r1, axis=2)
+        d2 = np.linalg.norm(p - ends, axis=2)
+        dsum = d1 + d2
+        A[i:i + step] = (scale * np.log((dsum + seg_len) / (dsum - seg_len))) @ unit
+        coef = scale * 2 * seg_len * dsum / (d1 * d2 * (dsum**2 - seg_len**2))
+        B[i:i + step] = np.einsum("cm,cmk->ck", coef, np.cross(unit, r1))
+    return A, B
+
+
+def _distances(winding, points):
+    """(points, segments) distances from each point to each segment."""
+    seg = winding.ends - winding.starts
+    r1 = np.asarray(points, dtype=float)[:, None, :] - winding.starts
+    t = np.clip(np.einsum("cmk,mk->cm", r1, seg) / np.einsum("mk,mk->m", seg, seg), 0.0, 1.0)
+    return np.linalg.norm(r1 - t[..., None] * seg, axis=2)
 
 
 class TestBuildWinding:
@@ -205,6 +252,79 @@ class TestSegmentA:
         # every point of a batch is checked, not only the first
         with pytest.raises(SingularityError):
             field_at(seg, [(0.3, 0.0, 0.0), (0.0, 0.0, 0.5)])
+
+    # at the midpoint of a 1 mm segment along z, and past either end
+    GUARD_PROBES = (
+        lambda d: (d, 0.0, 5e-4),
+        lambda d: (0.0, 0.0, -d),
+        lambda d: (0.0, 0.0, 1e-3 + d),
+        lambda d: (d / math.sqrt(2), -d / math.sqrt(2), 1e-3),
+    )
+
+    @pytest.mark.parametrize("probe", GUARD_PROBES)
+    def test_guard_boundary(self, probe):
+        seg = segment((0, 0, 0), (0, 0, 1e-3), 1.0)
+        with pytest.raises(SingularityError, match="within wire guard of segment 0"):
+            field_at(seg, probe(0.99 * WIRE_GUARD))
+        A, B = field_at(seg, probe(1.01 * WIRE_GUARD))
+        assert np.all(np.isfinite(A)) and np.all(np.isfinite(B))
+        assert A[0, 2] > 0
+
+    def test_guard_message_names_nearest_pair(self):
+        w = Winding(
+            starts=np.array([(0.0, 0.0, 0.0), (1.0, 0.0, 0.0)]),
+            ends=np.array([(0.0, 0.0, 1.0), (1.0, 0.0, 1.0)]),
+            currents=np.array([1.0, 1.0]),
+        )
+        points = [(0.5, 0.0, 0.5), (1.0, 5e-10, 0.25), (3e-10, 0.0, 0.5)]
+        with pytest.raises(SingularityError) as new:
+            field_at(w, points)
+        with pytest.raises(SingularityError) as ref:
+            _field_at_per_pair(w, points)
+        assert str(new.value) == str(ref.value)
+        assert "segment 0 (distance 3.000e-10 m)" in str(new.value)
+
+    def test_rounding_singularity_rejected(self):
+        # 5x outside the guard, but d1 + d2 - L rounds to 0 next to a 1 m
+        # segment, so the closed forms would divide by zero
+        seg = segment((0, 0, 0), (0, 0, 1), 1.0)
+        with pytest.raises(SingularityError, match="too close to segment 0"):
+            field_at(seg, (5e-9, 0.0, 0.5))
+
+
+# windings: a chain of 1 to 6 segments inside a 2 m cube, one current
+vertex = st.tuples(*[st.floats(-1.0, 1.0, allow_nan=False)] * 3)
+
+
+@given(
+    vertices=st.lists(vertex, min_size=2, max_size=7),
+    current=st.floats(-10.0, 10.0, allow_nan=False),
+    points=st.lists(vertex, min_size=1, max_size=8),
+)
+def test_field_at_matches_per_pair_kernel(vertices, current, points):
+    v = np.array(vertices)
+    assume(np.all(np.linalg.norm(np.diff(v, axis=0), axis=1) > 1e-3))
+    w = Winding(starts=v[:-1], ends=v[1:], currents=np.full(len(v) - 1, current))
+    points = np.array(points)
+    assume(_distances(w, points).min() >= 1e-6)
+    A, B = field_at(w, points)
+    A_ref, B_ref = _field_at_per_pair(w, points)
+    # size of the summed terms: |scale * log| for A, and for B
+    # |coef| * (|p| + |s|), since B is summed as coef*(l_hat x p - l_hat x s)
+    r1 = points[:, None, :] - w.starts
+    d1 = np.linalg.norm(r1, axis=2)
+    d2 = np.linalg.norm(points[:, None, :] - w.ends, axis=2)
+    seg_len = np.linalg.norm(w.ends - w.starts, axis=1)
+    scale = constants().mu0 * abs(current) / (4 * math.pi)
+    dsum = d1 + d2
+    A_size = np.sum(scale * np.log((dsum + seg_len) / (dsum - seg_len)), axis=1)
+    coef = scale * 2 * seg_len * dsum / (d1 * d2 * (dsum**2 - seg_len**2))
+    B_size = np.sum(
+        coef * (np.linalg.norm(points, axis=1)[:, None] + np.linalg.norm(w.starts, axis=1)),
+        axis=1,
+    )
+    assert np.all(np.abs(A - A_ref) <= 1e-12 * A_size[:, None])
+    assert np.all(np.abs(B - B_ref) <= 1e-12 * B_size[:, None] + 1e-20)
 
 
 class TestCoilField:
