@@ -6,14 +6,15 @@ validation failure, 2 = usage or configuration error.
 
 The environment variable COILFRINGE_CONFIG_DIR names a directory that
 is searched for relative --config paths that do not exist locally.
+
+Only field-map and sweep import numpy; field-map also imports the
+winding kernel, inside its command function.
 """
 
 import argparse
 import math
 import os
 import sys
-
-import numpy as np
 
 from .errors import CoilfringeError, ConstructionError, DomainError, ScenarioError
 from .export import (
@@ -25,7 +26,7 @@ from .export import (
     write_json,
 )
 from .diffraction import fringe_pattern
-from .ideal_field import annular_coil_A, coil_constant_K
+from .ideal_field import CoilWindingSpec, annular_coil_A, check_constructible, coil_constant_K
 from .report import reproduce_paper
 from .scenario import (
     SweepSpec,
@@ -35,13 +36,6 @@ from .scenario import (
     paper_scenario,
 )
 from .sweep import run_sweep, write_sweep_csv
-from .winding import (
-    Box,
-    CoilWindingSpec,
-    build_winding,
-    check_bore_grid,
-    homogeneity_report,
-)
 
 CONFIG_DIR_ENV = "COILFRINGE_CONFIG_DIR"
 
@@ -132,6 +126,8 @@ def _cmd_sweep(args):
 
 
 def _parse_region(text):
+    from .winding import Box
+
     parts = [float(x) for x in text.split(",")]
     if len(parts) != 6:
         raise ValueError("region must be x0,x1,y0,y1,z0,z1")
@@ -148,6 +144,10 @@ def _parse_grid(text):
 
 
 def _cmd_field_map(args):
+    import numpy as np
+
+    from .winding import check_bore_grid, homogeneity_report
+
     scen = _load(args)
     region = _parse_region(args.region)
     grid = _parse_grid(args.grid)
@@ -229,8 +229,8 @@ def _cmd_validate_coil(args):
     status = 0
     if isinstance(coil, CoilWindingSpec):
         try:
-            winding = build_winding(coil, segments_per_turn=4)
-            print(f"winding constructible: {len(winding.starts)} segments, "
+            segments = check_constructible(coil, segments_per_turn=4)
+            print(f"winding constructible: {segments} segments, "
                   f"{coil.turn_count} turns in {coil.layers} layers")
         except (ConstructionError, DomainError) as exc:
             print(f"winding NOT constructible: {exc}")

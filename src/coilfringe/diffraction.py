@@ -5,13 +5,12 @@ y_k = D*tan(theta_k). The de Broglie wavelength uses the canonical
 momentum mv + e*A, with the sign of A carried by the coil current
 polarity. The model is non-relativistic; mechanical_momentum has a
 relativistic mode for comparison, which the rest of the model does not
-use.
+use. The momentum and wavelength take a real scalar or a numpy array;
+numpy is imported only for an array.
 """
 
 from dataclasses import dataclass, field
 import math
-
-import numpy as np
 
 from .constants import constants
 from .errors import DomainError, FitError, ModelDomainError, OrderLimitError
@@ -64,6 +63,21 @@ class FringePattern:
     small_angle_valid: bool
 
 
+def _any_non_positive(x):
+    """Whether a scalar or any element of an array is <= 0 (NaN is not)."""
+    le = x <= 0
+    return bool(le.any()) if hasattr(le, "any") else le
+
+
+def _sqrt(x):
+    """Correctly rounded square root of a real scalar or of each array element."""
+    if isinstance(x, float):  # a numpy float64 too
+        return math.sqrt(x)
+    import numpy as np
+
+    return np.sqrt(x)
+
+
 def mechanical_momentum(U, relativistic=False):
     """Momentum of an electron accelerated through voltage U (scalar or array).
 
@@ -71,18 +85,18 @@ def mechanical_momentum(U, relativistic=False):
     sqrt(2*m*e*U*(1 + e*U/(2*m*c^2))) and is provided for comparison
     only.
     """
-    if np.any(np.less_equal(U, 0)):
+    if _any_non_positive(U):
         raise DomainError("accelerating voltage U must be positive")
     c = constants()
-    p = np.sqrt(2 * c.m_e * c.e * U)
+    p = _sqrt(2 * c.m_e * c.e * U)
     if relativistic:
-        p *= np.sqrt(1 + c.e * U / (2 * c.m_e * C_LIGHT**2))
+        p = p * _sqrt(1 + c.e * U / (2 * c.m_e * C_LIGHT**2))
     return p
 
 
 def de_broglie_lambda(p):
     """de Broglie wavelength lambda = h/p (scalar or array)."""
-    if np.any(np.less_equal(p, 0)):
+    if _any_non_positive(p):
         raise DomainError("momentum must be positive")
     return constants().h / p
 
@@ -163,6 +177,8 @@ def linear_response_fit(U, I, f):
     U, I and f are equal-length sequences of samples. Returns (alpha,
     beta, r_squared) where alpha multiplies sqrt(U) and beta multiplies I.
     """
+    import numpy as np
+
     U, I, f = (np.asarray(x, dtype=float) for x in (U, I, f))
     if len(f) < 3:
         raise FitError("need at least 3 samples")

@@ -14,16 +14,28 @@ homogeneous over the bore.
 
 Sign convention: positive current I in the inner cylinder produces A
 parallel to the +z beam axis inside the bore.
+
+The finite coil's description, CoilWindingSpec, and its constructibility
+check live here beside the ideal coil it reduces to: commands that only
+read a coil's numbers then need no numpy, which winding.py imports to
+build and evaluate the winding.
 """
 
 from dataclasses import dataclass
 import math
 
-import numpy as np
-
 from .constants import constants
-from .errors import DomainError, QuadratureError, SingularityError
+from .errors import (
+    ConstructionError,
+    DomainError,
+    QuadratureError,
+    ScenarioError,
+    SingularityError,
+)
 
+# Largest segment count of one winding; bounds the memory of build_winding
+# (the reference coil at 8 segments per turn has 10056).
+MAX_SEGMENTS = 10**6
 # Budget of integrand evaluations for the adaptive quadrature; QUADPACK
 # uses 21 evaluations per subinterval.
 QUAD_EVAL_BUDGET = 1_000_000
@@ -73,6 +85,82 @@ def turn_count(R1, turn_density):
     if not math.isfinite(n):
         raise DomainError(f"turn count 2*pi*R1*turn_density must be finite, got {n!r}")
     return round(n)
+
+
+@dataclass(frozen=True)
+class CoilWindingSpec:
+    """Geometry and winding description of a finite annular coil.
+
+    turn_density is turns per meter of inner circumference counted over
+    all layers, so the derived total turn count is
+    N = round(2*pi*R1*turn_density), distributed across the layers.
+    """
+
+    R1: float
+    R2: float
+    L: float
+    turn_density: float
+    layers: int
+    helicity_sign_per_layer: tuple
+    wire_diameter: float
+    I: float
+
+    def __post_init__(self):
+        if not 0 < self.R1 < self.R2:
+            raise DomainError("winding requires 0 < R1 < R2")
+        if self.L <= 0:
+            raise DomainError("coil length L must be positive")
+        if self.turn_density <= 0:
+            raise DomainError("turn density must be positive")
+        if self.wire_diameter <= 0:
+            raise DomainError("wire diameter must be positive")
+        if self.layers < 1:
+            raise DomainError("layer count must be >= 1")
+        if len(self.helicity_sign_per_layer) != self.layers:
+            raise DomainError("helicity_sign_per_layer must have one entry per layer")
+        if any(s not in (-1, +1) for s in self.helicity_sign_per_layer):
+            raise DomainError("helicity signs must be +1 or -1")
+        turn_count(self.R1, self.turn_density)  # rejects a count that overflows
+
+    @property
+    def turn_count(self):
+        """Total number of turns over all layers."""
+        return turn_count(self.R1, self.turn_density)
+
+    def ideal_equivalent(self):
+        """Ideal annular coil with the same radii and ampere-turns."""
+        return AnnularCoilIdeal(R1=self.R1, R2=self.R2, N=self.turn_count, I=self.I)
+
+
+def check_constructible(spec, segments_per_turn):
+    """Check that the winding of spec can be built; returns its segment count.
+
+    The count is turns * segments_per_turn, and nothing is allocated.
+    segments_per_turn must be a positive multiple of 4 (DomainError);
+    the count may not exceed MAX_SEGMENTS (ScenarioError); turns may not
+    overlap, and each layer needs a turn (ConstructionError); the turn
+    path 2*L + 2*(R2 - R1), from which the segment endpoints are
+    computed, must be finite (DomainError).
+    """
+    if segments_per_turn < 4 or segments_per_turn % 4:
+        raise DomainError(
+            f"segments_per_turn must be a positive multiple of 4, got {segments_per_turn}"
+        )
+    turns = spec.turn_count
+    segments = turns * segments_per_turn
+    if segments > MAX_SEGMENTS:
+        raise ScenarioError(f"winding exceeds {MAX_SEGMENTS} segments")
+    per_layer_density = spec.turn_density / spec.layers
+    if spec.wire_diameter * per_layer_density > 1.0 + 1e-12:
+        raise ConstructionError(
+            "turns overlap: wire_diameter * per-layer turn density = "
+            f"{spec.wire_diameter * per_layer_density:.3f} > 1"
+        )
+    if turns < spec.layers:
+        raise ConstructionError(f"{turns} turns cannot fill {spec.layers} layers")
+    if not math.isfinite(2 * spec.L + 2 * (spec.R2 - spec.R1)):
+        raise DomainError("segment endpoints must be finite")
+    return segments
 
 
 def single_wire_Az(r, I):
@@ -145,6 +233,8 @@ def array_Az_discrete(spec, r, azimuth0=0.0):
     """
     if r < 0:
         raise DomainError("observation radius r must be non-negative")
+    import numpy as np
+
     k = np.arange(spec.N)
     ang = azimuth0 + 2 * math.pi * k / spec.N
     d = np.sqrt(spec.R**2 + r * r - 2 * spec.R * r * np.cos(ang))

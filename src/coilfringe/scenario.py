@@ -15,12 +15,9 @@ import json
 import math
 import numbers
 
-import numpy as np
-
 from .errors import ScenarioError
-from .ideal_field import AnnularCoilIdeal, turn_count
+from .ideal_field import AnnularCoilIdeal, CoilWindingSpec, turn_count
 from .diffraction import BeamSpec, GratingScreenSpec
-from .winding import CoilWindingSpec
 
 SCHEMA_VERSION = 1
 
@@ -94,6 +91,8 @@ class SweepSpec:
         return math.floor(self._span()) + 1
 
     def values(self):
+        import numpy as np
+
         return self.start + np.arange(self.count()) * self.step
 
 

@@ -1,9 +1,5 @@
 """Parameter sweeps over coil current or accelerating voltage."""
 
-import math
-
-import numpy as np
-
 from .constants import constants
 from .diffraction import (
     de_broglie_lambda,
@@ -12,7 +8,7 @@ from .diffraction import (
     small_angle_interfringe,
 )
 from .errors import FitError
-from .export import fmt, write_lines
+from .export import csv_rows, fmt, write_lines
 from .ideal_field import coil_constant_K
 from .scenario import ideal_coil_of
 
@@ -28,6 +24,8 @@ def run_sweep(sweep):
     domain (P_eff <= 0), and fit is (alpha, beta, r_squared) for current
     sweeps whose valid points determine it (None otherwise).
     """
+    import numpy as np
+
     scen = sweep.scenario
     K = coil_constant_K(ideal_coil_of(scen))
     values = sweep.values()
@@ -60,9 +58,5 @@ def write_sweep_csv(path, sweep, rows):
         f"# step = {fmt(sweep.step)}",
         f"{var_col},P_eff,lambda_eff_m,interfringe_m,inverse_interfringe_per_m",
     ]
-    # "%.8e" % x is fmt(x), without a call per value
-    error_row = "%.8e" + f",{ERROR_MARKER}" * 4
-    full_row = ",".join(["%.8e"] * 5)
-    for row in rows.tolist():
-        lines.append(error_row % row[0] if math.isnan(row[1]) else full_row % tuple(row))
-    write_lines(path, lines)
+    # the NaNs of the model-domain rows are written as the marker
+    write_lines(path, lines + csv_rows(rows, nan_text=ERROR_MARKER))

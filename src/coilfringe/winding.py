@@ -37,8 +37,9 @@ import math
 import numpy as np
 
 from .constants import constants
-from .errors import ConstructionError, DomainError, ScenarioError, SingularityError
-from .ideal_field import AnnularCoilIdeal, annular_coil_A, turn_count
+from .errors import DomainError, ScenarioError, SingularityError
+from .ideal_field import CoilWindingSpec  # noqa: F401  (the spec build_winding takes)
+from .ideal_field import annular_coil_A, check_constructible
 
 # Sample points closer to a wire than this are treated as singular.
 WIRE_GUARD = 1e-9
@@ -47,57 +48,9 @@ WIRE_GUARD = 1e-9
 BATCH_PAIRS = 2**14
 # Largest bore sampling grid, in points; bounds the memory of a field map.
 MAX_GRID_POINTS = 10**6
-# Largest segment count of one winding; bounds the memory of build_winding
-# (the reference coil at 8 segments per turn has 10056).
-MAX_SEGMENTS = 10**6
 # Largest point-segment pair count of one homogeneity report, which bounds
 # its run time (the reference winding at grid 5 needs 1.26e6 pairs).
 MAX_FIELD_PAIRS = 10**9
-
-
-@dataclass(frozen=True)
-class CoilWindingSpec:
-    """Geometry and winding description of a finite annular coil.
-
-    turn_density is turns per meter of inner circumference counted over
-    all layers, so the derived total turn count is
-    N = round(2*pi*R1*turn_density), distributed across the layers.
-    """
-
-    R1: float
-    R2: float
-    L: float
-    turn_density: float
-    layers: int
-    helicity_sign_per_layer: tuple
-    wire_diameter: float
-    I: float
-
-    def __post_init__(self):
-        if not 0 < self.R1 < self.R2:
-            raise DomainError("winding requires 0 < R1 < R2")
-        if self.L <= 0:
-            raise DomainError("coil length L must be positive")
-        if self.turn_density <= 0:
-            raise DomainError("turn density must be positive")
-        if self.wire_diameter <= 0:
-            raise DomainError("wire diameter must be positive")
-        if self.layers < 1:
-            raise DomainError("layer count must be >= 1")
-        if len(self.helicity_sign_per_layer) != self.layers:
-            raise DomainError("helicity_sign_per_layer must have one entry per layer")
-        if any(s not in (-1, +1) for s in self.helicity_sign_per_layer):
-            raise DomainError("helicity signs must be +1 or -1")
-        turn_count(self.R1, self.turn_density)  # rejects a count that overflows
-
-    @property
-    def turn_count(self):
-        """Total number of turns over all layers."""
-        return turn_count(self.R1, self.turn_density)
-
-    def ideal_equivalent(self):
-        """Ideal annular coil with the same radii and ampere-turns."""
-        return AnnularCoilIdeal(R1=self.R1, R2=self.R2, N=self.turn_count, I=self.I)
 
 
 @dataclass(frozen=True)
@@ -164,26 +117,11 @@ def build_winding(spec, segments_per_turn=8):
     sign s places turn j at azimuth s*2pi*j/M plus a per-layer
     interleaving offset, and advances by one turn spacing over the turn
     path, so each layer closes on itself with net azimuthal advance
-    s*2pi. A winding of more than MAX_SEGMENTS segments is rejected
-    before anything is allocated.
+    s*2pi. check_constructible rejects a winding that cannot be built,
+    MAX_SEGMENTS segments included, before anything is allocated.
     """
-    if segments_per_turn < 4 or segments_per_turn % 4:
-        raise DomainError(
-            f"segments_per_turn must be a positive multiple of 4, got {segments_per_turn}"
-        )
-    if spec.turn_count * segments_per_turn > MAX_SEGMENTS:
-        raise ScenarioError(f"winding exceeds {MAX_SEGMENTS} segments")
-    per_layer_density = spec.turn_density / spec.layers
-    if spec.wire_diameter * per_layer_density > 1.0 + 1e-12:
-        raise ConstructionError(
-            "turns overlap: wire_diameter * per-layer turn density = "
-            f"{spec.wire_diameter * per_layer_density:.3f} > 1"
-        )
+    check_constructible(spec, segments_per_turn)
     base, rem = divmod(spec.turn_count, spec.layers)
-    if base < 1:
-        raise ConstructionError(
-            f"{spec.turn_count} turns cannot fill {spec.layers} layers"
-        )
     sub = segments_per_turn // 4
     R1, R2, L = spec.R1, spec.R2, spec.L
     # (r_start, z_start, r_end, z_end, length) for the four legs of a turn
@@ -216,8 +154,6 @@ def build_winding(spec, segments_per_turn=8):
         starts.append(pts)
         ends.append(np.roll(pts, -1, axis=0))  # the last segment closes the layer
     starts = np.concatenate(starts)
-    if not np.all(np.isfinite(starts)):
-        raise DomainError("segment endpoints must be finite")
     return Winding(
         starts=starts,
         ends=np.concatenate(ends),

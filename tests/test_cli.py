@@ -1,4 +1,5 @@
 import argparse
+import importlib
 import json
 import os
 import subprocess
@@ -181,6 +182,21 @@ class TestFieldMap:
         assert not os.path.exists(out_path)
         assert not os.path.exists(out_path + ".homogeneity.json")
 
+    def test_huge_length_rejected_before_any_array(self, tmp_path, capsys):
+        config = tmp_path / "long.json"
+        config.write_text(json.dumps({"coil": {"L_m": 1e308}, "current_A": 1.0}))
+        out_path = str(tmp_path / "map.csv")
+        args = [
+            "field-map", "--config", str(config),
+            "--region=-0.02,0.02,-0.02,0.02,-0.02,0.02",
+            "--grid", "2", "--out", out_path,
+        ]
+        assert main(args) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: segment endpoints must be finite\n"
+        assert os.listdir(tmp_path) == ["long.json"]
+
     def test_zero_current_rejected_before_writing(self, tmp_path, capsys):
         # the default scenario has I = 0, where relative deviations are undefined
         out_path = str(tmp_path / "map.csv")
@@ -229,6 +245,17 @@ class TestValidateCoil:
         config.write_text(json.dumps({"coil": {"L_m": 0.5}}))
         assert main(["validate-coil", "--config", str(config)]) == 1
 
+    def test_huge_length_rejected_before_any_array(self, tmp_path, capsys):
+        # 2*L + 2*(R2 - R1) overflows: no winding, and no numpy warnings
+        config = tmp_path / "long.json"
+        config.write_text(json.dumps({"coil": {"type": "winding", "L_m": 1e308}}))
+        assert main(["validate-coil", "--config", str(config)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out.startswith(
+            "winding NOT constructible: segment endpoints must be finite\n"
+        )
+        assert captured.err == ""
+
     def test_segment_limit(self, tmp_path, capsys):
         # about 2.5e9 segments at 4 per turn: a usage error, not a build
         config = tmp_path / "dense.json"
@@ -258,6 +285,44 @@ class TestImport:
             check=True,
         ).stdout
         assert out.strip() == "False"
+
+    def test_package_names_resolve_on_access(self):
+        for name in coilfringe.__all__:
+            module = coilfringe._MODULE_OF.get(name, "constants")
+            obj = getattr(importlib.import_module(f"coilfringe.{module}"), name)
+            assert getattr(coilfringe, name) is obj
+        assert coilfringe.constants().e == 1.602176634e-19
+        assert "field_at" in dir(coilfringe)
+        with pytest.raises(AttributeError):
+            coilfringe.no_such_name
+
+    def test_scalar_commands_leave_numpy_unloaded(self, tmp_path):
+        # only the array-making commands (sweep, field-map) need numpy
+        src = os.path.dirname(os.path.dirname(coilfringe.__file__))
+        env = dict(os.environ, PYTHONPATH=src)
+        runs = [
+            ["reproduce-paper"],
+            ["reproduce-paper", "--format", "json", "--out", "report.json"],
+            ["diffract", "--out", "fringes.csv"],
+            ["diffract", "--format", "json", "--out", "fringes.json"],
+            ["validate-coil"],
+        ]
+        code = (
+            "import contextlib, io, sys\n"
+            "from coilfringe.cli import main\n"
+            f"for argv in {runs!r}:\n"
+            "    with contextlib.redirect_stdout(io.StringIO()):\n"
+            "        assert main(argv) == 0, argv\n"
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'numpy'))"
+        )
+        out = subprocess.run(
+            [sys.executable, "-c", code], env=env, cwd=tmp_path, capture_output=True,
+            text=True, check=True,
+        ).stdout
+        assert out.strip() == "[]"
+        assert sorted(os.listdir(tmp_path)) == [
+            "fringes.csv", "fringes.csv.summary.json", "fringes.json", "report.json"
+        ]
 
 
 class TestConfigHandling:

@@ -1,4 +1,5 @@
 import math
+import re
 
 from hypothesis import assume, given, strategies as st
 import numpy as np
@@ -6,7 +7,7 @@ import pytest
 
 from coilfringe.constants import constants
 from coilfringe.errors import ConstructionError, DomainError, ScenarioError, SingularityError
-from coilfringe.ideal_field import annular_coil_A
+from coilfringe.ideal_field import annular_coil_A, check_constructible
 from coilfringe.winding import (
     BATCH_PAIRS,
     MAX_FIELD_PAIRS,
@@ -211,6 +212,30 @@ class TestBuildWinding:
     def test_non_finite_geometry_rejected(self):
         with pytest.raises(DomainError):
             build_winding(paper_coil(L=float("nan")), 4)
+
+    @pytest.mark.parametrize(
+        "spec, segments_per_turn",
+        [
+            (paper_coil(), 4),
+            (paper_coil(L=2.0, layers=3, helicity=(1, -1, 1)), 8),
+            (paper_coil(), 6),  # not a multiple of 4
+            (paper_coil(L=1e308), 4),  # the turn path overflows
+            (paper_coil(L=float("inf")), 4),
+            (CoilWindingSpec(0.1, 1e308, 1.0, 2000.0, 2, (1, -1), 1e-3, 1.0), 4),
+            (CoilWindingSpec(0.1, 0.12, 1.0, 2000.0, 1, (1,), 1e-3, 1.0), 4),  # overlap
+            (CoilWindingSpec(0.1, 0.12, 1.0, 1.0, 2, (1, -1), 1e-3, 1.0), 4),  # 1 turn
+            (CoilWindingSpec(0.1, 0.12, 1.0, 1e6, 2, (1, -1), 1e-9, 1.0), 4),  # 2.5e6 segments
+        ],
+    )
+    def test_constructibility_check_agrees_with_build(self, spec, segments_per_turn):
+        # validate-coil reports the check's count instead of building
+        try:
+            winding = build_winding(spec, segments_per_turn)
+        except (ConstructionError, DomainError, ScenarioError) as exc:
+            with pytest.raises(type(exc), match=f"^{re.escape(str(exc))}$"):
+                check_constructible(spec, segments_per_turn)
+        else:
+            assert check_constructible(spec, segments_per_turn) == len(winding.starts)
 
     def test_minimum_segments_per_turn(self):
         # the four legs are subdivided evenly, so only multiples of 4 work
@@ -429,6 +454,40 @@ class TestCoilB:
             if spec.R1 <= math.hypot(p[0], p[1]) <= spec.R2:
                 continue
             assert np.linalg.norm(B_at(w, p)) <= 1e-11 * scale, p
+
+    @pytest.mark.parametrize("k", [1e-6, 0.37, 1e4])
+    def test_A_and_B_linear_in_current(self, k):
+        # relative to the largest field over the probes: B in the bore and
+        # outside the coil is rounding noise of that size
+        w = build_winding(paper_coil(L=2.0, I=1.5), 8)
+        A, B = field_at(w, self.PROBES)
+        Ak, Bk = field_at(Winding(w.starts, w.ends, w.currents * k), self.PROBES)
+        for F, Fk in ((A, Ak), (B, Bk)):
+            assert np.max(np.abs(Fk - k * F)) <= 1e-13 * k * np.max(np.abs(F))
+
+    def test_A_divergence_free_on_closed_circuits(self):
+        # div A of a chain of segments is mu0*I/(4 pi) * (1/|p - s| - 1/|p - e|)
+        # for its first start s and last end e, and 0 once it closes
+        I = 1.5
+        w = build_winding(paper_coil(L=2.0, I=I), 8)
+        chain = Winding(w.starts[:100], w.ends[:100], w.currents[:100])
+        c = constants().mu0 * I / (4 * math.pi)
+
+        def div_A(winding, p, h=1e-5):
+            return sum(
+                (A_at(winding, p + h * e)[i] - A_at(winding, p - h * e)[i]) / (2 * h)
+                for i, e in enumerate(np.eye(3))
+            )
+
+        tol = 1e-12  # T, about a millionth of c / R1
+        largest_open = 0.0
+        for p in np.array(self.PROBES):
+            open_div = c * (1 / np.linalg.norm(p - chain.starts[0])
+                            - 1 / np.linalg.norm(p - chain.ends[-1]))
+            assert abs(div_A(chain, p) - open_div) <= tol, p
+            assert abs(div_A(w, p)) <= tol, p
+            largest_open = max(largest_open, abs(open_div))
+        assert largest_open > 1e5 * tol
 
     def test_A_and_B_flip_sign_with_current(self):
         Ap, Bp = field_at(build_winding(paper_coil(L=2.0, I=1.5), 8), self.PROBES)
