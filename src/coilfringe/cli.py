@@ -28,13 +28,7 @@ from .export import (
 from .diffraction import fringe_pattern
 from .ideal_field import CoilWindingSpec, annular_coil_A, check_constructible, coil_constant_K
 from .report import reproduce_paper
-from .scenario import (
-    SweepSpec,
-    geometry_ratios,
-    ideal_coil_of,
-    load_scenario,
-    paper_scenario,
-)
+from .scenario import SweepSpec, geometry_ratios, load_scenario, paper_scenario
 from .sweep import run_sweep, write_sweep_csv
 
 CONFIG_DIR_ENV = "COILFRINGE_CONFIG_DIR"
@@ -146,47 +140,32 @@ def _parse_grid(text):
 def _cmd_field_map(args):
     import numpy as np
 
-    from .winding import check_bore_grid, homogeneity_report
+    from .winding import homogeneity_report
 
     scen = _load(args)
     region = _parse_region(args.region)
     grid = _parse_grid(args.grid)
-    coil = scen.coil
-    if isinstance(coil, CoilWindingSpec):
-        rep = homogeneity_report(
-            coil, region, grid, segments_per_turn=args.segments_per_turn
-        )
-        points, A, B = rep.points, rep.A, rep.B
-        report_data = {
+    rep = homogeneity_report(
+        scen.coil, region, grid, segments_per_turn=args.segments_per_turn
+    )
+    write_field_map(args.out, scen.coil, np.hstack([rep.points, rep.A, rep.B]))
+    write_json(
+        args.out + ".homogeneity.json",
+        {
             "mean_A": [fmt(v) for v in rep.mean_A],
             "max_rel_deviation": fmt(rep.max_rel_deviation),
             "max_B_magnitude": fmt(rep.max_B_magnitude),
             "ideal_A": fmt(rep.ideal_A),
             "rel_error_vs_ideal": fmt(rep.rel_error_vs_ideal),
-        }
-    else:
-        grid = check_bore_grid(coil.R1, region, grid)
-        ideal = annular_coil_A(coil)
-        points = region.grid_points(grid)
-        A = np.zeros_like(points)
-        A[:, 2] = ideal
-        B = np.zeros_like(points)
-        report_data = {
-            "mean_A": [fmt(0.0), fmt(0.0), fmt(ideal)],
-            "max_rel_deviation": fmt(0.0),
-            "max_B_magnitude": fmt(0.0),
-            "ideal_A": fmt(ideal),
-            "rel_error_vs_ideal": fmt(0.0),
-        }
-    write_field_map(args.out, coil, np.hstack([points, A, B]))
-    write_json(args.out + ".homogeneity.json", report_data)
-    print(f"wrote {len(points)} field samples to {args.out}")
+        },
+    )
+    print(f"wrote {len(rep.points)} field samples to {args.out}")
     return 0
 
 
 def _cmd_diffract(args):
     scen = _load(args)
-    A = annular_coil_A(ideal_coil_of(scen))
+    A = annular_coil_A(scen.coil.ideal_equivalent())
     pattern = fringe_pattern(scen.beam, scen.grating_screen, A, args.k_max)
     summary = fringe_summary(pattern)
     if args.out:

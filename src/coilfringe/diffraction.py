@@ -3,10 +3,9 @@
 Grating-equation model: a*sin(theta_k) = k*lambda with screen positions
 y_k = D*tan(theta_k). The de Broglie wavelength uses the canonical
 momentum mv + e*A, with the sign of A carried by the coil current
-polarity. The model is non-relativistic; mechanical_momentum has a
-relativistic mode for comparison, which the rest of the model does not
-use. The momentum and wavelength take a real scalar or a numpy array;
-numpy is imported only for an array.
+polarity. The model is non-relativistic. The momentum and wavelength
+take a real scalar or a numpy array; numpy is imported only for an
+array.
 """
 
 from dataclasses import dataclass, field
@@ -16,7 +15,6 @@ from .constants import constants
 from .errors import DomainError, FitError, ModelDomainError, OrderLimitError
 
 SMALL_ANGLE_LIMIT = 1e-3  # |tan - sin|/sin threshold for the flag
-C_LIGHT = 299792458.0
 
 
 @dataclass(frozen=True)
@@ -78,20 +76,13 @@ def _sqrt(x):
     return np.sqrt(x)
 
 
-def mechanical_momentum(U, relativistic=False):
-    """Momentum of an electron accelerated through voltage U (scalar or array).
-
-    sqrt(2*m_e*e*U) by default; the relativistic mode returns
-    sqrt(2*m*e*U*(1 + e*U/(2*m*c^2))) and is provided for comparison
-    only.
-    """
+def mechanical_momentum(U):
+    """Momentum sqrt(2*m_e*e*U) of an electron accelerated through
+    voltage U (scalar or array)."""
     if _any_non_positive(U):
         raise DomainError("accelerating voltage U must be positive")
     c = constants()
-    p = _sqrt(2 * c.m_e * c.e * U)
-    if relativistic:
-        p = p * _sqrt(1 + c.e * U / (2 * c.m_e * C_LIGHT**2))
-    return p
+    return _sqrt(2 * c.m_e * c.e * U)
 
 
 def de_broglie_lambda(p):

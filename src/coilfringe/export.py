@@ -27,6 +27,7 @@ import functools
 import json
 import os
 
+from .errors import ScenarioError
 from .ideal_field import CoilWindingSpec
 
 _EXP_LIMIT = 290  # values of larger |exponent| use Python's "%.8e"
@@ -161,7 +162,8 @@ def write_lines(path, lines):
 
     The text goes to a temporary file beside path, which then replaces
     path; if anything fails, path is left as it was and the temporary
-    file is removed.
+    file is removed. An OSError, such as a missing directory, is raised
+    as a ScenarioError naming path.
     """
     tmp = f"{path}.{os.getpid()}.tmp"
     try:
@@ -170,9 +172,11 @@ def write_lines(path, lines):
                 fh.write(line)
                 fh.write("\n")
         os.replace(tmp, path)
-    except BaseException:
+    except BaseException as exc:
         with contextlib.suppress(FileNotFoundError):
             os.remove(tmp)
+        if isinstance(exc, OSError):
+            raise ScenarioError(f"cannot write {path}: {exc.strerror}") from exc
         raise
 
 

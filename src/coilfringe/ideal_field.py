@@ -75,6 +75,10 @@ class AnnularCoilIdeal:
         if self.N < 1:
             raise DomainError("turn count N must be >= 1")
 
+    def ideal_equivalent(self):
+        """The coil itself, as CoilWindingSpec.ideal_equivalent gives a winding's."""
+        return self
+
 
 def turn_count(R1, turn_density):
     """Turns on the inner circumference, round(2*pi*R1*turn_density).

@@ -18,7 +18,7 @@ from .diffraction import (
     small_angle_interfringe,
 )
 from .ideal_field import coil_constant_K
-from .scenario import ideal_coil_of, paper_scenario
+from .scenario import paper_scenario
 
 # Largest coil current of the reference estimates, A; the reference setup
 # itself is the built-in paper scenario.
@@ -73,7 +73,7 @@ def computed_quantities():
     """Model values for every quantity in the reference estimate set."""
     scen = paper_scenario()
     U, gs = scen.beam.U, scen.grating_screen
-    K = coil_constant_K(ideal_coil_of(scen))
+    K = coil_constant_K(scen.coil.ideal_equivalent())
     p_mec = mechanical_momentum(U)
     p_min = effective_momentum(U, K * -REF_I_MAX)
     p_max = effective_momentum(U, K * +REF_I_MAX)

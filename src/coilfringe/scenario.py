@@ -1,9 +1,9 @@
 """Experiment scenario configuration.
 
-Scenarios are JSON files with a versioned schema. Unknown keys are
-rejected to catch typos; omitted fields fall back to the reference
-defaults below (copper-foil Thomson arrangement inside the two-layer
-annular coil):
+Scenarios are JSON files with a versioned schema. Unknown keys, and
+coil keys that the coil's type does not read, are rejected to catch
+typos; omitted fields fall back to the reference defaults below
+(copper-foil Thomson arrangement inside the two-layer annular coil):
 
     a = 2.55e-10 m, D = 0.1 m, U = 30 kV, beam width = 1 mm,
     R1 = 0.1 m, R2 = 0.12 m, L = 12 m, turn density n = 2000 /m,
@@ -96,6 +96,13 @@ class SweepSpec:
         return self.start + np.arange(self.count()) * self.step
 
 
+# The coil keys each coil type reads; a winding reads all of the defaults.
+_COIL_KEYS = {
+    "winding": frozenset(PAPER_DEFAULTS["coil"]),
+    "ideal": frozenset({"type", "R1_m", "R2_m", "turn_density_per_m", "N_turns"}),
+}
+
+
 def _merge_defaults(data):
     merged = {}
     for key, default in PAPER_DEFAULTS.items():
@@ -104,8 +111,13 @@ def _merge_defaults(data):
             user = data.get(key, {})
             if not isinstance(user, dict):
                 raise ScenarioError(f"field {key!r} must be an object")
+            known = default
+            if key == "coil":
+                ctype = user.get("type", "winding")
+                # _build_coil rejects an unknown type
+                known = _COIL_KEYS.get(ctype, default) if isinstance(ctype, str) else default
             for k, v in user.items():
-                if k not in default and not (key == "coil" and k in _IDEAL_COIL_KEYS):
+                if k not in known:
                     raise ScenarioError(f"unknown key {key}.{k!r}")
                 sub[k] = v
             merged[key] = sub
@@ -115,9 +127,6 @@ def _merge_defaults(data):
         if key not in PAPER_DEFAULTS:
             raise ScenarioError(f"unknown top-level key {key!r}")
     return merged
-
-
-_IDEAL_COIL_KEYS = {"N_turns"}
 
 
 def _number(value, name, integer=False):
@@ -225,11 +234,3 @@ def geometry_ratios(scenario):
         "D/phi": gs.D / beam.beam_width_phi,
         "phi/a": beam.beam_width_phi / gs.a,
     }
-
-
-def ideal_coil_of(scenario):
-    """The ideal annular coil equivalent of the scenario's coil."""
-    coil = scenario.coil
-    if isinstance(coil, AnnularCoilIdeal):
-        return coil
-    return coil.ideal_equivalent()

@@ -10,7 +10,6 @@ from .diffraction import (
 from .errors import FitError
 from .export import csv_rows, fmt, write_lines
 from .ideal_field import coil_constant_K
-from .scenario import ideal_coil_of
 
 ERROR_MARKER = "model-domain-error"
 
@@ -27,7 +26,7 @@ def run_sweep(sweep):
     import numpy as np
 
     scen = sweep.scenario
-    K = coil_constant_K(ideal_coil_of(scen))
+    K = coil_constant_K(scen.coil.ideal_equivalent())
     values = sweep.values()
     if sweep.variable == "current":
         U, I = np.full_like(values, scen.beam.U), values

@@ -7,9 +7,10 @@ azimuthal advance of one turn spacing distributed along the turn path;
 layers may wind with opposite azimuthal sense so their net azimuthal
 advance cancels. A Winding holds the segments as arrays.
 
-Field evaluation sums closed forms over all segments. A segment of
-length Lseg, unit direction l_hat and current I, whose ends lie at
-distances d1 and d2 from the point, contributes
+Field evaluation sums closed forms over all segments, which are in
+series and carry the one current I. A segment of length Lseg, unit
+direction l_hat, start s and end e, whose ends lie at distances d1 and
+d2 from the point, contributes
 
     A = mu0*I/(4pi) * l_hat * ln((d1 + d2 + Lseg) / (d1 + d2 - Lseg)),
     B = mu0*I/(4pi) * 2*Lseg*(d1 + d2) / (d1*d2*((d1 + d2)^2 - Lseg^2))
@@ -17,18 +18,21 @@ distances d1 and d2 from the point, contributes
 
 with r1 the vector from the segment start to the point (the
 finite-filament Biot-Savart field of Hanson & Hirshman, Phys. Plasmas
-9, 4410 (2002)).
+9, 4410 (2002)). Both are linear in I, so mu0*I/(4pi) scales the sums
+once.
 
 field_at works on (points, segments) arrays of d1, d2 and the log's
 denominator gap = d1 + d2 - Lseg. Through the point of the segment
 nearest to the sample, gap <= 2*distance, so only pairs with
 gap < 2*WIRE_GUARD (plus a rounding margin) can lie inside the wire
-guard, and only those get the exact clipped-projection distance. The B
-sum splits into two matrix products,
+guard, and only those get the exact clipped-projection distance. As
+Lseg*l_hat = e - s and (e - s) x s = e x s, the B sum splits into two
+matrix products,
 
-    sum(coef * l_hat x (p - s)) = (sum(coef * l_hat)) x p - sum(coef * (l_hat x s)),
+    sum(c * Lseg*l_hat x (p - s)) = (sum(c * (e - s))) x p - sum(c * (e x s)),
 
-with s the segment start and l_hat x s computed once per call.
+with c = (d1 + d2) / (d1*d2*((d1 + d2)^2 - Lseg^2)) and e x s computed
+once per call.
 """
 
 from dataclasses import dataclass
@@ -39,7 +43,7 @@ import numpy as np
 from .constants import constants
 from .errors import DomainError, ScenarioError, SingularityError
 from .ideal_field import CoilWindingSpec  # noqa: F401  (the spec build_winding takes)
-from .ideal_field import annular_coil_A, check_constructible
+from .ideal_field import AnnularCoilIdeal, annular_coil_A, check_constructible
 
 # Sample points closer to a wire than this are treated as singular.
 WIRE_GUARD = 1e-9
@@ -81,13 +85,13 @@ class Box:
 class Winding:
     """Straight current segments held as arrays.
 
-    Segment k runs from starts[k] to ends[k] (both (n, 3) arrays, meters)
-    and carries currents[k] (amperes).
+    Segment k runs from starts[k] to ends[k] (both (n, 3) arrays, meters);
+    every segment carries the current I (amperes).
     """
 
     starts: np.ndarray
     ends: np.ndarray
-    currents: np.ndarray
+    I: float
 
 
 @dataclass(frozen=True)
@@ -97,7 +101,6 @@ class HomogeneityReport:
     points, A and B are the (n, 3) sample points and the field there.
     """
 
-    region: Box
     mean_A: tuple
     max_rel_deviation: float
     max_B_magnitude: float
@@ -153,12 +156,7 @@ def build_winding(spec, segments_per_turn=8):
         ).reshape(-1, 3)
         starts.append(pts)
         ends.append(np.roll(pts, -1, axis=0))  # the last segment closes the layer
-    starts = np.concatenate(starts)
-    return Winding(
-        starts=starts,
-        ends=np.concatenate(ends),
-        currents=np.full(len(starts), float(spec.I)),
-    )
+    return Winding(starts=np.concatenate(starts), ends=np.concatenate(ends), I=float(spec.I))
 
 
 def field_at(winding, points):
@@ -174,10 +172,8 @@ def field_at(winding, points):
     seg = ends - starts
     seg_len = np.linalg.norm(seg, axis=1)
     unit = seg / seg_len[:, None]
-    unit_x_start = np.cross(unit, starts)
+    end_x_start = np.cross(ends, starts)
     seg_len_sq = seg_len**2
-    scale = constants().mu0 * winding.currents / (4 * math.pi)
-    B_scale = scale * 2 * seg_len
     sx, sy, sz = starts.T
     ex, ey, ez = ends.T
     A = np.empty_like(points)
@@ -209,10 +205,11 @@ def field_at(winding, points):
                     f"point {p[c[j]].tolist()} too close to segment {k[j]} for the "
                     f"closed form (distance {dist[j]:.3e} m)"
                 )
-        A[i:i + step] = (scale * np.log((dsum + seg_len) / gap)) @ unit
-        coef = B_scale * dsum / (d1 * d2 * (dsum**2 - seg_len_sq))
-        B[i:i + step] = np.cross(coef @ unit, p) - coef @ unit_x_start
-    return A, B
+        A[i:i + step] = np.log((dsum + seg_len) / gap) @ unit
+        coef = dsum / (d1 * d2 * (dsum**2 - seg_len_sq))
+        B[i:i + step] = np.cross(coef @ seg, p) - coef @ end_x_start
+    scale = constants().mu0 * winding.I / (4 * math.pi)
+    return scale * A, 2 * scale * B
 
 
 def check_bore_grid(R1, region, grid):
@@ -241,33 +238,44 @@ def check_bore_grid(R1, region, grid):
     return grid
 
 
-def homogeneity_report(spec, region, grid, segments_per_turn=8):
+def homogeneity_report(coil, region, grid, segments_per_turn=8):
     """Sample A and B on a grid inside the bore and report uniformity.
 
-    The grid and region are checked by check_bore_grid, and the region
-    must also lie inside the coil length. The grid points times the
-    winding's segments may not exceed MAX_FIELD_PAIRS. Every input is
-    checked before anything is allocated.
+    coil is a CoilWindingSpec or an AnnularCoilIdeal, and for both the
+    grid and region are checked by check_bore_grid. The ideal coil's
+    bore holds exactly A = (0, 0, K*I) and B = 0, at any current. A
+    winding of segments_per_turn segments per turn is built and
+    evaluated: its current must be non-zero, the region must also lie
+    inside the coil length, and the grid points times the winding's
+    segments may not exceed MAX_FIELD_PAIRS. Every input is checked
+    before anything is allocated.
     """
-    grid = check_bore_grid(spec.R1, region, grid)
-    if spec.I == 0.0:
-        raise DomainError("relative field deviations are undefined at zero current")
-    if abs(region.lo[2]) >= spec.L / 2 or abs(region.hi[2]) >= spec.L / 2:
-        raise DomainError("region must lie inside the coil length")
-    if math.prod(grid) * spec.turn_count * segments_per_turn > MAX_FIELD_PAIRS:
-        raise ScenarioError(f"field evaluation exceeds {MAX_FIELD_PAIRS} point-segment pairs")
+    grid = check_bore_grid(coil.R1, region, grid)
+    if isinstance(coil, AnnularCoilIdeal):
+        ideal = annular_coil_A(coil)
+        points = region.grid_points(grid)
+        A = np.zeros_like(points)
+        A[:, 2] = ideal
+        B = np.zeros_like(points)
+        mean_A, max_rel_dev, rel_err = (0.0, 0.0, ideal), 0.0, 0.0
+    else:
+        if coil.I == 0.0:
+            raise DomainError("relative field deviations are undefined at zero current")
+        if abs(region.lo[2]) >= coil.L / 2 or abs(region.hi[2]) >= coil.L / 2:
+            raise DomainError("region must lie inside the coil length")
+        if math.prod(grid) * coil.turn_count * segments_per_turn > MAX_FIELD_PAIRS:
+            raise ScenarioError(f"field evaluation exceeds {MAX_FIELD_PAIRS} point-segment pairs")
 
-    points = region.grid_points(grid)
-    A, B = field_at(build_winding(spec, segments_per_turn), points)
-    mean_A = A.mean(axis=0)
-    max_rel_dev = float(
-        np.max(np.linalg.norm(A - mean_A, axis=1)) / np.linalg.norm(mean_A)
-    )
-    ideal = annular_coil_A(spec.ideal_equivalent())
-    rel_err = abs(float(mean_A[2]) - ideal) / abs(ideal)
+        points = region.grid_points(grid)
+        A, B = field_at(build_winding(coil, segments_per_turn), points)
+        mean_A = tuple(A.mean(axis=0))
+        max_rel_dev = float(
+            np.max(np.linalg.norm(A - mean_A, axis=1)) / np.linalg.norm(mean_A)
+        )
+        ideal = annular_coil_A(coil.ideal_equivalent())
+        rel_err = abs(float(mean_A[2]) - ideal) / abs(ideal)
     return HomogeneityReport(
-        region=region,
-        mean_A=tuple(mean_A),
+        mean_A=mean_A,
         max_rel_deviation=max_rel_dev,
         max_B_magnitude=float(np.max(np.linalg.norm(B, axis=1))),
         ideal_A=ideal,

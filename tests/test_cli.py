@@ -325,6 +325,28 @@ class TestImport:
         ]
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["diffract"],
+        ["sweep", "--from", "-1", "--to", "1", "--step", "1"],
+        ["field-map", "--region=-0.02,0.02,-0.02,0.02,-0.02,0.02", "--grid", "2"],
+        ["reproduce-paper", "--format", "json"],
+    ],
+)
+def test_out_in_missing_directory_is_exit_2(tmp_path, capsys, argv):
+    config = tmp_path / "ideal.json"
+    config.write_text(json.dumps({"coil": {"type": "ideal"}, "current_A": 1.0}))
+    out_path = str(tmp_path / "missing" / "x.csv")
+    if argv[0] != "reproduce-paper":
+        argv = argv + ["--config", str(config)]
+    assert main(argv + ["--out", out_path]) == 2
+    err = capsys.readouterr().err
+    assert len(err.splitlines()) == 1
+    assert err.startswith(f"configuration error: cannot write {out_path}: ")
+    assert os.listdir(tmp_path) == ["ideal.json"]
+
+
 class TestConfigHandling:
     def test_bad_config_exit_2(self, tmp_path, capsys):
         config = tmp_path / "bad.json"

@@ -47,6 +47,20 @@ class TestLoadScenario:
         with pytest.raises(ScenarioError, match="unknown"):
             load_scenario(path)
 
+    @pytest.mark.parametrize(
+        "coil",
+        [
+            {"type": "winding", "N_turns": 7},
+            {"type": "ideal", "layers": 5, "L_m": 0.001},
+        ],
+    )
+    def test_coil_keys_of_the_other_type_rejected(self, tmp_path, capsys, coil):
+        path = write_scenario(tmp_path, {"coil": coil})
+        with pytest.raises(ScenarioError, match="unknown key coil"):
+            load_scenario(path)
+        assert main(["validate-coil", "--config", path]) == 2
+        assert capsys.readouterr().out == ""
+
     def test_parse_error_reports_line(self, tmp_path):
         path = tmp_path / "bad.json"
         path.write_text("{\n  broken\n}")

@@ -4,7 +4,7 @@ import pytest
 from coilfringe.diffraction import de_broglie_lambda, effective_momentum
 from coilfringe.errors import DomainError, ModelDomainError
 from coilfringe.ideal_field import coil_constant_K
-from coilfringe.scenario import SweepSpec, ideal_coil_of, paper_scenario
+from coilfringe.scenario import SweepSpec, paper_scenario
 from coilfringe.sweep import run_sweep
 
 
@@ -12,7 +12,7 @@ def pointwise_rows(sweep):
     """Reference: the diffraction model evaluated one sweep value at a time."""
     scen = sweep.scenario
     gs = scen.grating_screen
-    K = coil_constant_K(ideal_coil_of(scen))
+    K = coil_constant_K(scen.coil.ideal_equivalent())
     rows = []
     for v in sweep.values():
         U, I = (scen.beam.U, v) if sweep.variable == "current" else (v, scen.coil.I)

@@ -7,7 +7,7 @@ import pytest
 
 from coilfringe.constants import constants
 from coilfringe.errors import ConstructionError, DomainError, ScenarioError, SingularityError
-from coilfringe.ideal_field import annular_coil_A, check_constructible
+from coilfringe.ideal_field import AnnularCoilIdeal, annular_coil_A, check_constructible
 from coilfringe.winding import (
     BATCH_PAIRS,
     MAX_FIELD_PAIRS,
@@ -41,7 +41,7 @@ def segment(start, end, I):
     return Winding(
         starts=np.array([start], dtype=float),
         ends=np.array([end], dtype=float),
-        currents=np.array([I], dtype=float),
+        I=float(I),
     )
 
 
@@ -79,7 +79,7 @@ def _field_at_per_pair(winding, points):
     seg_len_sq = np.einsum("ij,ij->i", seg, seg)
     seg_len = np.linalg.norm(seg, axis=1)
     unit = seg / seg_len[:, None]
-    scale = constants().mu0 * winding.currents / (4 * math.pi)
+    scale = constants().mu0 * winding.I / (4 * math.pi)
     A = np.empty_like(points)
     B = np.empty_like(points)
     step = max(1, BATCH_PAIRS // len(seg))
@@ -121,7 +121,7 @@ class TestBuildWinding:
         # each turn contributes segments_per_turn chained segments and
         # every layer closes on itself with no extra closure segment
         assert w.starts.shape == w.ends.shape == (spec.turn_count * 4, 3)
-        assert w.currents.shape == (spec.turn_count * 4,)
+        assert w.I == spec.I
         w8 = build_winding(spec, segments_per_turn=8)
         assert len(w8.starts) == spec.turn_count * 8
 
@@ -134,7 +134,7 @@ class TestBuildWinding:
         za, zb = w.starts[:, 2], w.ends[:, 2]
         crossing = ((za < 0) & (0 <= zb)) | ((zb < 0) & (0 <= za))
         inner = np.hypot(w.starts[:, 0], w.starts[:, 1]) < mid
-        signed = np.where(zb > za, w.currents, -w.currents)
+        signed = np.where(zb > za, w.I, -w.I)
         net = signed[crossing & inner].sum()
         assert net == pytest.approx(spec.turn_count * spec.I)
 
@@ -193,7 +193,7 @@ class TestBuildWinding:
         w = build_winding(spec, 8)
         assert np.allclose(w.starts, starts, rtol=0, atol=1e-14)
         assert np.allclose(w.ends, ends, rtol=0, atol=1e-14)
-        assert np.all(w.currents == spec.I)
+        assert w.I == spec.I
 
     def test_fewer_turns_than_layers_rejected(self):
         spec = CoilWindingSpec(
@@ -299,7 +299,7 @@ class TestSegmentA:
         w = Winding(
             starts=np.array([(0.0, 0.0, 0.0), (1.0, 0.0, 0.0)]),
             ends=np.array([(0.0, 0.0, 1.0), (1.0, 0.0, 1.0)]),
-            currents=np.array([1.0, 1.0]),
+            I=1.0,
         )
         points = [(0.5, 0.0, 0.5), (1.0, 5e-10, 0.25), (3e-10, 0.0, 0.5)]
         with pytest.raises(SingularityError) as new:
@@ -329,7 +329,7 @@ vertex = st.tuples(*[st.floats(-1.0, 1.0, allow_nan=False)] * 3)
 def test_field_at_matches_per_pair_kernel(vertices, current, points):
     v = np.array(vertices)
     assume(np.all(np.linalg.norm(np.diff(v, axis=0), axis=1) > 1e-3))
-    w = Winding(starts=v[:-1], ends=v[1:], currents=np.full(len(v) - 1, current))
+    w = Winding(starts=v[:-1], ends=v[1:], I=current)
     points = np.array(points)
     assume(_distances(w, points).min() >= 1e-6)
     A, B = field_at(w, points)
@@ -377,7 +377,7 @@ class TestCoilField:
         radial = (np.abs(np.abs(w.starts[:, 2]) - spec.L / 2) < 1e-12) & (
             np.abs(np.abs(w.ends[:, 2]) - spec.L / 2) < 1e-12
         )
-        ends = Winding(w.starts[radial], w.ends[radial], w.currents[radial])
+        ends = Winding(w.starts[radial], w.ends[radial], w.I)
         A = A_at(ends, (0.0, 0.0, 0.0))
         assert abs(A[0]) <= 1e-10 * max(abs(A[2]), 1e-12) + 1e-20
         assert abs(A[1]) <= 1e-10 * max(abs(A[2]), 1e-12) + 1e-20
@@ -461,7 +461,7 @@ class TestCoilB:
         # outside the coil is rounding noise of that size
         w = build_winding(paper_coil(L=2.0, I=1.5), 8)
         A, B = field_at(w, self.PROBES)
-        Ak, Bk = field_at(Winding(w.starts, w.ends, w.currents * k), self.PROBES)
+        Ak, Bk = field_at(Winding(w.starts, w.ends, w.I * k), self.PROBES)
         for F, Fk in ((A, Ak), (B, Bk)):
             assert np.max(np.abs(Fk - k * F)) <= 1e-13 * k * np.max(np.abs(F))
 
@@ -470,7 +470,7 @@ class TestCoilB:
         # for its first start s and last end e, and 0 once it closes
         I = 1.5
         w = build_winding(paper_coil(L=2.0, I=I), 8)
-        chain = Winding(w.starts[:100], w.ends[:100], w.currents[:100])
+        chain = Winding(w.starts[:100], w.ends[:100], w.I)
         c = constants().mu0 * I / (4 * math.pi)
 
         def div_A(winding, p, h=1e-5):
@@ -488,6 +488,30 @@ class TestCoilB:
             assert abs(div_A(w, p)) <= tol, p
             largest_open = max(largest_open, abs(open_div))
         assert largest_open > 1e5 * tol
+
+    @pytest.mark.parametrize(
+        "axes, z, enclosed",
+        [
+            ((0.109, 0.111), 0.3, 1),  # through the winding, between R1 and R2
+            ((0.03, 0.05), -1.0, 0),  # inside the bore
+            ((0.13, 0.14), 0.0, 0),  # around the whole winding cross-section
+        ],
+    )
+    def test_amperes_law_as_line_integral(self, axes, z, enclosed):
+        # the circulation of B around an off-centre ellipse is mu0 * (enclosed
+        # turns) * I; the trapezoid rule converges geometrically on a smooth
+        # periodic integrand
+        spec = paper_coil(L=6.0)
+        (a, b), n = axes, 256
+        theta = 2 * math.pi * np.arange(n) / n
+        points = np.column_stack(
+            [0.003 + a * np.cos(theta), -0.002 + b * np.sin(theta), np.full(n, z)]
+        )
+        tangent = np.column_stack([-a * np.sin(theta), b * np.cos(theta), np.zeros(n)])
+        B = field_at(build_winding(spec, 8), points)[1]
+        circulation = np.sum(B * tangent) * 2 * math.pi / n
+        mu0_NI = constants().mu0 * spec.turn_count * spec.I
+        assert abs(circulation / mu0_NI - enclosed) <= 1e-11
 
     def test_A_and_B_flip_sign_with_current(self):
         Ap, Bp = field_at(build_winding(paper_coil(L=2.0, I=1.5), 8), self.PROBES)
@@ -553,3 +577,19 @@ class TestHomogeneityReport:
         assert np.array_equal(rep.A, A) and np.array_equal(rep.B, B)
         assert rep.mean_A == tuple(A.mean(axis=0))
         assert rep.max_B_magnitude == np.max(np.linalg.norm(B, axis=1))
+
+    @pytest.mark.parametrize("I", [2.5, 0.0])
+    def test_ideal_coil_report_is_exact(self, I):
+        # the ideal bore holds A = (0, 0, K*I) and B = 0, also at zero current
+        coil = AnnularCoilIdeal(R1=0.1, R2=0.12, N=1257, I=I)
+        region = Box(lo=(-0.02, -0.01, -0.03), hi=(0.02, 0.01, 0.03))
+        rep = homogeneity_report(coil, region, (2, 3, 4))
+        ideal = annular_coil_A(coil)
+        assert rep.mean_A == (0.0, 0.0, ideal)
+        assert rep.ideal_A == ideal
+        assert rep.max_rel_deviation == rep.max_B_magnitude == rep.rel_error_vs_ideal == 0.0
+        assert np.array_equal(rep.points, region.grid_points((2, 3, 4)))
+        assert np.array_equal(rep.A, np.tile([0.0, 0.0, ideal], (24, 1)))
+        assert np.array_equal(rep.B, np.zeros((24, 3)))
+        with pytest.raises(DomainError):
+            homogeneity_report(coil, Box(lo=(-0.1, -0.01, -0.01), hi=(0.1, 0.01, 0.01)), 2)
