@@ -21,6 +21,7 @@ from .export import (
     fmt,
     fringe_summary,
     json_text,
+    write_all,
     write_field_map,
     write_fringe_csv,
     write_json,
@@ -104,17 +105,16 @@ def _cmd_sweep(args):
         scenario=scen,
     )
     rows, fit = run_sweep(sweep)
-    write_sweep_csv(args.out, sweep, rows)
+    writes = [(write_sweep_csv, args.out, sweep, rows)]
     if fit is not None:
         alpha, beta, r2 = fit
-        write_json(
-            args.out + ".fit.json",
-            {
-                "alpha_sqrtU_coeff": fmt(alpha),
-                "beta_I_coeff": fmt(beta),
-                "r_squared": fmt(r2),
-            },
-        )
+        fit_data = {
+            "alpha_sqrtU_coeff": fmt(alpha),
+            "beta_I_coeff": fmt(beta),
+            "r_squared": fmt(r2),
+        }
+        writes.append((write_json, args.out + ".fit.json", fit_data))
+    write_all(writes)
     print(f"wrote {len(rows)} rows to {args.out}")
     return 0
 
@@ -148,17 +148,17 @@ def _cmd_field_map(args):
     rep = homogeneity_report(
         scen.coil, region, grid, segments_per_turn=args.segments_per_turn
     )
-    write_field_map(args.out, scen.coil, np.hstack([rep.points, rep.A, rep.B]))
-    write_json(
-        args.out + ".homogeneity.json",
-        {
-            "mean_A": [fmt(v) for v in rep.mean_A],
-            "max_rel_deviation": fmt(rep.max_rel_deviation),
-            "max_B_magnitude": fmt(rep.max_B_magnitude),
-            "ideal_A": fmt(rep.ideal_A),
-            "rel_error_vs_ideal": fmt(rep.rel_error_vs_ideal),
-        },
-    )
+    summary = {
+        "mean_A": [fmt(v) for v in rep.mean_A],
+        "max_rel_deviation": fmt(rep.max_rel_deviation),
+        "max_B_magnitude": fmt(rep.max_B_magnitude),
+        "ideal_A": fmt(rep.ideal_A),
+        "rel_error_vs_ideal": fmt(rep.rel_error_vs_ideal),
+    }
+    write_all([
+        (write_field_map, args.out, scen.coil, np.hstack([rep.points, rep.A, rep.B])),
+        (write_json, args.out + ".homogeneity.json", summary),
+    ])
     print(f"wrote {len(rep.points)} field samples to {args.out}")
     return 0
 
@@ -192,8 +192,10 @@ def _cmd_diffract(args):
                 },
             )
         else:
-            write_fringe_csv(args.out, pattern, scenario_comment=comment)
-            write_json(args.out + ".summary.json", summary)
+            write_all([
+                (write_fringe_csv, args.out, pattern, comment),
+                (write_json, args.out + ".summary.json", summary),
+            ])
     for key, val in summary.items():
         print(f"{key} = {val}")
     return 0

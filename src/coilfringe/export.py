@@ -5,7 +5,8 @@ digits, locale independent, so identical inputs yield byte-identical
 files. CSV files carry a '#'-prefixed comment header echoing the
 originating parameters. Every file is written to a temporary file beside
 its path and then moved into place, so a failed write leaves no partial
-file.
+file, and write_all removes the files a command has written when a later
+one fails.
 
 Arrays of values are formatted by csv_rows, which gives the bytes of
 "%.8e" % x for every float x without a Python call per value. A finite
@@ -177,6 +178,23 @@ def write_lines(path, lines):
             os.remove(tmp)
         if isinstance(exc, OSError):
             raise ScenarioError(f"cannot write {path}: {exc.strerror}") from exc
+        raise
+
+
+def write_all(writes):
+    """Make each write of writes, a list of (function, path, *args) calls
+    that each write path, in turn; if one fails, the paths written before
+    it are removed and the error is raised, so a command leaves all of
+    its files or none."""
+    written = []
+    try:
+        for write, path, *args in writes:
+            write(path, *args)
+            written.append(path)
+    except BaseException:
+        for path in written:
+            with contextlib.suppress(FileNotFoundError):
+                os.remove(path)
         raise
 
 

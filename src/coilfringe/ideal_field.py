@@ -136,6 +136,15 @@ class CoilWindingSpec:
         return AnnularCoilIdeal(R1=self.R1, R2=self.R2, N=self.turn_count, I=self.I)
 
 
+def check_segments_per_turn(segments_per_turn):
+    """The four legs of a turn are subdivided evenly, so segments_per_turn
+    must be a positive multiple of 4 (DomainError)."""
+    if segments_per_turn < 4 or segments_per_turn % 4:
+        raise DomainError(
+            f"segments_per_turn must be a positive multiple of 4, got {segments_per_turn}"
+        )
+
+
 def check_constructible(spec, segments_per_turn):
     """Check that the winding of spec can be built; returns its segment count.
 
@@ -146,10 +155,7 @@ def check_constructible(spec, segments_per_turn):
     path 2*L + 2*(R2 - R1), from which the segment endpoints are
     computed, must be finite (DomainError).
     """
-    if segments_per_turn < 4 or segments_per_turn % 4:
-        raise DomainError(
-            f"segments_per_turn must be a positive multiple of 4, got {segments_per_turn}"
-        )
+    check_segments_per_turn(segments_per_turn)
     turns = spec.turn_count
     segments = turns * segments_per_turn
     if segments > MAX_SEGMENTS:

@@ -197,6 +197,22 @@ class TestFieldMap:
         assert captured.err == "error: segment endpoints must be finite\n"
         assert os.listdir(tmp_path) == ["long.json"]
 
+    @pytest.mark.parametrize("coil", ["ideal", "winding"])
+    def test_segments_per_turn_checked_for_both_coil_types(self, tmp_path, capsys, coil):
+        config = tmp_path / "on.json"
+        config.write_text(json.dumps({"coil": {"type": coil}, "current_A": 1.0}))
+        out_path = str(tmp_path / "map.csv")
+        args = [
+            "field-map", "--config", str(config),
+            "--region=-0.02,0.02,-0.02,0.02,-0.02,0.02",
+            "--grid", "2", "--segments-per-turn", "3", "--out", out_path,
+        ]
+        assert main(args) == 1
+        assert capsys.readouterr().err == (
+            "error: segments_per_turn must be a positive multiple of 4, got 3\n"
+        )
+        assert os.listdir(tmp_path) == ["on.json"]
+
     def test_zero_current_rejected_before_writing(self, tmp_path, capsys):
         # the default scenario has I = 0, where relative deviations are undefined
         out_path = str(tmp_path / "map.csv")
@@ -345,6 +361,35 @@ def test_out_in_missing_directory_is_exit_2(tmp_path, capsys, argv):
     assert len(err.splitlines()) == 1
     assert err.startswith(f"configuration error: cannot write {out_path}: ")
     assert os.listdir(tmp_path) == ["ideal.json"]
+
+
+@pytest.mark.parametrize(
+    "argv, sidecar",
+    [
+        (["field-map", "--region=-0.02,0.02,-0.02,0.02,-0.02,0.02", "--grid", "2"],
+         ".homogeneity.json"),
+        (["sweep", "--from", "-10", "--to", "10", "--step", "1"], ".fit.json"),
+        (["diffract"], ".summary.json"),
+    ],
+)
+def test_failed_sidecar_write_leaves_neither_file(tmp_path, capsys, argv, sidecar):
+    config = tmp_path / "ideal.json"
+    config.write_text(json.dumps({"coil": {"type": "ideal"}, "current_A": 1.0}))
+    out_path = str(tmp_path / "c.csv")
+    argv = argv + ["--config", str(config), "--out", out_path]
+    assert main(argv) == 0
+    assert os.path.exists(out_path) and os.path.exists(out_path + sidecar)
+    os.remove(out_path)
+    os.remove(out_path + sidecar)
+    os.mkdir(out_path + sidecar)  # a directory in the sidecar's place
+    capsys.readouterr()
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        f"configuration error: cannot write {out_path}{sidecar}: Is a directory\n"
+    )
+    assert sorted(os.listdir(tmp_path)) == ["c.csv" + sidecar, "ideal.json"]
 
 
 class TestConfigHandling:

@@ -23,12 +23,12 @@ from coilfringe.winding import (
 )
 
 
-def paper_coil(L=6.0, layers=2, helicity=(1, -1), I=1.0):
+def paper_coil(L=6.0, layers=2, helicity=(1, -1), I=1.0, turn_density=2000.0):
     return CoilWindingSpec(
         R1=0.1,
         R2=0.12,
         L=L,
-        turn_density=2000.0,
+        turn_density=turn_density,
         layers=layers,
         helicity_sign_per_layer=tuple(helicity),
         wire_diameter=1e-3,
@@ -513,6 +513,21 @@ class TestCoilB:
         mu0_NI = constants().mu0 * spec.turn_count * spec.I
         assert abs(circulation / mu0_NI - enclosed) <= 1e-11
 
+    def test_rotation_by_one_turn_spacing(self):
+        # each layer of M turns maps onto itself under a rotation by 2pi/M
+        # about the axis, so A and B rotate with the probe points
+        spec = paper_coil(L=2.0, turn_density=200.0)
+        M = spec.turn_count // spec.layers
+        assert M * spec.layers == spec.turn_count  # the layers have equal M
+        c, s = math.cos(2 * math.pi / M), math.sin(2 * math.pi / M)
+        R = np.array([[c, -s, 0.0], [s, c, 0.0], [0.0, 0.0, 1.0]])
+        w = build_winding(spec, 8)
+        probes = np.array(self.PROBES)
+        A, B = field_at(w, probes)
+        A_rot, B_rot = field_at(w, probes @ R.T)
+        assert np.max(np.abs(A_rot - A @ R.T)) <= 1e-13 * np.max(np.abs(A))
+        assert np.max(np.abs(B_rot - B @ R.T)) <= 1e-13 * np.max(np.abs(B))
+
     def test_A_and_B_flip_sign_with_current(self):
         Ap, Bp = field_at(build_winding(paper_coil(L=2.0, I=1.5), 8), self.PROBES)
         Am, Bm = field_at(build_winding(paper_coil(L=2.0, I=-1.5), 8), self.PROBES)
@@ -557,7 +572,7 @@ class TestHomogeneityReport:
         spec = paper_coil(L=6.0)
         region = Box(lo=(-0.01, -0.01, -0.01), hi=(0.01, 0.01, 0.01))
         assert MAX_GRID_POINTS == 100**3
-        assert check_bore_grid(spec.R1, region, 100) == (100, 100, 100)
+        assert check_bore_grid(spec.R1, region, 100) == ((100, 100, 100), math.hypot(0.01, 0.01))
         with pytest.raises(ScenarioError, match="exceeds"):
             check_bore_grid(spec.R1, region, (100, 100, 101))
         pairs_per_point = spec.turn_count * 8
@@ -573,10 +588,56 @@ class TestHomogeneityReport:
         # x outermost, z innermost
         assert np.array_equal(rep.points[:4, 2], np.linspace(-0.03, 0.03, 4))
         assert np.array_equal(rep.points[::12, 0], [-0.02, 0.02])
+        # the layers are summed over fewer turn copies than the full winding,
+        # so A and B agree with it to rounding rather than bit for bit
         A, B = field_at(build_winding(spec, 8), rep.points)
-        assert np.array_equal(rep.A, A) and np.array_equal(rep.B, B)
-        assert rep.mean_A == tuple(A.mean(axis=0))
-        assert rep.max_B_magnitude == np.max(np.linalg.norm(B, axis=1))
+        A_norm = np.linalg.norm(A, axis=1)
+        assert np.all(np.linalg.norm(rep.A - A, axis=1) <= 1e-12 * A_norm)
+        assert np.max(np.abs(rep.B - B)) <= 1e-15
+        assert np.allclose(rep.mean_A, A.mean(axis=0), rtol=0, atol=1e-12 * np.max(A_norm))
+        assert abs(rep.max_B_magnitude - np.max(np.linalg.norm(B, axis=1))) <= 1e-15
+
+    @pytest.mark.parametrize("ratio", [0.3, 0.6, 0.9])
+    def test_turn_copies_match_full_winding(self, ratio):
+        # the Q copies of a layer's first turn differ from its M turns only
+        # in the azimuthal harmonics of order Q, which fall off as
+        # (r/R1)**Q in the bore
+        spec = paper_coil(L=2.0)
+        a = ratio * spec.R1 / math.sqrt(2)
+        region = Box(lo=(-a, -a, 0.25), hi=(a, a, 0.35))
+        rep = homogeneity_report(spec, region, 3)
+        Q = min(rep.copies)
+        assert max(rep.copies) < spec.turn_count // spec.layers
+        A, B = field_at(build_winding(spec, 8), rep.points)
+        A_norm = np.linalg.norm(A, axis=1)
+        bound = ratio**Q + 1e-13
+        assert np.all(np.linalg.norm(rep.A - A, axis=1) <= bound * A_norm)
+        assert np.max(np.abs(rep.B - B)) <= 1e-14
+
+    def test_all_turn_copies_reproduce_the_winding(self):
+        # 63 turns per layer are fewer copies than the region needs, so every
+        # turn is summed and the report is the full winding's field
+        spec = paper_coil(L=2.0, turn_density=200.0)
+        region = Box(lo=(-0.06, -0.06, -0.3), hi=(0.06, 0.06, -0.2))
+        rep = homogeneity_report(spec, region, 3)
+        assert rep.copies == (63, 63)
+        A, B = field_at(build_winding(spec, 8), rep.points)
+        A_norm = np.linalg.norm(A, axis=1)
+        assert np.all(np.linalg.norm(rep.A - A, axis=1) <= 1e-13 * A_norm)
+        # relative to the field inside the winding, the size of the summed terms
+        scale = constants().mu0 * spec.turn_count * abs(spec.I) / (2 * math.pi * spec.R1)
+        assert np.max(np.abs(rep.B - B)) <= 1e-13 * scale
+
+    @pytest.mark.parametrize("turn_density", [2000.0, 200.0])
+    def test_benchmark_box_needs_fewer_copies_than_turns(self, turn_density):
+        # a box of half side 2 cm centred within 5 mm of the axis
+        spec = paper_coil(L=12.0, turn_density=turn_density)
+        centre = (0.005, -0.005, 0.5)
+        region = Box(lo=tuple(c - 0.02 for c in centre), hi=tuple(c + 0.02 for c in centre))
+        rep = homogeneity_report(spec, region, 2)
+        base = spec.turn_count // spec.layers
+        assert len(rep.copies) == spec.layers
+        assert all(Q < base for Q in rep.copies)
 
     @pytest.mark.parametrize("I", [2.5, 0.0])
     def test_ideal_coil_report_is_exact(self, I):
