@@ -5,11 +5,16 @@ base units. The values below are the exact SI-2019 defined values for h
 and e, and CODATA recommended values for m_e and mu0.
 """
 
-from dataclasses import dataclass
+from collections import namedtuple
 
 
-@dataclass(frozen=True)
-class PhysicalConstants:
+class PhysicalConstants(
+    namedtuple(
+        "PhysicalConstants",
+        "h e m_e mu0",
+        defaults=(6.62607015e-34, 1.602176634e-19, 9.1093837015e-31, 1.25663706212e-6),
+    )
+):
     """Fixed set of physical constants (SI).
 
     h    Planck constant, J*s
@@ -18,15 +23,14 @@ class PhysicalConstants:
     mu0  vacuum permeability, T*m/A
     """
 
-    h: float = 6.62607015e-34
-    e: float = 1.602176634e-19
-    m_e: float = 9.1093837015e-31
-    mu0: float = 1.25663706212e-6
+    __slots__ = ()
 
-    def __post_init__(self):
-        for name in ("h", "e", "m_e", "mu0"):
-            if getattr(self, name) <= 0:
+    def __new__(cls, *args, **kwargs):
+        self = super().__new__(cls, *args, **kwargs)
+        for name, value in zip(self._fields, self):
+            if value <= 0:
                 raise ValueError(f"constant {name} must be strictly positive")
+        return self
 
 
 _SI = PhysicalConstants()

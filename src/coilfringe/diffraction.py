@@ -8,7 +8,7 @@ take a real scalar or a numpy array; numpy is imported only for an
 array.
 """
 
-from dataclasses import dataclass, field
+from collections import namedtuple
 import math
 
 from .constants import constants
@@ -17,48 +17,68 @@ from .errors import DomainError, FitError, ModelDomainError, OrderLimitError
 SMALL_ANGLE_LIMIT = 1e-3  # |tan - sin|/sin threshold for the flag
 
 
-@dataclass(frozen=True)
-class BeamSpec:
-    """Mono-energetic electron beam."""
+class BeamSpec(namedtuple("BeamSpec", "U beam_width_phi")):
+    """Mono-energetic electron beam.
 
-    U: float  # accelerating voltage, V
-    beam_width_phi: float  # beam width, m
+    U               accelerating voltage, V
+    beam_width_phi  beam width, m
+    """
 
-    def __post_init__(self):
-        if self.U <= 0:
+    __slots__ = ()
+
+    def __new__(cls, U, beam_width_phi):
+        if U <= 0:
             raise DomainError("accelerating voltage U must be positive")
-        if self.beam_width_phi <= 0:
+        if beam_width_phi <= 0:
             raise DomainError("beam width must be positive")
+        return super().__new__(cls, U, beam_width_phi)
 
 
-@dataclass(frozen=True)
-class GratingScreenSpec:
-    """Crystalline foil grating and detecting screen."""
+class GratingScreenSpec(namedtuple("GratingScreenSpec", "a D")):
+    """Crystalline foil grating and detecting screen.
 
-    a: float  # interatomic spacing, m
-    D: float  # foil-to-screen distance, m
+    a  interatomic spacing, m
+    D  foil-to-screen distance, m
+    """
 
-    def __post_init__(self):
-        if self.a <= 0 or self.D <= 0:
+    __slots__ = ()
+
+    def __new__(cls, a, D):
+        if a <= 0 or D <= 0:
             raise DomainError("grating spacing a and screen distance D must be positive")
+        return super().__new__(cls, a, D)
 
 
-@dataclass(frozen=True)
-class FringeOrder:
-    k: int
-    theta_k: float  # rad
-    y_k: float  # m, exact tan geometry
-    ring_radius: float  # m, equals y_k for the circular pattern
+class FringeOrder(namedtuple("FringeOrder", "k theta_k y_k ring_radius")):
+    """One diffraction order.
+
+    k            the order
+    theta_k      diffraction angle, rad
+    y_k          distance from the pattern centre on the screen, exact tan
+                 geometry, m
+    ring_radius  m, equals y_k for the circular pattern
+    """
+
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class FringePattern:
-    orders: tuple
-    interfringe_i: float  # y_1 - y_0, exact geometry
-    interfringe_small_angle: float  # lambda*D/a
-    wavelength: float
-    P_eff: float
-    small_angle_valid: bool
+class FringePattern(
+    namedtuple(
+        "FringePattern",
+        "orders interfringe_i interfringe_small_angle wavelength P_eff small_angle_valid",
+    )
+):
+    """Ring pattern of orders 0..k_max.
+
+    orders                   tuple of FringeOrder
+    interfringe_i            y_1 - y_0, exact geometry, m
+    interfringe_small_angle  lambda*D/a, m
+    wavelength               de Broglie wavelength lambda, m
+    P_eff                    canonical momentum mv + e*A, kg*m/s
+    small_angle_valid        whether |tan - sin|/sin < SMALL_ANGLE_LIMIT at order 1
+    """
+
+    __slots__ = ()
 
 
 def _any_non_positive(x):

@@ -21,7 +21,7 @@ read a coil's numbers then need no numpy, which winding.py imports to
 build and evaluate the winding.
 """
 
-from dataclasses import dataclass
+from collections import namedtuple
 import math
 
 from .constants import constants
@@ -42,38 +42,42 @@ QUAD_EVAL_BUDGET = 1_000_000
 DEFAULT_QUAD_TOL = 1e-10
 
 
-@dataclass(frozen=True)
-class WireArraySpec:
+class WireArraySpec(namedtuple("WireArraySpec", "R N I")):
     """Parallel wires uniformly spaced on a cylinder of radius R.
 
     All wires carry the same signed current I along the symmetry axis.
+
+    R  cylinder radius, m
+    N  wire count
+    I  current of each wire, A
     """
 
-    R: float
-    N: int
-    I: float
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.R <= 0:
+    def __new__(cls, R, N, I):
+        if R <= 0:
             raise DomainError("wire array radius R must be positive")
-        if self.N < 1:
+        if N < 1:
             raise DomainError("wire count N must be >= 1")
+        return super().__new__(cls, R, N, I)
 
 
-@dataclass(frozen=True)
-class AnnularCoilIdeal:
-    """Ideal annular coil: N turns between inner radius R1 and outer R2."""
+class AnnularCoilIdeal(namedtuple("AnnularCoilIdeal", "R1 R2 N I")):
+    """Ideal annular coil: N turns between inner radius R1 and outer R2.
 
-    R1: float
-    R2: float
-    N: int
-    I: float
+    R1, R2  inner and outer radius, m
+    N       turn count
+    I       current, A
+    """
 
-    def __post_init__(self):
-        if not 0 < self.R1 < self.R2:
+    __slots__ = ()
+
+    def __new__(cls, R1, R2, N, I):
+        if not 0 < R1 < R2:
             raise DomainError("annular coil requires 0 < R1 < R2")
-        if self.N < 1:
+        if N < 1:
             raise DomainError("turn count N must be >= 1")
+        return super().__new__(cls, R1, R2, N, I)
 
     def ideal_equivalent(self):
         """The coil itself, as CoilWindingSpec.ideal_equivalent gives a winding's."""
@@ -91,40 +95,50 @@ def turn_count(R1, turn_density):
     return round(n)
 
 
-@dataclass(frozen=True)
-class CoilWindingSpec:
+class CoilWindingSpec(
+    namedtuple(
+        "CoilWindingSpec",
+        "R1 R2 L turn_density layers helicity_sign_per_layer wire_diameter I",
+    )
+):
     """Geometry and winding description of a finite annular coil.
 
     turn_density is turns per meter of inner circumference counted over
     all layers, so the derived total turn count is
     N = round(2*pi*R1*turn_density), distributed across the layers.
+
+    R1, R2                   inner and outer radius, m
+    L                        coil length, m
+    turn_density             turns per meter of inner circumference, 1/m
+    layers                   layer count
+    helicity_sign_per_layer  tuple of +1 or -1, one per layer
+    wire_diameter            m
+    I                        current, A
     """
 
-    R1: float
-    R2: float
-    L: float
-    turn_density: float
-    layers: int
-    helicity_sign_per_layer: tuple
-    wire_diameter: float
-    I: float
+    __slots__ = ()
 
-    def __post_init__(self):
-        if not 0 < self.R1 < self.R2:
+    def __new__(
+        cls, R1, R2, L, turn_density, layers, helicity_sign_per_layer, wire_diameter, I
+    ):
+        if not 0 < R1 < R2:
             raise DomainError("winding requires 0 < R1 < R2")
-        if self.L <= 0:
+        if L <= 0:
             raise DomainError("coil length L must be positive")
-        if self.turn_density <= 0:
+        if turn_density <= 0:
             raise DomainError("turn density must be positive")
-        if self.wire_diameter <= 0:
+        if wire_diameter <= 0:
             raise DomainError("wire diameter must be positive")
-        if self.layers < 1:
+        if layers < 1:
             raise DomainError("layer count must be >= 1")
-        if len(self.helicity_sign_per_layer) != self.layers:
+        if len(helicity_sign_per_layer) != layers:
             raise DomainError("helicity_sign_per_layer must have one entry per layer")
-        if any(s not in (-1, +1) for s in self.helicity_sign_per_layer):
+        if any(s not in (-1, +1) for s in helicity_sign_per_layer):
             raise DomainError("helicity signs must be +1 or -1")
-        turn_count(self.R1, self.turn_density)  # rejects a count that overflows
+        turn_count(R1, turn_density)  # rejects a count that overflows
+        return super().__new__(
+            cls, R1, R2, L, turn_density, layers, helicity_sign_per_layer, wire_diameter, I
+        )
 
     @property
     def turn_count(self):

@@ -7,7 +7,7 @@ their own summands at the ~1% level; those rows carry a widened, flagged
 tolerance and the artifact reports its own arithmetic.
 """
 
-from dataclasses import dataclass
+from collections import namedtuple
 
 from .constants import constants
 from .diffraction import (
@@ -44,25 +44,33 @@ TOLERANCE_PROFILES = {
 }
 
 
-@dataclass(frozen=True)
-class ReportRow:
-    name: str
-    equation: str
-    computed: float
-    reference: float
-    rel_deviation: float
-    tolerance: float
-    flagged: bool
+class ReportRow(
+    namedtuple(
+        "ReportRow", "name equation computed reference rel_deviation tolerance flagged"
+    )
+):
+    """One reproduced quantity against its printed reference value.
+
+    name           quantity name
+    equation       equation tag of the reference
+    computed       model value
+    reference      printed value
+    rel_deviation  |computed - reference| / |reference|
+    tolerance      allowed relative deviation
+    flagged        whether the band was widened for an inconsistent printed value
+    """
+
+    __slots__ = ()
 
     @property
     def ok(self):
         return self.rel_deviation <= self.tolerance
 
 
-@dataclass(frozen=True)
-class PaperReport:
-    rows: tuple
-    profile: str
+class PaperReport(namedtuple("PaperReport", "rows profile")):
+    """The reproduced quantities (a tuple of ReportRow) under a tolerance profile."""
+
+    __slots__ = ()
 
     @property
     def all_ok(self):

@@ -10,7 +10,7 @@ typos; omitted fields fall back to the reference defaults below
     2 layers with opposite helicity, 1 mm wire, I = 0 A.
 """
 
-from dataclasses import dataclass
+from collections import namedtuple
 import json
 import math
 import numbers
@@ -48,40 +48,41 @@ PAPER_DEFAULTS = {
 }
 
 
-@dataclass(frozen=True)
-class ExperimentScenario:
-    coil: object  # CoilWindingSpec or AnnularCoilIdeal
-    beam: BeamSpec
-    grating_screen: GratingScreenSpec
+class ExperimentScenario(namedtuple("ExperimentScenario", "coil beam grating_screen")):
+    """A coil (CoilWindingSpec or AnnularCoilIdeal), a BeamSpec and a
+    GratingScreenSpec."""
+
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class SweepSpec:
+class SweepSpec(namedtuple("SweepSpec", "variable start stop step scenario")):
     """Sweep of current or voltage; the rest of the scenario is fixed.
 
     A sweep holds at most MAX_SWEEP_POINTS values.
+
+    variable           "current" or "voltage"
+    start, stop, step  the swept values, A or V
+    scenario           the ExperimentScenario
     """
 
-    variable: str  # "current" or "voltage"
-    start: float
-    stop: float
-    step: float
-    scenario: ExperimentScenario
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.variable not in ("current", "voltage"):
-            raise ScenarioError(f"unknown sweep variable {self.variable!r}")
-        for name in ("start", "stop", "step"):
-            _number(getattr(self, name), f"sweep {name}")
-        if self.step <= 0:
+    def __new__(cls, variable, start, stop, step, scenario):
+        if variable not in ("current", "voltage"):
+            raise ScenarioError(f"unknown sweep variable {variable!r}")
+        for name, value in (("start", start), ("stop", stop), ("step", step)):
+            _number(value, f"sweep {name}")
+        if step <= 0:
             raise ScenarioError("sweep step must be positive")
-        if self.start > self.stop:
+        if start > stop:
             raise ScenarioError("sweep start must not exceed stop")
+        self = super().__new__(cls, variable, start, stop, step, scenario)
         # count() <= MAX_SWEEP_POINTS, checked before anything is allocated
         if not self._span() < MAX_SWEEP_POINTS:
             raise ScenarioError(f"sweep exceeds {MAX_SWEEP_POINTS} points")
         if self.count() < 2:
             raise ScenarioError("sweep must contain at least 2 samples")
+        return self
 
     def _span(self):
         return (self.stop - self.start) / self.step + 1e-9

@@ -22,12 +22,27 @@ finite-filament Biot-Savart field of Hanson & Hirshman, Phys. Plasmas
 once.
 
 field_at works on (points, segments) arrays of d1, d2 and the log's
-denominator gap = d1 + d2 - Lseg. Through the point of the segment
+denominator gap = d1 + d2 - Lseg; B's denominator is
+(d1 + d2)^2 - Lseg^2 = gap*(d1 + d2 + Lseg). Next to a wire gap cancels:
+a distance rho from the middle of a segment, gap is about 4*rho^2/Lseg,
+which at rho = 1e-8*Lseg is below the rounding of d1 + d2. So a pair
+with gap < NEAR_GAP*Lseg gets gap recomputed from t = l_hat.(p - s), the
+position along the segment, u = Lseg - t and the squared distance
+rho^2 = |l_hat x (p - s)|^2 from the segment's line:
+
+    gap = (d1 - t) + (d2 - u),
+    d1 - t = rho^2/(d1 + t) for t > 0,  d2 - u = rho^2/(d2 + u) for u > 0,
+
+taking d1 - t and d2 - u as they are where t or u is not positive, so no
+term cancels; both denominators follow from this gap. Above the
+threshold gap keeps a relative rounding of a few 1e-16/NEAR_GAP at most.
+Bore maps have no pair below it (gap/Lseg >= 7.6e-4 on the benchmark
+boxes), so they pay only the screen. Through the point of the segment
 nearest to the sample, gap <= 2*distance, so only pairs with
 gap < 2*WIRE_GUARD (plus a rounding margin) can lie inside the wire
-guard, and only those get the exact clipped-projection distance. As
-Lseg*l_hat = e - s and (e - s) x s = e x s, the B sum splits into two
-matrix products,
+guard; the screen takes these too, and their distance comes from t, u
+and rho. As Lseg*l_hat = e - s and (e - s) x s = e x s, the B sum splits
+into two matrix products,
 
     sum(c * Lseg*l_hat x (p - s)) = (sum(c * (e - s))) x p - sum(c * (e x s)),
 
@@ -49,7 +64,7 @@ periodic trapezoidal rule (Trefethen & Weideman, SIAM Rev. 56, 385
 difference below double rounding; Q = M is the layer itself.
 """
 
-from dataclasses import dataclass
+from collections import namedtuple
 import math
 
 import numpy as np
@@ -66,6 +81,9 @@ from .ideal_field import (
 
 # Sample points closer to a wire than this are treated as singular.
 WIRE_GUARD = 1e-9
+# Point-segment pairs with gap = d1 + d2 - Lseg below NEAR_GAP * Lseg get
+# their gap recomputed free of cancellation.
+NEAR_GAP = 1e-4
 # Point-segment pairs evaluated per batch in field_at; bounds the size of
 # its temporary arrays.
 BATCH_PAIRS = 2**14
@@ -76,20 +94,27 @@ MAX_GRID_POINTS = 10**6
 MAX_FIELD_PAIRS = 10**9
 
 
-@dataclass(frozen=True)
-class Box:
-    """Axis-aligned box given by its min and max corners (meters)."""
+class Box(namedtuple("Box", "lo hi")):
+    """Axis-aligned box given by its min and max corners (meters).
 
-    lo: tuple
-    hi: tuple
+    The corners are finite 3-vectors with lo < hi on every axis, and the
+    extent hi - lo on every axis is finite.
+    """
 
-    def __post_init__(self):
-        lo = np.asarray(self.lo, dtype=float)
-        hi = np.asarray(self.hi, dtype=float)
-        if lo.shape != (3,) or hi.shape != (3,):
+    __slots__ = ()
+
+    def __new__(cls, lo, hi):
+        low, high = np.asarray(lo, dtype=float), np.asarray(hi, dtype=float)
+        if low.shape != (3,) or high.shape != (3,):
             raise DomainError("box corners must be 3-vectors")
-        if not np.all(lo < hi):
+        if not (np.isfinite(low).all() and np.isfinite(high).all()):
+            raise ScenarioError("box corners must be finite")
+        if not np.all(low < high):
             raise DomainError("box must have positive extent on every axis")
+        # Python floats: an extent beyond the float range is inf, without a warning
+        if not all(math.isfinite(h - l) for l, h in zip(low.tolist(), high.tolist())):
+            raise ScenarioError("box extent hi - lo must be finite on every axis")
+        return super().__new__(cls, lo, hi)
 
     def grid_points(self, grid):
         """(n, 3) points of an (nx, ny, nz) grid spanning the box.
@@ -100,37 +125,36 @@ class Box:
         return np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, 3)
 
 
-@dataclass(frozen=True)
-class Winding:
+class Winding(namedtuple("Winding", "starts ends I")):
     """Straight current segments held as arrays.
 
     Segment k runs from starts[k] to ends[k] (both (n, 3) arrays, meters);
     every segment carries the current I (amperes).
     """
 
-    starts: np.ndarray
-    ends: np.ndarray
-    I: float
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class HomogeneityReport:
+class HomogeneityReport(
+    namedtuple(
+        "HomogeneityReport",
+        "mean_A max_rel_deviation max_B_magnitude ideal_A rel_error_vs_ideal "
+        "points A B copies",
+    )
+):
     """Uniformity of the bore field sampled over a box.
 
-    points, A and B are the (n, 3) sample points and the field there;
-    copies is the number of turn copies summed for each layer of a
-    winding, and empty for the ideal coil.
+    mean_A              mean of A over the sample points, a 3-tuple, T*m
+    max_rel_deviation   largest |A - mean_A| / |mean_A|
+    max_B_magnitude     largest |B|, T
+    ideal_A             the ideal coil's bore value K*I, T*m
+    rel_error_vs_ideal  |mean_A[2] - ideal_A| / |ideal_A|
+    points, A, B        the (n, 3) sample points and the field there
+    copies              the number of turn copies summed for each layer of a
+                        winding, and empty for the ideal coil
     """
 
-    mean_A: tuple
-    max_rel_deviation: float
-    max_B_magnitude: float
-    ideal_A: float
-    rel_error_vs_ideal: float
-    points: np.ndarray
-    A: np.ndarray
-    B: np.ndarray
-    copies: tuple
+    __slots__ = ()
 
 
 def _layers(spec, segments_per_turn, max_copies):
@@ -205,8 +229,7 @@ def field_at(winding, points):
 
     points is an (n, 3) array, or one 3-vector; A and B are returned as
     (n, 3) arrays. Raises SingularityError if a point lies within
-    WIRE_GUARD of a segment, or so close to a long one that
-    d1 + d2 - Lseg rounds to 0.
+    WIRE_GUARD of a segment.
     """
     points = np.asarray(points, dtype=float).reshape(-1, 3)
     starts, ends = winding.starts, winding.ends
@@ -215,6 +238,8 @@ def field_at(winding, points):
     unit = seg / seg_len[:, None]
     end_x_start = np.cross(ends, starts)
     seg_len_sq = seg_len**2
+    # the pairs near a wire; as gap <= 2*distance, they hold those in the guard
+    near_gap = np.maximum(NEAR_GAP * seg_len, 2 * WIRE_GUARD + 1e-12)
     sx, sy, sz = starts.T
     ex, ey, ez = ends.T
     A = np.empty_like(points)
@@ -227,27 +252,30 @@ def field_at(winding, points):
         d2 = np.sqrt((x - ex) ** 2 + (y - ey) ** 2 + (z - ez) ** 2)
         dsum = d1 + d2
         gap = dsum - seg_len
-        if gap.min() < 2 * WIRE_GUARD + 1e-12:
-            # gap <= 2*distance: only these pairs can lie inside the guard
-            c, k = np.nonzero(gap < 2 * WIRE_GUARD + 1e-12)
+        den = dsum**2 - seg_len_sq  # gap * (dsum + seg_len)
+        near = gap < near_gap
+        if near.any():
+            c, k = np.nonzero(near)
             r1 = p[c] - starts[k]
-            t = np.clip(np.einsum("nk,nk->n", r1, seg[k]) / seg_len_sq[k], 0.0, 1.0)
-            dist = np.linalg.norm(r1 - t[:, None] * seg[k], axis=1)
+            t = np.einsum("nk,nk->n", r1, unit[k])  # d1 - t = rho_sq / (d1 + t)
+            u = seg_len[k] - t  # d2 - u = rho_sq / (d2 + u)
+            rho_sq = np.sum(np.cross(unit[k], r1) ** 2, axis=1)
+            a, b = d1[c, k], d2[c, k]
+            dist = np.where(t < 0, a, np.where(u < 0, b, np.sqrt(rho_sq)))
             j = np.argmin(dist)
             if dist[j] < WIRE_GUARD:
                 raise SingularityError(
                     f"point {p[c[j]].tolist()} within wire guard of segment {k[j]} "
                     f"(distance {dist[j]:.3e} m)"
                 )
-            # the closed forms divide by gap, which can round to 0 off the guard
-            j = np.argmin(gap[c, k])
-            if gap[c[j], k[j]] <= 0:
-                raise SingularityError(
-                    f"point {p[c[j]].tolist()} too close to segment {k[j]} for the "
-                    f"closed form (distance {dist[j]:.3e} m)"
-                )
+            # a, b >= dist > 0, so no denominator below is 0
+            g = np.where(t > 0, rho_sq / (a + np.abs(t)), a - t) + np.where(
+                u > 0, rho_sq / (b + np.abs(u)), b - u
+            )
+            gap[c, k] = g
+            den[c, k] = g * (dsum[c, k] + seg_len[k])
         A[i:i + step] = np.log((dsum + seg_len) / gap) @ unit
-        coef = dsum / (d1 * d2 * (dsum**2 - seg_len_sq))
+        coef = dsum / (d1 * d2 * den)
         B[i:i + step] = np.cross(coef @ seg, p) - coef @ end_x_start
     scale = constants().mu0 * winding.I / (4 * math.pi)
     return scale * A, 2 * scale * B
@@ -287,12 +315,13 @@ def homogeneity_report(coil, region, grid, segments_per_turn=8):
     by check_segments_per_turn. The ideal coil's bore holds exactly
     A = (0, 0, K*I) and B = 0, at any current. For a winding of
     segments_per_turn segments per turn, the current must be non-zero,
-    the region must also lie inside the coil length, the grid points
-    times the winding's segments may not exceed MAX_FIELD_PAIRS, and the
-    winding must be constructible. Every input is checked before
-    anything is allocated. Each layer of M turns is then evaluated as Q
-    copies of its first turn carrying I*M/Q, with Q the least count
-    that puts the aliasing error (r_max/R1)**Q under 1e-17, at most M.
+    the region must also lie inside the coil length, and the winding
+    must be constructible. Every input is checked before anything is
+    allocated. Each layer of M turns is evaluated as Q copies of its
+    first turn carrying I*M/Q, with Q the least count that puts the
+    aliasing error (r_max/R1)**Q under 1e-17, at most M, and the pairs
+    evaluated, grid points times segments_per_turn times the copies
+    summed over the layers, may not exceed MAX_FIELD_PAIRS.
     """
     grid, r_max = check_bore_grid(coil.R1, region, grid)
     check_segments_per_turn(segments_per_turn)
@@ -308,14 +337,17 @@ def homogeneity_report(coil, region, grid, segments_per_turn=8):
             raise DomainError("relative field deviations are undefined at zero current")
         if abs(region.lo[2]) >= coil.L / 2 or abs(region.hi[2]) >= coil.L / 2:
             raise DomainError("region must lie inside the coil length")
-        if math.prod(grid) * coil.turn_count * segments_per_turn > MAX_FIELD_PAIRS:
+        max_copies = math.ceil(math.log(1e-17) / math.log(r_max / coil.R1))
+        # Q = min(M, max_copies) copies in each layer of M turns (see _layers)
+        base, rem = divmod(coil.turn_count, coil.layers)
+        summed = rem * min(base + 1, max_copies) + (coil.layers - rem) * min(base, max_copies)
+        if math.prod(grid) * summed * segments_per_turn > MAX_FIELD_PAIRS:
             raise ScenarioError(f"field evaluation exceeds {MAX_FIELD_PAIRS} point-segment pairs")
         check_constructible(coil, segments_per_turn)
 
         points = region.grid_points(grid)
         A, B = np.zeros_like(points), np.zeros_like(points)
         copies = ()
-        max_copies = math.ceil(math.log(1e-17) / math.log(r_max / coil.R1))
         for M, Q, starts, ends in _layers(coil, segments_per_turn, max_copies):
             A_layer, B_layer = field_at(Winding(starts, ends, float(coil.I) * (M / Q)), points)
             A += A_layer

@@ -165,7 +165,9 @@ class TestFieldMap:
         "coil, grid",
         [
             ("ideal", "100000"),  # 1e15 points
-            ("winding", "100"),  # 1e6 points, but 1e6 * 10056 segments
+            # 1e6 points, but 1e6 * 10056 segments: the region reaches
+            # r = 0.99 * R1, where each layer needs all of its turns
+            ("winding", "100"),
         ],
     )
     def test_work_limits(self, tmp_path, capsys, coil, grid):
@@ -174,13 +176,36 @@ class TestFieldMap:
         out_path = str(tmp_path / "map.csv")
         args = [
             "field-map", "--config", str(config),
-            "--region=-0.02,0.02,-0.02,0.02,-0.02,0.02",
+            "--region=-0.07,0.07,-0.07,0.07,-0.02,0.02",
             "--grid", grid, "--out", out_path,
         ]
         assert main(args) == 2
         assert "exceeds" in capsys.readouterr().err
         assert not os.path.exists(out_path)
         assert not os.path.exists(out_path + ".homogeneity.json")
+
+    @pytest.mark.parametrize(
+        "region, message",
+        [
+            ("-0.01,0.01,-0.01,0.01,-inf,inf", "box corners must be finite"),
+            ("-0.01,0.01,-0.01,0.01,nan,0.01", "box corners must be finite"),
+            # finite corners, but hi - lo overflows
+            ("-0.01,0.01,-0.01,0.01,-1e308,1e308", "box extent hi - lo must be finite on every axis"),
+        ],
+        ids=["inf", "nan", "overflow"],
+    )
+    def test_non_finite_region_rejected(self, tmp_path, capsys, region, message):
+        config = tmp_path / "ideal.json"
+        config.write_text(json.dumps({"coil": {"type": "ideal"}, "current_A": 1.0}))
+        args = [
+            "field-map", "--config", str(config), f"--region={region}", "--grid", "2",
+            "--out", str(tmp_path / "map.csv"),
+        ]
+        assert main(args) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"configuration error: {message}\n"
+        assert os.listdir(tmp_path) == ["ideal.json"]
 
     def test_huge_length_rejected_before_any_array(self, tmp_path, capsys):
         config = tmp_path / "long.json"
@@ -313,7 +338,9 @@ class TestImport:
             coilfringe.no_such_name
 
     def test_scalar_commands_leave_numpy_unloaded(self, tmp_path):
-        # only the array-making commands (sweep, field-map) need numpy
+        # only the array-making commands (sweep, field-map) need numpy, and
+        # the records are named tuples, so no command needs dataclasses and
+        # the inspect module it imports
         src = os.path.dirname(os.path.dirname(coilfringe.__file__))
         env = dict(os.environ, PYTHONPATH=src)
         runs = [
@@ -329,7 +356,8 @@ class TestImport:
             f"for argv in {runs!r}:\n"
             "    with contextlib.redirect_stdout(io.StringIO()):\n"
             "        assert main(argv) == 0, argv\n"
-            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'numpy'))"
+            "print(sorted(m for m in sys.modules\n"
+            "             if m.split('.')[0] in ('numpy', 'dataclasses', 'inspect')))"
         )
         out = subprocess.run(
             [sys.executable, "-c", code], env=env, cwd=tmp_path, capture_output=True,

@@ -1,0 +1,50 @@
+import numpy as np
+import pytest
+
+from coilfringe.constants import PhysicalConstants
+from coilfringe.diffraction import BeamSpec, FringeOrder, FringePattern, GratingScreenSpec
+from coilfringe.ideal_field import AnnularCoilIdeal, CoilWindingSpec, WireArraySpec
+from coilfringe.report import PaperReport, ReportRow
+from coilfringe.scenario import ExperimentScenario, SweepSpec
+from coilfringe.winding import Box, HomogeneityReport, Winding
+
+COIL = AnnularCoilIdeal(0.1, 0.12, 1257, 1.0)
+BEAM = BeamSpec(30e3, 1e-3)
+SCREEN = GratingScreenSpec(2.55e-10, 0.1)
+ORDER = FringeOrder(1, 1e-2, 1e-3, 1e-3)
+ROW = ReportRow("K", "Eq10", 4.6e-5, 4.6e-5, 0.0, 0.005, False)
+SCENARIO = ExperimentScenario(COIL, BEAM, SCREEN)
+POINTS = np.zeros((2, 3))
+
+# each record type with the field values of one instance, in field order
+RECORDS = [
+    (PhysicalConstants, (6.62607015e-34, 1.602176634e-19, 9.1093837015e-31, 1.25663706212e-6)),
+    (BeamSpec, tuple(BEAM)),
+    (GratingScreenSpec, tuple(SCREEN)),
+    (FringeOrder, tuple(ORDER)),
+    (FringePattern, ((ORDER,), 1e-3, 1e-3, 7e-12, 9.4e-23, True)),
+    (WireArraySpec, (0.1, 8, 1.0)),
+    (AnnularCoilIdeal, tuple(COIL)),
+    (CoilWindingSpec, (0.1, 0.12, 12.0, 2000.0, 2, (1, -1), 1e-3, 1.0)),
+    (ReportRow, tuple(ROW)),
+    (PaperReport, ((ROW,), "paper")),
+    (ExperimentScenario, tuple(SCENARIO)),
+    (SweepSpec, ("current", 0.0, 1.0, 0.5, SCENARIO)),
+    (Box, ((-0.01, -0.01, -0.01), (0.01, 0.01, 0.01))),
+    (Winding, (POINTS, POINTS + 1.0, 1.0)),
+    (HomogeneityReport, ((0.0, 0.0, 1.0), 0.0, 0.0, 1.0, 0.0, POINTS, POINTS, POINTS, (31,))),
+]
+
+
+@pytest.mark.parametrize("cls, values", RECORDS, ids=[cls.__name__ for cls, _ in RECORDS])
+def test_records_are_immutable_and_built_by_keyword(cls, values):
+    record = cls(*values)
+    assert cls(**dict(zip(cls._fields, values))) == record
+    assert repr(record).startswith(f"{cls.__name__}({cls._fields[0]}=")
+    for name in cls._fields:
+        with pytest.raises(AttributeError):
+            setattr(record, name, getattr(record, name))
+    with pytest.raises(AttributeError):
+        record.extra = 1
+    if not any(isinstance(v, np.ndarray) for v in values):
+        assert hash(record) == hash(cls(*values))

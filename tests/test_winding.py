@@ -2,6 +2,7 @@ import math
 import re
 
 from hypothesis import assume, given, strategies as st
+import mpmath
 import numpy as np
 import pytest
 
@@ -71,7 +72,10 @@ def _field_at_per_pair(winding, points):
     """Reference kernel: the closed forms with (points, segments, 3) arrays.
 
     Each batch checks every pair's clipped-projection distance against
-    WIRE_GUARD, and B sums coef * l_hat x r1 pair by pair.
+    WIRE_GUARD, and B sums coef * l_hat x r1 pair by pair. The closed
+    forms divide by (d1 + d2)**2 - Lseg**2 = 2*(d1*d2 + r1.r2), which is
+    computed as 2*|r1 x r2|**2 / (d1*d2 + |r1.r2|) where r1 and r2 point
+    apart, so it does not cancel next to the wire.
     """
     points = np.asarray(points, dtype=float).reshape(-1, 3)
     starts, ends = winding.starts, winding.ends
@@ -94,11 +98,16 @@ def _field_at_per_pair(winding, points):
                 f"point {points[i + c].tolist()} within wire guard of segment {k} "
                 f"(distance {dist[c, k]:.3e} m)"
             )
+        r2 = p - ends
         d1 = np.linalg.norm(r1, axis=2)
-        d2 = np.linalg.norm(p - ends, axis=2)
+        d2 = np.linalg.norm(r2, axis=2)
         dsum = d1 + d2
-        A[i:i + step] = (scale * np.log((dsum + seg_len) / (dsum - seg_len))) @ unit
-        coef = scale * 2 * seg_len * dsum / (d1 * d2 * (dsum**2 - seg_len**2))
+        prod, dot = d1 * d2, np.einsum("cmk,cmk->cm", r1, r2)
+        den = 2 * np.where(
+            dot < 0, np.sum(np.cross(r1, r2) ** 2, axis=2) / (prod + np.abs(dot)), prod + dot
+        )
+        A[i:i + step] = (scale * np.log((dsum + seg_len) ** 2 / den)) @ unit
+        coef = scale * 2 * seg_len * dsum / (d1 * d2 * den)
         B[i:i + step] = np.einsum("cm,cmk->ck", coef, np.cross(unit, r1))
     return A, B
 
@@ -309,12 +318,70 @@ class TestSegmentA:
         assert str(new.value) == str(ref.value)
         assert "segment 0 (distance 3.000e-10 m)" in str(new.value)
 
-    def test_rounding_singularity_rejected(self):
-        # 5x outside the guard, but d1 + d2 - L rounds to 0 next to a 1 m
-        # segment, so the closed forms would divide by zero
+    @pytest.mark.parametrize("rho", [5e-9, 2e-8, 1e-7, 1e-6])
+    def test_field_next_to_a_long_segment(self, rho):
+        # d1 + d2 - L cancels within about 1e-8*L of a wire, so the gap of
+        # such a pair is recomputed from rho**2; beside the midpoint and
+        # past either end, A and B keep full precision
         seg = segment((0, 0, 0), (0, 0, 1), 1.0)
-        with pytest.raises(SingularityError, match="too close to segment 0"):
-            field_at(seg, (5e-9, 0.0, 0.5))
+        points = [(rho, 0.0, 0.5), (rho, 0.0, -rho), (0.0, rho, 1.0 + rho)]
+        A, B = field_at(seg, points)
+        # at the midpoint B = mu0*I/(4pi*rho) * L/sqrt((L/2)**2 + rho**2), along +y
+        mid = constants().mu0 / (4 * math.pi * rho) / math.sqrt(0.25 + rho**2)
+        assert B[0, 1] == pytest.approx(mid, rel=1e-13)
+        for i, p in enumerate(points):
+            A_ref, B_ref = _segment_field_mp((0, 0, 0), (0, 0, 1), p, 1.0)
+            assert np.linalg.norm(A[i] - A_ref) <= 1e-13 * np.linalg.norm(A_ref)
+            assert np.linalg.norm(B[i] - B_ref) <= 1e-13 * np.linalg.norm(B_ref)
+
+
+def _segment_field_mp(start, end, point, I):
+    """A and B of the segment start -> end at point, from the closed forms
+    evaluated at 50 digits on the exact values of the float inputs."""
+    with mpmath.workdps(50):
+        s, e, p = ([mpmath.mpf(float(v)) for v in x] for x in (start, end, point))
+        seg = [b - a for a, b in zip(s, e)]
+        r1 = [b - a for a, b in zip(s, p)]
+        L = mpmath.sqrt(sum(v * v for v in seg))
+        d1 = mpmath.sqrt(sum(v * v for v in r1))
+        d2 = mpmath.sqrt(sum((b - a) ** 2 for a, b in zip(e, p)))
+        scale = mpmath.mpf(constants().mu0) * I / (4 * mpmath.pi)
+        A_coef = scale * mpmath.log((d1 + d2 + L) / (d1 + d2 - L)) / L
+        B_coef = scale * 2 * (d1 + d2) / (d1 * d2 * ((d1 + d2) ** 2 - L**2))
+        cross = [seg[(i + 1) % 3] * r1[(i + 2) % 3] - seg[(i + 2) % 3] * r1[(i + 1) % 3]
+                 for i in range(3)]
+        return (np.array([float(A_coef * v) for v in seg]),
+                np.array([float(B_coef * v) for v in cross]))
+
+
+@given(
+    start=st.tuples(*[st.floats(-0.01, 0.01)] * 3),
+    direction=st.tuples(st.floats(0.0, math.pi), st.floats(0.0, 2 * math.pi)),
+    length=st.floats(1e-3, 0.1),
+    t=st.floats(-0.5, 1.5),
+    rho=st.floats(math.log(1.01 * WIRE_GUARD), math.log(1e-2)).map(math.exp),
+    normal_angle=st.floats(0.0, 2 * math.pi),
+)
+def test_field_at_near_a_wire_matches_mpmath(start, direction, length, t, rho, normal_angle):
+    # a point rho from the line of a short segment, beside it or past an end
+    s = np.array(start)
+    theta, phi = direction
+    u = np.array([math.sin(theta) * math.cos(phi), math.sin(theta) * math.sin(phi),
+                  math.cos(theta)])
+    n1 = np.cross(u, (1.0, 0.0, 0.0) if abs(u[0]) < 0.9 else (0.0, 1.0, 0.0))
+    n1 /= np.linalg.norm(n1)
+    n = math.cos(normal_angle) * n1 + math.sin(normal_angle) * np.cross(u, n1)
+    e = s + length * u
+    p = s + t * length * u + rho * n
+    A, B = field_at(segment(s, e, 1.0), p)
+    A_ref, B_ref = _segment_field_mp(s, e, p, 1.0)
+    # rounding in p - s and in the B sum's (e - s) x p - e x s moves the
+    # point by about eps*(|p| + |s| + L), which changes B by that over rho;
+    # pairs just above the recomputed gap keep about 1e-12 of cancellation
+    eps = np.finfo(float).eps
+    rtol = 1e-11 + 8 * eps * (np.linalg.norm(p) + np.linalg.norm(s) + length) / rho
+    assert np.linalg.norm(A[0] - A_ref) <= rtol * np.linalg.norm(A_ref)
+    assert np.linalg.norm(B[0] - B_ref) <= rtol * np.linalg.norm(B_ref)
 
 
 # windings: a chain of 1 to 6 segments inside a 2 m cube, one current
@@ -342,13 +409,22 @@ def test_field_at_matches_per_pair_kernel(vertices, current, points):
     seg_len = np.linalg.norm(w.ends - w.starts, axis=1)
     scale = constants().mu0 * abs(current) / (4 * math.pi)
     dsum = d1 + d2
+    reach = np.linalg.norm(points, axis=1)[:, None] + np.linalg.norm(w.starts, axis=1) + seg_len
     A_size = np.sum(scale * np.log((dsum + seg_len) / (dsum - seg_len)), axis=1)
     coef = scale * 2 * seg_len * dsum / (d1 * d2 * (dsum**2 - seg_len**2))
     B_size = np.sum(
         coef * (np.linalg.norm(points, axis=1)[:, None] + np.linalg.norm(w.starts, axis=1)),
         axis=1,
     )
-    assert np.all(np.abs(A - A_ref) <= 1e-12 * A_size[:, None])
+    # rounding moves a point or a segment end by about eps * reach, which
+    # moves a pair's A by about scale * eps * reach / distance; the two
+    # kernels round differently next to a wire. A current near 1e-308
+    # makes A subnormal, so A_size counts at least as a normal number.
+    eps = np.finfo(float).eps
+    A_tol = 1e-12 * np.maximum(A_size, np.finfo(float).tiny) + np.sum(
+        4 * eps * scale * reach / _distances(w, points), axis=1
+    )
+    assert np.all(np.abs(A - A_ref) <= A_tol[:, None])
     assert np.all(np.abs(B - B_ref) <= 1e-12 * B_size[:, None] + 1e-20)
 
 
@@ -575,10 +651,26 @@ class TestHomogeneityReport:
         assert check_bore_grid(spec.R1, region, 100) == ((100, 100, 100), math.hypot(0.01, 0.01))
         with pytest.raises(ScenarioError, match="exceeds"):
             check_bore_grid(spec.R1, region, (100, 100, 101))
+        # out to r = 0.99 * R1 each layer needs all of its turns
+        wide = Box(lo=(-0.07, -0.07, -0.01), hi=(0.07, 0.07, 0.01))
         pairs_per_point = spec.turn_count * 8
         assert 4 * 24860 * pairs_per_point <= MAX_FIELD_PAIRS < 4 * 24861 * pairs_per_point
         with pytest.raises(ScenarioError, match="exceeds"):
-            homogeneity_report(spec, region, (2, 2, 24861))
+            homogeneity_report(spec, wide, (2, 2, 24861))
+
+    def test_pair_limit_counts_the_evaluated_pairs(self, monkeypatch):
+        # Q < M copies per layer: the limit applies to the pairs evaluated,
+        # points * segments per turn * copies, not to all turns
+        spec = paper_coil(L=6.0)
+        region = Box(lo=(-0.01, -0.01, -0.01), hi=(0.01, 0.01, 0.01))
+        rep = homogeneity_report(spec, region, 2)
+        assert max(rep.copies) < spec.turn_count // spec.layers
+        pairs = 2**3 * 8 * sum(rep.copies)
+        monkeypatch.setattr("coilfringe.winding.MAX_FIELD_PAIRS", pairs)
+        assert homogeneity_report(spec, region, 2).copies == rep.copies
+        monkeypatch.setattr("coilfringe.winding.MAX_FIELD_PAIRS", pairs - 1)
+        with pytest.raises(ScenarioError, match=f"exceeds {pairs - 1} point-segment pairs"):
+            homogeneity_report(spec, region, 2)
 
     def test_report_carries_the_sampled_grid(self):
         spec = paper_coil(L=2.0)
