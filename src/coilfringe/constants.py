@@ -8,6 +8,14 @@ and e, and CODATA recommended values for m_e and mu0.
 from collections import namedtuple
 
 
+@classmethod
+def checked_make(cls, iterable):
+    """_make for a record whose __new__ checks its fields: it builds the
+    record through cls(...), so _make and _replace (which calls _make)
+    run the same checks as the constructor."""
+    return cls(*iterable)
+
+
 class PhysicalConstants(
     namedtuple(
         "PhysicalConstants",
@@ -24,6 +32,7 @@ class PhysicalConstants(
     """
 
     __slots__ = ()
+    _make = checked_make
 
     def __new__(cls, *args, **kwargs):
         self = super().__new__(cls, *args, **kwargs)

@@ -11,10 +11,12 @@ array.
 from collections import namedtuple
 import math
 
-from .constants import constants
-from .errors import DomainError, FitError, ModelDomainError, OrderLimitError
+from .constants import checked_make, constants
+from .errors import DomainError, FitError, ModelDomainError, OrderLimitError, ScenarioError
 
 SMALL_ANGLE_LIMIT = 1e-3  # |tan - sin|/sin threshold for the flag
+# Largest k_max of one fringe pattern; bounds the orders it builds.
+MAX_ORDERS = 10**4
 
 
 class BeamSpec(namedtuple("BeamSpec", "U beam_width_phi")):
@@ -25,6 +27,7 @@ class BeamSpec(namedtuple("BeamSpec", "U beam_width_phi")):
     """
 
     __slots__ = ()
+    _make = checked_make
 
     def __new__(cls, U, beam_width_phi):
         if U <= 0:
@@ -42,6 +45,7 @@ class GratingScreenSpec(namedtuple("GratingScreenSpec", "a D")):
     """
 
     __slots__ = ()
+    _make = checked_make
 
     def __new__(cls, a, D):
         if a <= 0 or D <= 0:
@@ -138,10 +142,12 @@ def fringe_pattern(beam, gs, A, k_max):
 
     theta_k = arcsin(k*lambda_eff/a), y_k = D*tan(theta_k). The small
     angle interfringe lambda_eff*D/a is reported alongside the exact
-    y_1 - y_0.
+    y_1 - y_0. k_max may not exceed MAX_ORDERS (ScenarioError).
     """
     if k_max < 1:
         raise DomainError("k_max must be >= 1")
+    if k_max > MAX_ORDERS:
+        raise ScenarioError(f"k_max exceeds {MAX_ORDERS} orders")
     P_eff = effective_momentum(beam.U, A)
     lam = de_broglie_lambda(P_eff)
     s_max = k_max * lam / gs.a

@@ -14,7 +14,7 @@ class SingularityError(DomainError):
 
 
 class QuadratureError(CoilfringeError):
-    """Adaptive quadrature failed to converge within its evaluation budget.
+    """Quadrature failed to converge within its budget of nodes.
 
     Carries the best estimate achieved so far in ``estimate``.
     """

@@ -15,6 +15,7 @@ import json
 import math
 import numbers
 
+from .constants import checked_make
 from .errors import ScenarioError
 from .ideal_field import AnnularCoilIdeal, CoilWindingSpec, turn_count
 from .diffraction import BeamSpec, GratingScreenSpec
@@ -66,6 +67,7 @@ class SweepSpec(namedtuple("SweepSpec", "variable start stop step scenario")):
     """
 
     __slots__ = ()
+    _make = checked_make
 
     def __new__(cls, variable, start, stop, step, scenario):
         if variable not in ("current", "voltage"):

@@ -69,7 +69,7 @@ import math
 
 import numpy as np
 
-from .constants import constants
+from .constants import checked_make, constants
 from .errors import DomainError, ScenarioError, SingularityError
 from .ideal_field import CoilWindingSpec  # noqa: F401  (the spec build_winding takes)
 from .ideal_field import (
@@ -102,6 +102,7 @@ class Box(namedtuple("Box", "lo hi")):
     """
 
     __slots__ = ()
+    _make = checked_make
 
     def __new__(cls, lo, hi):
         low, high = np.asarray(lo, dtype=float), np.asarray(hi, dtype=float)

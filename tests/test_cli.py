@@ -9,6 +9,7 @@ import pytest
 
 import coilfringe
 from coilfringe.cli import build_parser, main
+from coilfringe.diffraction import MAX_ORDERS
 
 
 def read(path):
@@ -268,6 +269,24 @@ class TestDiffract:
         assert len(data["orders"]) == 4
         assert "lambda_m" in data["summary"]
 
+    def test_order_limit(self, tmp_path, capsys):
+        # a 1 m grating spacing solves about 1.4e11 orders, so only the cap
+        # bounds the pattern
+        config = tmp_path / "wide.json"
+        config.write_text(json.dumps({"grating_screen": {"a_m": 1.0}}))
+        out_path = str(tmp_path / "fringes.csv")
+        argv = ["diffract", "--config", str(config), "--out", out_path, "--k-max"]
+        assert main(argv + [str(MAX_ORDERS)]) == 0
+        assert len(read(out_path).splitlines()) == 4 + 1 + MAX_ORDERS + 1
+        os.remove(out_path)
+        os.remove(out_path + ".summary.json")
+        capsys.readouterr()
+        assert main(argv + [str(MAX_ORDERS + 1)]) == 2
+        captured = capsys.readouterr()
+        assert captured.err == f"configuration error: k_max exceeds {MAX_ORDERS} orders\n"
+        assert captured.out == ""
+        assert os.listdir(tmp_path) == ["wide.json"]
+
 
 class TestValidateCoil:
     def test_default_scenario_valid(self, capsys):
@@ -316,16 +335,24 @@ class TestValidateCoil:
 
 class TestImport:
     def test_cli_import_leaves_scipy_integrate_unloaded(self):
-        # scipy.integrate takes most of a command's start-up time and only
-        # the quadrature oracle needs it
+        # the runtime needs numpy alone: no coilfringe module, the quadrature
+        # oracle included, imports any part of scipy
         src = os.path.dirname(os.path.dirname(coilfringe.__file__))
         env = dict(os.environ, PYTHONPATH=src)
-        code = "import sys, coilfringe.cli; print('scipy.integrate' in sys.modules)"
+        code = (
+            "import importlib, json, pkgutil, sys, coilfringe\n"
+            "names = [m.name for m in pkgutil.iter_modules(coilfringe.__path__)]\n"
+            "for name in names:\n"
+            "    importlib.import_module('coilfringe.' + name)\n"
+            "print(json.dumps([names, [m for m in sys.modules if m.split('.')[0] == 'scipy']]))"
+        )
         out = subprocess.run(
             [sys.executable, "-c", code], env=env, capture_output=True, text=True,
             check=True,
         ).stdout
-        assert out.strip() == "False"
+        names, loaded = json.loads(out)
+        assert {"cli", "ideal_field", "winding"} <= set(names)
+        assert loaded == []
 
     def test_package_names_resolve_on_access(self):
         for name in coilfringe.__all__:

@@ -1,10 +1,12 @@
 import math
 
+import mpmath
 import numpy as np
 import pytest
 
+from coilfringe import ideal_field
 from coilfringe.constants import constants
-from coilfringe.errors import DomainError, SingularityError
+from coilfringe.errors import DomainError, QuadratureError, SingularityError
 from coilfringe.ideal_field import (
     AnnularCoilIdeal,
     WireArraySpec,
@@ -108,6 +110,36 @@ class TestQuadrature:
             q = array_Az_quadrature(spec, ratio * R, tol=1e-10)
             c = array_Az_closed(spec, ratio * R)
             assert abs(q - c) <= max(1e-10 * abs(c), 1e-18)
+
+    @pytest.mark.parametrize("ratio", [0.0, 0.5, 0.999, 1.001, 4.0])
+    @pytest.mark.parametrize("spec", [WireArraySpec(0.3, 10, 2.0), WireArraySpec(1.0, 7, -3.0)])
+    def test_matches_tanh_sinh_quadrature(self, spec, ratio):
+        # mpmath's tanh-sinh rule at 30 digits, an algorithm independent of
+        # the wire sums; its nodes crowd the near-singular end at 0
+        with mpmath.workdps(30):
+            R, r = mpmath.mpf(spec.R), mpmath.mpf(ratio * spec.R)
+            integral = 2 * mpmath.quad(
+                lambda x: mpmath.log(R * R + r * r - 2 * R * r * mpmath.cos(x)), [0, mpmath.pi]
+            )
+            oracle = float(-constants().mu0 * spec.N * spec.I / (8 * mpmath.pi**2) * integral)
+        q = array_Az_quadrature(spec, ratio * spec.R, tol=1e-10)
+        assert abs(q - oracle) <= max(1e-10 * abs(oracle), 1e-18)
+
+    def test_budget_exhausted_carries_estimate(self, monkeypatch):
+        # near the circle the rule needs about 3e4 nodes for tol = 1e-10
+        monkeypatch.setattr(ideal_field, "QUAD_EVAL_BUDGET", 64)
+        spec = WireArraySpec(R=0.3, N=10, I=2.0)
+        with pytest.raises(QuadratureError, match="within 64 nodes") as exc_info:
+            array_Az_quadrature(spec, 0.999 * spec.R, tol=1e-10)
+        estimate = exc_info.value.estimate
+        assert math.isfinite(estimate)
+        # the 64-node value, a few percent off
+        assert estimate == pytest.approx(array_Az_closed(spec, 0.999 * spec.R), rel=0.1)
+
+    @pytest.mark.parametrize("tol", [0.0, -1e-10])
+    def test_non_positive_tolerance_rejected(self, tol):
+        with pytest.raises(DomainError, match="tolerance"):
+            array_Az_quadrature(WireArraySpec(R=0.3, N=10, I=2.0), 0.1, tol=tol)
 
 
 class TestDiscreteSuperposition:

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from coilfringe.constants import PhysicalConstants
+from coilfringe.errors import DomainError, ScenarioError
 from coilfringe.diffraction import BeamSpec, FringeOrder, FringePattern, GratingScreenSpec
 from coilfringe.ideal_field import AnnularCoilIdeal, CoilWindingSpec, WireArraySpec
 from coilfringe.report import PaperReport, ReportRow
@@ -48,3 +49,32 @@ def test_records_are_immutable_and_built_by_keyword(cls, values):
         record.extra = 1
     if not any(isinstance(v, np.ndarray) for v in values):
         assert hash(record) == hash(cls(*values))
+
+
+WINDING_SPEC = CoilWindingSpec(0.1, 0.12, 12.0, 2000.0, 2, (1, -1), 1e-3, 1.0)
+BOX = Box((-0.01, -0.01, -0.01), (0.01, 0.01, 0.01))
+
+# each record whose constructor checks its fields, with a field value it rejects
+CHECKED = [
+    (PhysicalConstants(), "h", -1.0, ValueError),
+    (BEAM, "U", -1.0, DomainError),
+    (SCREEN, "a", 0.0, DomainError),
+    (WireArraySpec(0.1, 8, 1.0), "N", 0, DomainError),
+    (COIL, "R2", 0.05, DomainError),
+    (WINDING_SPEC, "layers", 3, DomainError),
+    (SweepSpec("current", 0.0, 1.0, 0.5, SCENARIO), "step", 0.0, ScenarioError),
+    (BOX, "hi", (0.01, 0.01, -0.02), DomainError),
+]
+
+
+@pytest.mark.parametrize(
+    "record, name, bad, error", CHECKED, ids=[type(r).__name__ for r, *_ in CHECKED]
+)
+def test_make_and_replace_run_the_construction_checks(record, name, bad, error):
+    cls = type(record)
+    assert cls._make(record) == record
+    assert type(record._replace()) is cls and record._replace() == record
+    with pytest.raises(error):
+        record._replace(**{name: bad})
+    with pytest.raises(error):
+        cls._make(bad if field == name else value for field, value in zip(cls._fields, record))
