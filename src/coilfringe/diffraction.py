@@ -11,7 +11,7 @@ array.
 from collections import namedtuple
 import math
 
-from .constants import checked_make, constants
+from .constants import E_CHARGE, H, M_E, checked_make
 from .errors import DomainError, FitError, ModelDomainError, OrderLimitError, ScenarioError
 
 SMALL_ANGLE_LIMIT = 1e-3  # |tan - sin|/sin threshold for the flag
@@ -105,25 +105,27 @@ def mechanical_momentum(U):
     voltage U (scalar or array)."""
     if _any_non_positive(U):
         raise DomainError("accelerating voltage U must be positive")
-    c = constants()
-    return _sqrt(2 * c.m_e * c.e * U)
+    return _sqrt(2 * M_E * E_CHARGE * U)
 
 
 def de_broglie_lambda(p):
     """de Broglie wavelength lambda = h/p (scalar or array)."""
     if _any_non_positive(p):
         raise DomainError("momentum must be positive")
-    return constants().h / p
+    return H / p
 
 
 def effective_momentum(U, A):
     """Canonical momentum mv + e*A for the signed axial potential A.
 
     The beam axis and A are collinear; the coil current polarity carries
-    the sign of A.
+    the sign of A. A momentum that is 0 only because mv underflowed, at a
+    tiny U, is a DomainError.
     """
-    c = constants()
-    p = mechanical_momentum(U) + c.e * A
+    mv = mechanical_momentum(U)
+    p = mv + E_CHARGE * A
+    if p == 0.0 and mv == 0.0:
+        raise DomainError(f"momentum sqrt(2*m_e*e*U) underflows to 0 at U = {U:.3e} V")
     if p <= 0:
         raise ModelDomainError(
             f"effective momentum {p:.3e} kg*m/s is non-positive; "
@@ -142,7 +144,8 @@ def fringe_pattern(beam, gs, A, k_max):
 
     theta_k = arcsin(k*lambda_eff/a), y_k = D*tan(theta_k). The small
     angle interfringe lambda_eff*D/a is reported alongside the exact
-    y_1 - y_0. k_max may not exceed MAX_ORDERS (ScenarioError).
+    y_1 - y_0. k_max may not exceed MAX_ORDERS (ScenarioError), and
+    lambda_eff/a, sin(theta_1), may not underflow to 0 (DomainError).
     """
     if k_max < 1:
         raise DomainError("k_max must be >= 1")
@@ -150,6 +153,10 @@ def fringe_pattern(beam, gs, A, k_max):
         raise ScenarioError(f"k_max exceeds {MAX_ORDERS} orders")
     P_eff = effective_momentum(beam.U, A)
     lam = de_broglie_lambda(P_eff)
+    if lam / gs.a == 0.0:
+        raise DomainError(
+            f"sin(theta_1) = lambda/a underflows to 0 (lambda = {lam:.3e} m, a = {gs.a:.3e} m)"
+        )
     s_max = k_max * lam / gs.a
     if s_max >= 1.0:
         feasible = int(gs.a / lam)  # largest k with k*lambda/a < 1

@@ -24,7 +24,7 @@ build and evaluate the winding.
 from collections import namedtuple
 import math
 
-from .constants import checked_make, constants
+from .constants import MU0, checked_make
 from .errors import (
     ConstructionError,
     DomainError,
@@ -38,7 +38,6 @@ from .errors import (
 MAX_SEGMENTS = 10**6
 # Most nodes of the trapezoidal rule in array_Az_quadrature.
 QUAD_EVAL_BUDGET = 1_000_000
-DEFAULT_QUAD_TOL = 1e-10
 
 
 class WireArraySpec(namedtuple("WireArraySpec", "R N I")):
@@ -196,26 +195,23 @@ def single_wire_Az(r, I):
     """
     if r <= 0:
         raise DomainError(f"distance from wire must be positive, got r={r}")
-    mu0 = constants().mu0
-    return -mu0 * I / (2 * math.pi) * math.log(r)
+    return -MU0 * I / (2 * math.pi) * math.log(r)
 
 
-def array_Az_quadrature(spec, r, tol=DEFAULT_QUAD_TOL):
+def array_Az_quadrature(spec, r):
     """Axial potential of the wire array by the periodic trapezoidal rule.
 
     Integrates -mu0*N*I/(8 pi^2) * ln(R^2 + r^2 - 2 R r cos(varphi))
     over varphi in [0, 2pi). The n-node rule is n wires carrying N*I/n
     (array_Az_discrete); doubling n adds them turned by pi/n. The error
     falls as (min(R, r)/max(R, r))^n. Doubling stops once it changes the
-    value by at most tol/100 of `scale`, a bound on |value|: the test is
+    value by at most 1e-12 of `scale`, a bound on |value|: the test is
     absolute, as the interior value is 0 at R = 1.
     """
     if r < 0:
         raise DomainError("observation radius r must be non-negative")
     if r == spec.R:
         raise SingularityError("integrand is log-singular on the wire circle r = R")
-    if tol <= 0:
-        raise DomainError("quadrature tolerance must be positive")
     if spec.I == 0.0:
         return 0.0
     R, NI = spec.R, spec.N * spec.I
@@ -227,7 +223,7 @@ def array_Az_quadrature(spec, r, tol=DEFAULT_QUAD_TOL):
         midpoints = array_Az_discrete(WireArraySpec(R, n, NI / n), r, math.pi / n)
         refined = (estimate + midpoints) / 2
         n *= 2
-        if abs(refined - estimate) <= tol * 1e-2 * scale:
+        if abs(refined - estimate) <= 1e-12 * scale:
             return refined
         estimate = refined
     message = f"trapezoidal rule did not converge within {QUAD_EVAL_BUDGET} nodes"
@@ -244,8 +240,7 @@ def array_Az_closed(spec, r):
         raise DomainError("observation radius r must be non-negative")
     if r == spec.R:
         raise SingularityError("closed form is singular on the wire circle r = R")
-    mu0 = constants().mu0
-    return -mu0 * spec.N * spec.I / (2 * math.pi) * math.log(max(spec.R, r))
+    return -MU0 * spec.N * spec.I / (2 * math.pi) * math.log(max(spec.R, r))
 
 
 def array_Az_discrete(spec, r, azimuth0=0.0):
@@ -263,8 +258,7 @@ def array_Az_discrete(spec, r, azimuth0=0.0):
     d = np.sqrt(spec.R**2 + r * r - 2 * spec.R * r * np.cos(ang))
     if np.any(d <= 0):
         raise SingularityError("observation point coincides with a wire")
-    mu0 = constants().mu0
-    return float(np.sum(-mu0 * spec.I / (2 * math.pi) * np.log(d)))
+    return float(np.sum(-MU0 * spec.I / (2 * math.pi) * np.log(d)))
 
 
 def annular_coil_A(coil):
@@ -279,5 +273,4 @@ def annular_coil_A(coil):
 
 def coil_constant_K(coil):
     """Coil constant K = mu0*N/(2pi) * ln(R2/R1), so that A = K*I."""
-    mu0 = constants().mu0
-    return mu0 * coil.N / (2 * math.pi) * math.log(coil.R2 / coil.R1)
+    return MU0 * coil.N / (2 * math.pi) * math.log(coil.R2 / coil.R1)

@@ -9,7 +9,7 @@ tolerance and the artifact reports its own arithmetic.
 
 from collections import namedtuple
 
-from .constants import constants
+from .constants import E_CHARGE
 from .diffraction import (
     de_broglie_lambda,
     effective_momentum,
@@ -91,7 +91,7 @@ def computed_quantities():
     return {
         "p_mec": p_mec,
         "K": K,
-        "p_add_coeff": constants().e * K,
+        "p_add_coeff": E_CHARGE * K,
         "P_eff_min": p_min,
         "P_eff_max": p_max,
         "i_zero_field": i_zero,

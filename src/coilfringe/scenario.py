@@ -220,9 +220,9 @@ def load_scenario(path):
     return scenario_from_dict(data)
 
 
-def paper_scenario(current=0.0):
-    """The built-in reference scenario, optionally with a current."""
-    return scenario_from_dict({"current_A": current})
+def paper_scenario():
+    """The built-in reference scenario."""
+    return scenario_from_dict({})
 
 
 def geometry_ratios(scenario):

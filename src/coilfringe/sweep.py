@@ -1,6 +1,6 @@
 """Parameter sweeps over coil current or accelerating voltage."""
 
-from .constants import constants
+from .constants import E_CHARGE
 from .diffraction import (
     de_broglie_lambda,
     linear_response_fit,
@@ -32,7 +32,7 @@ def run_sweep(sweep):
         U, I = np.full_like(values, scen.beam.U), values
     else:
         U, I = values, np.full_like(values, scen.coil.I)
-    P_eff = mechanical_momentum(U) + constants().e * (K * I)
+    P_eff = mechanical_momentum(U) + E_CHARGE * (K * I)
     valid = ~(P_eff <= 0)
     lam = de_broglie_lambda(P_eff[valid])
     interfringe = small_angle_interfringe(lam, scen.grating_screen)

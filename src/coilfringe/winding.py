@@ -69,14 +69,14 @@ import math
 
 import numpy as np
 
-from .constants import checked_make, constants
+from .constants import MU0, checked_make
 from .errors import DomainError, ScenarioError, SingularityError
-from .ideal_field import CoilWindingSpec  # noqa: F401  (the spec build_winding takes)
 from .ideal_field import (
     AnnularCoilIdeal,
     annular_coil_A,
     check_constructible,
     check_segments_per_turn,
+    coil_constant_K,
 )
 
 # Sample points closer to a wire than this are treated as singular.
@@ -149,7 +149,8 @@ class HomogeneityReport(
     max_rel_deviation   largest |A - mean_A| / |mean_A|
     max_B_magnitude     largest |B|, T
     ideal_A             the ideal coil's bore value K*I, T*m
-    rel_error_vs_ideal  |mean_A[2] - ideal_A| / |ideal_A|
+    rel_error_vs_ideal  |mean_A[2] - ideal_A| / |ideal_A|, which is
+                        |mean_A[2]/I - K| / |K| for the coil constant K
     points, A, B        the (n, 3) sample points and the field there
     copies              the number of turn copies summed for each layer of a
                         winding, and empty for the ideal coil
@@ -158,18 +159,26 @@ class HomogeneityReport(
     __slots__ = ()
 
 
+def _layer_sizes(spec, max_copies):
+    """(M, Q) for each layer: its M turns, the turn count spread over the
+    layers, and the Q = min(M, max_copies) copies of its first turn that
+    stand for them (see _layers)."""
+    base, rem = divmod(spec.turn_count, spec.layers)
+    sizes = [base + 1] * rem + [base] * (spec.layers - rem)
+    return [(M, min(M, max_copies)) for M in sizes]
+
+
 def _layers(spec, segments_per_turn, max_copies):
     """Each layer of the winding as (M, Q, starts, ends).
 
-    The layer of M turns is built as Q = min(M, max_copies) copies of
-    its first turn, copy k rotated by k/Q of a full turn, so Q = M is
-    the layer itself. Layer with helicity sign s places turn j at
+    The layer of M turns is built as Q copies of its first turn (see
+    _layer_sizes), copy k rotated by k/Q of a full turn, so Q = M is the
+    layer itself. Layer with helicity sign s places turn j at
     azimuth s*2pi*j/M plus a per-layer interleaving offset, and its
     turn advances by one turn spacing over the turn path: each turn ends
     where the next begins, and the last turn of the layer closes it.
     The segment endpoints are (Q*segments_per_turn, 3) arrays.
     """
-    base, rem = divmod(spec.turn_count, spec.layers)
     sub = segments_per_turn // 4
     R1, R2, L = spec.R1, spec.R2, spec.L
     # (r_start, z_start, r_end, z_end, length) for the four legs of a turn
@@ -189,9 +198,7 @@ def _layers(spec, segments_per_turn, max_copies):
     z = (za + (zb - za) * f).ravel()
     t = ((walked + leg_len * f) / perimeter).ravel()
 
-    for layer in range(spec.layers):
-        M = base + (1 if layer < rem else 0)
-        Q = min(M, max_copies)
+    for layer, (M, Q) in enumerate(_layer_sizes(spec, max_copies)):
         s = spec.helicity_sign_per_layer[layer]
         offset = 2 * math.pi * layer / (spec.layers * M)
         # the turn index of each copy, which is k itself when Q = M
@@ -278,7 +285,7 @@ def field_at(winding, points):
         A[i:i + step] = np.log((dsum + seg_len) / gap) @ unit
         coef = dsum / (d1 * d2 * den)
         B[i:i + step] = np.cross(coef @ seg, p) - coef @ end_x_start
-    scale = constants().mu0 * winding.I / (4 * math.pi)
+    scale = MU0 * winding.I / (4 * math.pi)
     return scale * A, 2 * scale * B
 
 
@@ -312,58 +319,64 @@ def homogeneity_report(coil, region, grid, segments_per_turn=8):
     """Sample A and B on a grid inside the bore and report uniformity.
 
     coil is a CoilWindingSpec or an AnnularCoilIdeal, and for both the
-    grid and region are checked by check_bore_grid and segments_per_turn
-    by check_segments_per_turn. The ideal coil's bore holds exactly
-    A = (0, 0, K*I) and B = 0, at any current. For a winding of
-    segments_per_turn segments per turn, the current must be non-zero,
-    the region must also lie inside the coil length, and the winding
-    must be constructible. Every input is checked before anything is
-    allocated. Each layer of M turns is evaluated as Q copies of its
-    first turn carrying I*M/Q, with Q the least count that puts the
-    aliasing error (r_max/R1)**Q under 1e-17, at most M, and the pairs
-    evaluated, grid points times segments_per_turn times the copies
+    grid and region are checked by check_bore_grid. The ideal coil's
+    segments_per_turn is checked by check_segments_per_turn, and its bore
+    holds exactly A = (0, 0, K*I) and B = 0, at any current. A winding of
+    segments_per_turn segments per turn must be constructible
+    (check_constructible), its current must be non-zero, and the region
+    must also lie inside the coil length. Every input is checked before
+    anything is allocated. Each layer of M turns is evaluated as Q copies
+    of its first turn carrying M/Q amperes, with Q the least count that
+    puts the aliasing error (r_max/R1)**Q under 1e-17, at most M, and the
+    pairs evaluated, grid points times segments_per_turn times the copies
     summed over the layers, may not exceed MAX_FIELD_PAIRS.
+
+    The field is linear in I, so the winding's statistics are taken from
+    its field at 1 A, and A, B, mean_A and max_B_magnitude are then
+    scaled by I once: no statistic over- or underflows at an extreme
+    current, and the relative ones do not depend on I.
     """
     grid, r_max = check_bore_grid(coil.R1, region, grid)
-    check_segments_per_turn(segments_per_turn)
     if isinstance(coil, AnnularCoilIdeal):
+        check_segments_per_turn(segments_per_turn)
         ideal = annular_coil_A(coil)
         points = region.grid_points(grid)
         A = np.zeros_like(points)
         A[:, 2] = ideal
         B = np.zeros_like(points)
-        mean_A, max_rel_dev, rel_err, copies = (0.0, 0.0, ideal), 0.0, 0.0, ()
+        mean_A, max_rel_dev, max_B, rel_err, copies = (0.0, 0.0, ideal), 0.0, 0.0, 0.0, ()
     else:
+        check_constructible(coil, segments_per_turn)
         if coil.I == 0.0:
             raise DomainError("relative field deviations are undefined at zero current")
         if abs(region.lo[2]) >= coil.L / 2 or abs(region.hi[2]) >= coil.L / 2:
             raise DomainError("region must lie inside the coil length")
         max_copies = math.ceil(math.log(1e-17) / math.log(r_max / coil.R1))
-        # Q = min(M, max_copies) copies in each layer of M turns (see _layers)
-        base, rem = divmod(coil.turn_count, coil.layers)
-        summed = rem * min(base + 1, max_copies) + (coil.layers - rem) * min(base, max_copies)
-        if math.prod(grid) * summed * segments_per_turn > MAX_FIELD_PAIRS:
+        copies = tuple(Q for _, Q in _layer_sizes(coil, max_copies))
+        if math.prod(grid) * sum(copies) * segments_per_turn > MAX_FIELD_PAIRS:
             raise ScenarioError(f"field evaluation exceeds {MAX_FIELD_PAIRS} point-segment pairs")
-        check_constructible(coil, segments_per_turn)
 
         points = region.grid_points(grid)
         A, B = np.zeros_like(points), np.zeros_like(points)
-        copies = ()
         for M, Q, starts, ends in _layers(coil, segments_per_turn, max_copies):
-            A_layer, B_layer = field_at(Winding(starts, ends, float(coil.I) * (M / Q)), points)
+            A_layer, B_layer = field_at(Winding(starts, ends, M / Q), points)
             A += A_layer
             B += B_layer
-            copies += (Q,)
-        mean_A = tuple(A.mean(axis=0))
+        mean_A = A.mean(axis=0)
         max_rel_dev = float(
             np.max(np.linalg.norm(A - mean_A, axis=1)) / np.linalg.norm(mean_A)
         )
-        ideal = annular_coil_A(coil.ideal_equivalent())
-        rel_err = abs(float(mean_A[2]) - ideal) / abs(ideal)
+        max_B = float(np.max(np.linalg.norm(B, axis=1))) * abs(coil.I)
+        K = coil_constant_K(coil.ideal_equivalent())
+        rel_err = abs(float(mean_A[2]) - K) / abs(K)
+        ideal = K * coil.I
+        A *= coil.I
+        B *= coil.I
+        mean_A = tuple(mean_A * coil.I)
     return HomogeneityReport(
         mean_A=mean_A,
         max_rel_deviation=max_rel_dev,
-        max_B_magnitude=float(np.max(np.linalg.norm(B, axis=1))),
+        max_B_magnitude=max_B,
         ideal_A=ideal,
         rel_error_vs_ideal=rel_err,
         points=points,

@@ -1,6 +1,6 @@
 import argparse
-import importlib
 import json
+import math
 import os
 import subprocess
 import sys
@@ -239,6 +239,34 @@ class TestFieldMap:
         )
         assert os.listdir(tmp_path) == ["on.json"]
 
+    @pytest.mark.parametrize("current", [1e-300, -1e-300, 1e308, -1e308])
+    def test_extreme_currents_give_finite_statistics(self, tmp_path, capsys, current):
+        # the report is taken at 1 A and scaled by I once, so nothing over-
+        # or underflows (a warning fails the test) and the relative figures
+        # are those of the 1 A run
+        def field_map(I, name):
+            config = tmp_path / f"{name}.json"
+            config.write_text(json.dumps({"current_A": I}))
+            out_path = str(tmp_path / f"{name}.csv")
+            args = [
+                "field-map", "--config", str(config),
+                "--region=-0.02,0.02,-0.02,0.02,-0.02,0.02",
+                "--grid", "2", "--out", out_path,
+            ]
+            assert main(args) == 0
+            assert capsys.readouterr().err == ""
+            rows = [l for l in read(out_path).splitlines() if not l.startswith("#")][1:]
+            return rows, json.loads(read(out_path + ".homogeneity.json"))
+
+        rows, summary = field_map(current, "extreme")
+        _, unit = field_map(1.0, "unit")
+        numbers = [float(v) for row in rows for v in row.split(",")]
+        numbers += [float(v) for v in summary["mean_A"]]
+        numbers += [float(v) for k, v in summary.items() if k != "mean_A"]
+        assert all(math.isfinite(x) for x in numbers)
+        for key in ("max_rel_deviation", "rel_error_vs_ideal"):
+            assert summary[key] == unit[key]
+
     def test_zero_current_rejected_before_writing(self, tmp_path, capsys):
         # the default scenario has I = 0, where relative deviations are undefined
         out_path = str(tmp_path / "map.csv")
@@ -286,6 +314,30 @@ class TestDiffract:
         assert captured.err == f"configuration error: k_max exceeds {MAX_ORDERS} orders\n"
         assert captured.out == ""
         assert os.listdir(tmp_path) == ["wide.json"]
+
+    @pytest.mark.parametrize(
+        "scenario, message",
+        [
+            (
+                {"beam": {"U_V": 1e308}, "grating_screen": {"a_m": 1e308}},
+                "sin(theta_1) = lambda/a underflows to 0 (lambda = 1.226e-163 m, a = 1.000e+308 m)",
+            ),
+            (
+                {"beam": {"U_V": 1e-300}},
+                "momentum sqrt(2*m_e*e*U) underflows to 0 at U = 1.000e-300 V",
+            ),
+        ],
+        ids=["angle", "momentum"],
+    )
+    def test_underflow_rejected(self, tmp_path, capsys, scenario, message):
+        config = tmp_path / "extreme.json"
+        config.write_text(json.dumps(scenario))
+        args = ["diffract", "--config", str(config), "--out", str(tmp_path / "fringes.csv")]
+        assert main(args) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: {message}\n"
+        assert os.listdir(tmp_path) == ["extreme.json"]
 
 
 class TestValidateCoil:
@@ -354,15 +406,20 @@ class TestImport:
         assert {"cli", "ideal_field", "winding"} <= set(names)
         assert loaded == []
 
-    def test_package_names_resolve_on_access(self):
-        for name in coilfringe.__all__:
-            module = coilfringe._MODULE_OF.get(name, "constants")
-            obj = getattr(importlib.import_module(f"coilfringe.{module}"), name)
-            assert getattr(coilfringe, name) is obj
-        assert coilfringe.constants().e == 1.602176634e-19
-        assert "field_at" in dir(coilfringe)
-        with pytest.raises(AttributeError):
-            coilfringe.no_such_name
+    def test_package_import_loads_no_submodule(self):
+        # the package root holds only its version; every name is imported
+        # from the module that defines it
+        src = os.path.dirname(os.path.dirname(coilfringe.__file__))
+        env = dict(os.environ, PYTHONPATH=src)
+        code = (
+            "import sys, coilfringe\n"
+            "print(sorted(m for m in sys.modules if m.startswith('coilfringe.')))"
+        )
+        out = subprocess.run(
+            [sys.executable, "-c", code], env=env, capture_output=True, text=True,
+            check=True,
+        ).stdout
+        assert out.strip() == "[]"
 
     def test_scalar_commands_leave_numpy_unloaded(self, tmp_path):
         # only the array-making commands (sweep, field-map) need numpy, and

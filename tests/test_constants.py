@@ -1,31 +1,15 @@
 import math
 
-import pytest
-
-from coilfringe.constants import PhysicalConstants, constants
+from coilfringe.constants import E_CHARGE, H, M_E, MU0
 
 
 def test_defined_values():
-    c = constants()
-    assert c.h == 6.62607015e-34
-    assert c.e == 1.602176634e-19
-    assert c.m_e == 9.1093837015e-31
-    assert c.mu0 == 1.25663706212e-6
+    assert H == 6.62607015e-34
+    assert E_CHARGE == 1.602176634e-19
+    assert M_E == 9.1093837015e-31
+    assert MU0 == 1.25663706212e-6
 
 
 def test_mu0_over_2pi_identity():
     # the CODATA mu0 differs from exact 4pi*1e-7 by ~5.4e-10 relative
-    c = constants()
-    assert abs(c.mu0 / (2 * math.pi) - 2.0e-7) / 2.0e-7 < 1e-9
-
-
-def test_pure_and_deterministic():
-    assert constants() is constants()
-    assert constants() == PhysicalConstants()
-
-
-def test_positive_invariant_enforced():
-    with pytest.raises(ValueError):
-        PhysicalConstants(h=-1.0)
-    with pytest.raises(ValueError):
-        PhysicalConstants(mu0=0.0)
+    assert abs(MU0 / (2 * math.pi) - 2.0e-7) / 2.0e-7 < 1e-9

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from coilfringe.constants import constants
+from coilfringe.constants import E_CHARGE, H, M_E
 from coilfringe.diffraction import (
     BeamSpec,
     GratingScreenSpec,
@@ -34,8 +34,7 @@ class TestMomentumAndWavelength:
 
     def test_si_constants_value(self):
         # direct sqrt(2*m*e*U) with the package constants
-        c = constants()
-        expected = math.sqrt(2 * c.m_e * c.e * 30e3)
+        expected = math.sqrt(2 * M_E * E_CHARGE * 30e3)
         p = mechanical_momentum(30e3)
         assert p == expected
         assert p == pytest.approx(9.357e-23, rel=1e-3)
@@ -49,7 +48,7 @@ class TestMomentumAndWavelength:
         assert de_broglie_lambda(9.351e-23) == pytest.approx(7.086e-12, rel=1e-3)
 
     def test_wavelength_identity(self):
-        assert de_broglie_lambda(constants().h) == 1.0
+        assert de_broglie_lambda(H) == 1.0
 
     def test_reciprocal_scaling(self):
         assert de_broglie_lambda(2 * 9.351e-23) == de_broglie_lambda(9.351e-23) / 2
@@ -73,7 +72,7 @@ class TestEffectiveMomentum:
         # the artifact's own subtraction; the printed 2.040e-23 carries a
         # documented ~1% internal inconsistency
         P = effective_momentum(30e3, REF_K * -10)
-        own = mechanical_momentum(30e3) - constants().e * REF_K * 10
+        own = mechanical_momentum(30e3) - E_CHARGE * REF_K * 10
         assert P == pytest.approx(own, rel=1e-14)
         assert P == pytest.approx(2.040e-23, rel=0.02)
 
@@ -164,13 +163,12 @@ class TestInverseInterfringe:
 
 class TestLinearResponseFit:
     def test_noiseless_grid_recovers_coefficients(self):
-        c = constants()
         I = np.linspace(-10, 10, 21)
         f = [inverse_interfringe(30e3, i, REF_K, GS) for i in I]
         alpha, beta, r2 = linear_response_fit(np.full_like(I, 30e3), I, f)
         assert r2 >= 1 - 1e-12
-        beta_expected = GS.a * c.e * REF_K / (c.h * GS.D)
-        alpha_expected = GS.a * math.sqrt(2 * c.m_e * c.e) / (c.h * GS.D)
+        beta_expected = GS.a * E_CHARGE * REF_K / (H * GS.D)
+        alpha_expected = GS.a * math.sqrt(2 * M_E * E_CHARGE) / (H * GS.D)
         assert beta == pytest.approx(beta_expected, rel=1e-10)
         assert alpha == pytest.approx(alpha_expected, rel=1e-10)
 

@@ -6,10 +6,10 @@ import numpy as np
 import pytest
 
 from coilfringe.export import csv_rows, write_field_map, write_lines
-from coilfringe.ideal_field import AnnularCoilIdeal
-from coilfringe.scenario import SweepSpec, paper_scenario
+from coilfringe.ideal_field import AnnularCoilIdeal, CoilWindingSpec
+from coilfringe.scenario import SweepSpec, scenario_from_dict
 from coilfringe.sweep import ERROR_MARKER, run_sweep, write_sweep_csv
-from coilfringe.winding import Box, CoilWindingSpec, homogeneity_report
+from coilfringe.winding import Box, homogeneity_report
 
 
 def read_bytes(path):
@@ -105,7 +105,7 @@ def test_csv_rows_blocks_join_to_the_lines():
     ],
 )
 def test_sweep_csv_matches_row_by_row_writer(tmp_path, variable, start, stop, step):
-    sweep = SweepSpec(variable, start, stop, step, paper_scenario(current=2.5))
+    sweep = SweepSpec(variable, start, stop, step, scenario_from_dict({"current_A": 2.5}))
     rows, _ = run_sweep(sweep)
     assert np.isnan(rows[:, 1]).any() == (variable == "current")
     write_sweep_csv(tmp_path / "a.csv", sweep, rows)

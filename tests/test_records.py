@@ -1,7 +1,6 @@
 import numpy as np
 import pytest
 
-from coilfringe.constants import PhysicalConstants
 from coilfringe.errors import DomainError, ScenarioError
 from coilfringe.diffraction import BeamSpec, FringeOrder, FringePattern, GratingScreenSpec
 from coilfringe.ideal_field import AnnularCoilIdeal, CoilWindingSpec, WireArraySpec
@@ -19,7 +18,6 @@ POINTS = np.zeros((2, 3))
 
 # each record type with the field values of one instance, in field order
 RECORDS = [
-    (PhysicalConstants, (6.62607015e-34, 1.602176634e-19, 9.1093837015e-31, 1.25663706212e-6)),
     (BeamSpec, tuple(BEAM)),
     (GratingScreenSpec, tuple(SCREEN)),
     (FringeOrder, tuple(ORDER)),
@@ -56,7 +54,6 @@ BOX = Box((-0.01, -0.01, -0.01), (0.01, 0.01, 0.01))
 
 # each record whose constructor checks its fields, with a field value it rejects
 CHECKED = [
-    (PhysicalConstants(), "h", -1.0, ValueError),
     (BEAM, "U", -1.0, DomainError),
     (SCREEN, "a", 0.0, DomainError),
     (WireArraySpec(0.1, 8, 1.0), "N", 0, DomainError),

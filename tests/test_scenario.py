@@ -5,7 +5,7 @@ import pytest
 
 from coilfringe.cli import DEFAULT_GEOMETRY_FACTOR, main
 from coilfringe.errors import ScenarioError
-from coilfringe.ideal_field import AnnularCoilIdeal
+from coilfringe.ideal_field import AnnularCoilIdeal, CoilWindingSpec
 from coilfringe.scenario import (
     MAX_SWEEP_POINTS,
     SweepSpec,
@@ -14,7 +14,6 @@ from coilfringe.scenario import (
     paper_scenario,
     scenario_from_dict,
 )
-from coilfringe.winding import CoilWindingSpec
 
 
 def write_scenario(tmp_path, data, name="scenario.json"):

@@ -4,7 +4,7 @@ import pytest
 from coilfringe.diffraction import de_broglie_lambda, effective_momentum
 from coilfringe.errors import DomainError, ModelDomainError
 from coilfringe.ideal_field import coil_constant_K
-from coilfringe.scenario import SweepSpec, paper_scenario
+from coilfringe.scenario import SweepSpec, paper_scenario, scenario_from_dict
 from coilfringe.sweep import run_sweep
 
 
@@ -28,7 +28,7 @@ def pointwise_rows(sweep):
 
 
 def test_rows_match_pointwise_model():
-    scen = paper_scenario(current=2.5)
+    scen = scenario_from_dict({"current_A": 2.5})
     # the current sweep crosses into P_eff <= 0, the voltage sweep does not
     for sweep, domain_errors in (
         (SweepSpec("current", -30.0, 10.0, 0.7, scen), True),

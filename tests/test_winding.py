@@ -6,16 +6,20 @@ import mpmath
 import numpy as np
 import pytest
 
-from coilfringe.constants import constants
+from coilfringe.constants import MU0
 from coilfringe.errors import ConstructionError, DomainError, ScenarioError, SingularityError
-from coilfringe.ideal_field import AnnularCoilIdeal, annular_coil_A, check_constructible
+from coilfringe.ideal_field import (
+    AnnularCoilIdeal,
+    CoilWindingSpec,
+    annular_coil_A,
+    check_constructible,
+)
 from coilfringe.winding import (
     BATCH_PAIRS,
     MAX_FIELD_PAIRS,
     MAX_GRID_POINTS,
     WIRE_GUARD,
     Box,
-    CoilWindingSpec,
     Winding,
     build_winding,
     check_bore_grid,
@@ -83,7 +87,7 @@ def _field_at_per_pair(winding, points):
     seg_len_sq = np.einsum("ij,ij->i", seg, seg)
     seg_len = np.linalg.norm(seg, axis=1)
     unit = seg / seg_len[:, None]
-    scale = constants().mu0 * winding.I / (4 * math.pi)
+    scale = MU0 * winding.I / (4 * math.pi)
     A = np.empty_like(points)
     B = np.empty_like(points)
     step = max(1, BATCH_PAIRS // len(seg))
@@ -276,7 +280,7 @@ class TestSegmentA:
         # A(r1) - A(r2) -> -mu0 I/(2pi) ln(r1/r2) as the segment grows
         seg = segment((0, 0, -5000), (0, 0, 5000), 1.0)
         d = A_at(seg, (0.5, 0, 0))[2] - A_at(seg, (1.0, 0, 0))[2]
-        expected = -constants().mu0 * 1.0 / (2 * math.pi) * math.log(0.5)
+        expected = -MU0 * 1.0 / (2 * math.pi) * math.log(0.5)
         assert d == pytest.approx(expected, rel=1e-6)
 
     def test_guard_rejection(self):
@@ -327,7 +331,7 @@ class TestSegmentA:
         points = [(rho, 0.0, 0.5), (rho, 0.0, -rho), (0.0, rho, 1.0 + rho)]
         A, B = field_at(seg, points)
         # at the midpoint B = mu0*I/(4pi*rho) * L/sqrt((L/2)**2 + rho**2), along +y
-        mid = constants().mu0 / (4 * math.pi * rho) / math.sqrt(0.25 + rho**2)
+        mid = MU0 / (4 * math.pi * rho) / math.sqrt(0.25 + rho**2)
         assert B[0, 1] == pytest.approx(mid, rel=1e-13)
         for i, p in enumerate(points):
             A_ref, B_ref = _segment_field_mp((0, 0, 0), (0, 0, 1), p, 1.0)
@@ -345,7 +349,7 @@ def _segment_field_mp(start, end, point, I):
         L = mpmath.sqrt(sum(v * v for v in seg))
         d1 = mpmath.sqrt(sum(v * v for v in r1))
         d2 = mpmath.sqrt(sum((b - a) ** 2 for a, b in zip(e, p)))
-        scale = mpmath.mpf(constants().mu0) * I / (4 * mpmath.pi)
+        scale = mpmath.mpf(MU0) * I / (4 * mpmath.pi)
         A_coef = scale * mpmath.log((d1 + d2 + L) / (d1 + d2 - L)) / L
         B_coef = scale * 2 * (d1 + d2) / (d1 * d2 * ((d1 + d2) ** 2 - L**2))
         cross = [seg[(i + 1) % 3] * r1[(i + 2) % 3] - seg[(i + 2) % 3] * r1[(i + 1) % 3]
@@ -407,7 +411,7 @@ def test_field_at_matches_per_pair_kernel(vertices, current, points):
     d1 = np.linalg.norm(r1, axis=2)
     d2 = np.linalg.norm(points[:, None, :] - w.ends, axis=2)
     seg_len = np.linalg.norm(w.ends - w.starts, axis=1)
-    scale = constants().mu0 * abs(current) / (4 * math.pi)
+    scale = MU0 * abs(current) / (4 * math.pi)
     dsum = d1 + d2
     reach = np.linalg.norm(points, axis=1)[:, None] + np.linalg.norm(w.starts, axis=1) + seg_len
     A_size = np.sum(scale * np.log((dsum + seg_len) / (dsum - seg_len)), axis=1)
@@ -481,7 +485,7 @@ class TestCoilB:
         seg = segment((0, 0, -100), (0, 0, 100), 2.0)
         r = 1.0
         B = B_at(seg, (r, 0, 0))
-        expected = constants().mu0 * 2.0 / (2 * math.pi * r)
+        expected = MU0 * 2.0 / (2 * math.pi * r)
         assert np.linalg.norm(B) == pytest.approx(expected, rel=0.01)
         # field circulates: at +x the field of +z current points +y
         assert B[1] > 0
@@ -489,7 +493,7 @@ class TestCoilB:
     def test_bore_field_small_vs_winding_scale(self):
         spec = paper_coil(L=12.0)
         B = B_at(build_winding(spec, 8), (0.0, 0.0, 0.0))
-        assert np.linalg.norm(B) <= 1e-3 * constants().mu0 * spec.turn_density * abs(spec.I)
+        assert np.linalg.norm(B) <= 1e-3 * MU0 * spec.turn_density * abs(spec.I)
 
     # bore, inside the winding cross-section, and outside the coil
     PROBES = (
@@ -516,7 +520,7 @@ class TestCoilB:
         spec = paper_coil(L=2.0, I=2.5)
         w = build_winding(spec, 8)
         r = 0.11
-        expected = constants().mu0 * spec.turn_count * spec.I / (2 * math.pi * r)
+        expected = MU0 * spec.turn_count * spec.I / (2 * math.pi * r)
         for phi in (0.3, 2.0, 4.0):
             e_phi = np.array([-math.sin(phi), math.cos(phi), 0.0])
             B = B_at(w, (r * math.cos(phi), r * math.sin(phi), 0.0))
@@ -525,7 +529,7 @@ class TestCoilB:
     def test_field_free_in_bore_and_outside(self):
         spec = paper_coil(L=2.0, I=2.5)
         w = build_winding(spec, 8)
-        scale = constants().mu0 * spec.turn_count * abs(spec.I) / (2 * math.pi * spec.R1)
+        scale = MU0 * spec.turn_count * abs(spec.I) / (2 * math.pi * spec.R1)
         for p in self.PROBES:
             if spec.R1 <= math.hypot(p[0], p[1]) <= spec.R2:
                 continue
@@ -547,7 +551,7 @@ class TestCoilB:
         I = 1.5
         w = build_winding(paper_coil(L=2.0, I=I), 8)
         chain = Winding(w.starts[:100], w.ends[:100], w.I)
-        c = constants().mu0 * I / (4 * math.pi)
+        c = MU0 * I / (4 * math.pi)
 
         def div_A(winding, p, h=1e-5):
             return sum(
@@ -586,7 +590,7 @@ class TestCoilB:
         tangent = np.column_stack([-a * np.sin(theta), b * np.cos(theta), np.zeros(n)])
         B = field_at(build_winding(spec, 8), points)[1]
         circulation = np.sum(B * tangent) * 2 * math.pi / n
-        mu0_NI = constants().mu0 * spec.turn_count * spec.I
+        mu0_NI = MU0 * spec.turn_count * spec.I
         assert abs(circulation / mu0_NI - enclosed) <= 1e-11
 
     def test_rotation_by_one_turn_spacing(self):
@@ -717,7 +721,7 @@ class TestHomogeneityReport:
         A_norm = np.linalg.norm(A, axis=1)
         assert np.all(np.linalg.norm(rep.A - A, axis=1) <= 1e-13 * A_norm)
         # relative to the field inside the winding, the size of the summed terms
-        scale = constants().mu0 * spec.turn_count * abs(spec.I) / (2 * math.pi * spec.R1)
+        scale = MU0 * spec.turn_count * abs(spec.I) / (2 * math.pi * spec.R1)
         assert np.max(np.abs(rep.B - B)) <= 1e-13 * scale
 
     @pytest.mark.parametrize("turn_density", [2000.0, 200.0])
