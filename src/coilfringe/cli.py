@@ -18,9 +18,10 @@ import sys
 
 from .errors import CoilfringeError, ConstructionError, DomainError, ScenarioError
 from .export import (
+    FRINGE_COLUMNS,
     fmt,
-    fringe_summary,
     json_text,
+    key_value_lines,
     write_all,
     write_field_map,
     write_fringe_csv,
@@ -65,19 +66,7 @@ def _cmd_reproduce_paper(args):
     if args.format == "json":
         data = {
             "profile": rep.profile,
-            "rows": [
-                {
-                    "name": r.name,
-                    "equation": r.equation,
-                    "computed": fmt(r.computed),
-                    "reference": fmt(r.reference),
-                    "rel_deviation": fmt(r.rel_deviation),
-                    "tolerance": fmt(r.tolerance),
-                    "flagged": r.flagged,
-                    "ok": r.ok,
-                }
-                for r in rep.rows
-            ],
+            "rows": [dict(r._asdict(), ok=r.ok) for r in rep.rows],
             "all_ok": rep.all_ok,
         }
         if args.out is None:
@@ -107,12 +96,7 @@ def _cmd_sweep(args):
     rows, fit = run_sweep(sweep)
     writes = [(write_sweep_csv, args.out, sweep, rows)]
     if fit is not None:
-        alpha, beta, r2 = fit
-        fit_data = {
-            "alpha_sqrtU_coeff": fmt(alpha),
-            "beta_I_coeff": fmt(beta),
-            "r_squared": fmt(r2),
-        }
+        fit_data = dict(zip(("alpha_sqrtU_coeff", "beta_I_coeff", "r_squared"), fit))
         writes.append((write_json, args.out + ".fit.json", fit_data))
     write_all(writes)
     print(f"wrote {len(rows)} rows to {args.out}")
@@ -148,13 +132,8 @@ def _cmd_field_map(args):
     rep = homogeneity_report(
         scen.coil, region, grid, segments_per_turn=args.segments_per_turn
     )
-    summary = {
-        "mean_A": [fmt(v) for v in rep.mean_A],
-        "max_rel_deviation": fmt(rep.max_rel_deviation),
-        "max_B_magnitude": fmt(rep.max_B_magnitude),
-        "ideal_A": fmt(rep.ideal_A),
-        "rel_error_vs_ideal": fmt(rep.rel_error_vs_ideal),
-    }
+    # the sidecar holds the report's five statistics
+    summary = dict(zip(rep._fields[:5], rep))
     write_all([
         (write_field_map, args.out, scen.coil, np.hstack([rep.points, rep.A, rep.B])),
         (write_json, args.out + ".homogeneity.json", summary),
@@ -167,37 +146,24 @@ def _cmd_diffract(args):
     scen = _load(args)
     A = annular_coil_A(scen.coil.ideal_equivalent())
     pattern = fringe_pattern(scen.beam, scen.grating_screen, A, args.k_max)
-    summary = fringe_summary(pattern)
-    if args.out:
-        comment = [
-            f"# U_V = {fmt(scen.beam.U)}",
-            f"# I_A = {fmt(scen.coil.I)}",
-            f"# a_m = {fmt(scen.grating_screen.a)}",
-            f"# D_m = {fmt(scen.grating_screen.D)}",
-        ]
-        if args.format == "json":
-            write_json(
-                args.out,
-                {
-                    "orders": [
-                        {
-                            "k": o.k,
-                            "theta_k_rad": fmt(o.theta_k),
-                            "y_k_m": fmt(o.y_k),
-                            "ring_radius_m": fmt(o.ring_radius),
-                        }
-                        for o in pattern.orders
-                    ],
-                    "summary": summary,
-                },
-            )
-        else:
-            write_all([
-                (write_fringe_csv, args.out, pattern, comment),
-                (write_json, args.out + ".summary.json", summary),
-            ])
-    for key, val in summary.items():
-        print(f"{key} = {val}")
+    summary = {
+        "lambda_m": pattern.wavelength,
+        "P_eff": pattern.P_eff,
+        "interfringe_m": pattern.interfringe_small_angle,
+        "interfringe_exact_m": pattern.interfringe_i,
+        "small_angle_valid": pattern.small_angle_valid,
+    }
+    if args.out and args.format == "json":
+        orders = [dict(zip(FRINGE_COLUMNS, o)) for o in pattern.orders]
+        write_json(args.out, {"orders": orders, "summary": summary})
+    elif args.out:
+        gs = scen.grating_screen
+        setup = {"U_V": scen.beam.U, "I_A": scen.coil.I, "a_m": gs.a, "D_m": gs.D}
+        write_all([
+            (write_fringe_csv, args.out, pattern, key_value_lines(setup, prefix="# ")),
+            (write_json, args.out + ".summary.json", summary),
+        ])
+    print("\n".join(key_value_lines(summary)))
     return 0
 
 

@@ -1,12 +1,16 @@
 """Deterministic file emission: CSV field maps, fringe tables, sweeps.
 
-All floats are written in scientific notation with 9 significant
-digits, locale independent, so identical inputs yield byte-identical
-files. CSV files carry a '#'-prefixed comment header echoing the
-originating parameters. Every file is written to a temporary file beside
-its path and then moved into place, so a failed write leaves no partial
-file, and write_all removes the files a command has written when a later
-one fails.
+One rule writes every emitted number, emitted(value): a float is
+fmt(value), "%.8e", scientific notation with 9 significant digits and
+locale independent, and an int, bool or string stays as it is; dicts,
+lists and tuples are written item by item. Callers pass raw values:
+json_text, key_value_lines and the fringe rows apply the rule, and
+csv_rows gives its bytes for whole float arrays. Identical inputs thus
+yield byte-identical files. CSV files carry a '#'-prefixed
+"key = value" header echoing the originating parameters. Every file is
+written to a temporary file beside its path and then moved into place,
+so a failed write leaves no partial file, and write_all removes the
+files a command has written when a later one fails.
 
 Arrays of values are formatted by csv_rows, which gives the bytes of
 "%.8e" % x for every float x without a Python call per value. A finite
@@ -35,11 +39,31 @@ _EXP_LIMIT = 290  # values of larger |exponent| use Python's "%.8e"
 _TIE_WINDOW = 1e-5  # and so do scaled values this close to a half-integer
 _EXPONENTS = range(-_EXP_LIMIT - 2, _EXP_LIMIT + 3)  # room for a correction and a carry
 _BLOCK_VALUES = 2**16  # values formatted at a time, which bounds the temporaries
+# The columns of a fringe table, the fields of diffraction.FringeOrder.
+FRINGE_COLUMNS = ("k", "theta_k_rad", "y_k_m", "ring_radius_m")
 
 
 def fmt(x):
     """Fixed float format: scientific, 9 significant digits."""
     return f"{float(x):.8e}"
+
+
+def emitted(value):
+    """value as the package emits it: a float as fmt(value), a dict, list
+    or tuple item by item (a tuple as a list), anything else as it is."""
+    if isinstance(value, float):
+        return fmt(value)
+    if isinstance(value, dict):
+        return {key: emitted(item) for key, item in value.items()}
+    if isinstance(value, (list, tuple)):
+        return [emitted(item) for item in value]
+    return value
+
+
+def key_value_lines(pairs, prefix=""):
+    """A line "<prefix>key = value" for each item of the dict pairs, the
+    value emitted."""
+    return [f"{prefix}{key} = {emitted(value)}" for key, value in pairs.items()]
 
 
 def _words(texts):
@@ -136,26 +160,23 @@ def csv_rows(rows, nan_text="nan"):
     return blocks
 
 
-def _coil_comment_lines(coil):
+def _coil_header(coil):
+    """The parameters of a coil that head its field-map CSV."""
     if isinstance(coil, CoilWindingSpec):
-        return [
-            "# coil_type = winding",
-            f"# R1_m = {fmt(coil.R1)}",
-            f"# R2_m = {fmt(coil.R2)}",
-            f"# L_m = {fmt(coil.L)}",
-            f"# turn_density_per_m = {fmt(coil.turn_density)}",
-            f"# layers = {coil.layers}",
-            f"# helicity = {list(coil.helicity_sign_per_layer)}",
-            f"# wire_diameter_m = {fmt(coil.wire_diameter)}",
-            f"# I_A = {fmt(coil.I)}",
-        ]
-    return [
-        "# coil_type = ideal",
-        f"# R1_m = {fmt(coil.R1)}",
-        f"# R2_m = {fmt(coil.R2)}",
-        f"# N_turns = {coil.N}",
-        f"# I_A = {fmt(coil.I)}",
-    ]
+        return {
+            "coil_type": "winding",
+            "R1_m": coil.R1,
+            "R2_m": coil.R2,
+            "L_m": coil.L,
+            "turn_density_per_m": coil.turn_density,
+            "layers": coil.layers,
+            "helicity": coil.helicity_sign_per_layer,
+            "wire_diameter_m": coil.wire_diameter,
+            "I_A": coil.I,
+        }
+    return {
+        "coil_type": "ideal", "R1_m": coil.R1, "R2_m": coil.R2, "N_turns": coil.N, "I_A": coil.I
+    }
 
 
 def write_lines(path, lines):
@@ -200,33 +221,20 @@ def write_all(writes):
 
 def write_field_map(path, coil, rows):
     """Write a field-map CSV from an (n, 9) array of x,y,z,Ax,Ay,Az,Bx,By,Bz rows."""
-    lines = _coil_comment_lines(coil) + ["x,y,z,Ax,Ay,Az,Bx,By,Bz"]
+    lines = key_value_lines(_coil_header(coil), prefix="# ") + ["x,y,z,Ax,Ay,Az,Bx,By,Bz"]
     write_lines(path, lines + csv_rows(rows))
 
 
 def write_fringe_csv(path, pattern, scenario_comment=()):
-    """CSV of fringe orders: k, theta_k_rad, y_k_m, ring_radius_m."""
-    lines = list(scenario_comment) + ["k,theta_k_rad,y_k_m,ring_radius_m"]
-    for o in pattern.orders:
-        lines.append(
-            f"{o.k},{fmt(o.theta_k)},{fmt(o.y_k)},{fmt(o.ring_radius)}"
-        )
+    """CSV of fringe orders, one row of FRINGE_COLUMNS each."""
+    lines = list(scenario_comment) + [",".join(FRINGE_COLUMNS)]
+    lines += [",".join(map(str, emitted(order))) for order in pattern.orders]
     write_lines(path, lines)
-
-
-def fringe_summary(pattern):
-    return {
-        "lambda_m": fmt(pattern.wavelength),
-        "P_eff": fmt(pattern.P_eff),
-        "interfringe_m": fmt(pattern.interfringe_small_angle),
-        "interfringe_exact_m": fmt(pattern.interfringe_i),
-        "small_angle_valid": pattern.small_angle_valid,
-    }
 
 
 def json_text(data):
     """The fixed JSON layout of every emitted JSON document."""
-    return json.dumps(data, indent=2, sort_keys=True)
+    return json.dumps(emitted(data), indent=2, sort_keys=True)
 
 
 def write_json(path, data):

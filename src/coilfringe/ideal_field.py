@@ -266,9 +266,15 @@ def annular_coil_A(coil):
 
     A = mu0*N*I/(2pi) * ln(R2/R1); equals the superposition of the
     R1 cylinder with current I and the R2 cylinder with current -I at
-    any bore radius r < R1.
+    any bore radius r < R1. A value K*I beyond the float range is a
+    DomainError.
     """
-    return coil_constant_K(coil) * coil.I
+    A = coil_constant_K(coil) * coil.I
+    if not math.isfinite(A):
+        raise DomainError(
+            f"bore potential K*I overflows the float range at I = {coil.I:.3e} A"
+        )
+    return A
 
 
 def coil_constant_K(coil):

@@ -7,8 +7,8 @@ from .diffraction import (
     mechanical_momentum,
     small_angle_interfringe,
 )
-from .errors import FitError
-from .export import csv_rows, fmt, write_lines
+from .errors import DomainError, FitError
+from .export import csv_rows, key_value_lines, write_lines
 from .ideal_field import coil_constant_K
 
 ERROR_MARKER = "model-domain-error"
@@ -21,8 +21,24 @@ def run_sweep(sweep):
     (swept_value, P_eff, lambda_eff_m, interfringe_m, inverse_interfringe_per_m)
     with NaN in the last four columns for points outside the model
     domain (P_eff <= 0), and fit is (alpha, beta, r_squared) for current
-    sweeps whose valid points determine it (None otherwise).
+    sweeps whose valid points determine it (None otherwise). A value of
+    the rows or the fit that overflows the float range is a DomainError.
     """
+    import numpy as np
+
+    message = "sweep values overflow the float range"
+    try:
+        with np.errstate(over="raise", divide="raise"):
+            rows, fit = _model(sweep)
+    except FloatingPointError as exc:
+        raise DomainError(f"{message} ({exc})") from None
+    if fit is not None and not np.isfinite(fit).all():  # lstsq ignores overflow
+        raise DomainError(f"{message} (the fit is not finite)")
+    return rows, fit
+
+
+def _model(sweep):
+    """The rows and fit of run_sweep, under the caller's numpy error state."""
     import numpy as np
 
     scen = sweep.scenario
@@ -50,12 +66,10 @@ def run_sweep(sweep):
 
 def write_sweep_csv(path, sweep, rows):
     var_col = "I_A" if sweep.variable == "current" else "U_V"
-    lines = [
-        f"# sweep_variable = {sweep.variable}",
-        f"# start = {fmt(sweep.start)}",
-        f"# stop = {fmt(sweep.stop)}",
-        f"# step = {fmt(sweep.step)}",
-        f"{var_col},P_eff,lambda_eff_m,interfringe_m,inverse_interfringe_per_m",
+    header = {"sweep_variable": sweep.variable, "start": sweep.start,
+              "stop": sweep.stop, "step": sweep.step}
+    lines = key_value_lines(header, prefix="# ") + [
+        f"{var_col},P_eff,lambda_eff_m,interfringe_m,inverse_interfringe_per_m"
     ]
     # the NaNs of the model-domain rows are written as the marker
     write_lines(path, lines + csv_rows(rows, nan_text=ERROR_MARKER))

@@ -55,12 +55,15 @@ point is M times the average over M equally spaced rotations of the
 first turn's field, a smooth periodic function of the rotation angle.
 In cylindrical components, the average keeps only the azimuthal
 harmonics that are multiples of M. Averaging instead over Q equally
-spaced copies, each carrying I*M/Q, keeps the multiples of Q, and
-inside the bore the harmonics of order Q fall off like (r/R1)**Q. The
-relative difference from the full layer is thus about (r_max/R1)**Q for
-sample points within r_max of the axis: the geometric convergence of the
-periodic trapezoidal rule (Trefethen & Weideman, SIAM Rev. 56, 385
-(2014)). The report takes Q = min(M, ceil(ln(1e-17) / ln(r_max/R1))), a
+spaced copies, each carrying I*M/Q, keeps the multiples of Q. Inside
+the bore a harmonic of order m of A_z falls off like (r/R1)**|m|, but
+one of the transverse A_r + i*A_phi = exp(-i*phi)*(A_x + i*A_y), and so
+of B's, like (r/R1)**|m + 1|, as A_x + i*A_y is smooth on the axis: the
+order -Q goes like (r/R1)**(Q - 1). The relative difference from the
+full layer is thus about (r_max/R1)**(Q - 1) for sample points within
+r_max of the axis: the geometric convergence of the periodic
+trapezoidal rule (Trefethen & Weideman, SIAM Rev. 56, 385 (2014)). The
+report takes Q = min(M, 1 + ceil(ln(1e-17) / ln(r_max/R1))), a
 difference below double rounding; Q = M is the layer itself.
 """
 
@@ -319,17 +322,18 @@ def homogeneity_report(coil, region, grid, segments_per_turn=8):
     """Sample A and B on a grid inside the bore and report uniformity.
 
     coil is a CoilWindingSpec or an AnnularCoilIdeal, and for both the
-    grid and region are checked by check_bore_grid. The ideal coil's
-    segments_per_turn is checked by check_segments_per_turn, and its bore
-    holds exactly A = (0, 0, K*I) and B = 0, at any current. A winding of
+    grid and region are checked by check_bore_grid and the bore value K*I
+    must be finite (annular_coil_A). The ideal coil's segments_per_turn
+    is checked by check_segments_per_turn, and its bore holds exactly
+    A = (0, 0, K*I) and B = 0, at any such current. A winding of
     segments_per_turn segments per turn must be constructible
     (check_constructible), its current must be non-zero, and the region
     must also lie inside the coil length. Every input is checked before
     anything is allocated. Each layer of M turns is evaluated as Q copies
     of its first turn carrying M/Q amperes, with Q the least count that
-    puts the aliasing error (r_max/R1)**Q under 1e-17, at most M, and the
-    pairs evaluated, grid points times segments_per_turn times the copies
-    summed over the layers, may not exceed MAX_FIELD_PAIRS.
+    puts the aliasing error (r_max/R1)**(Q - 1) under 1e-17, at most M,
+    and the pairs evaluated, grid points times segments_per_turn times
+    the copies summed over the layers, may not exceed MAX_FIELD_PAIRS.
 
     The field is linear in I, so the winding's statistics are taken from
     its field at 1 A, and A, B, mean_A and max_B_magnitude are then
@@ -351,7 +355,9 @@ def homogeneity_report(coil, region, grid, segments_per_turn=8):
             raise DomainError("relative field deviations are undefined at zero current")
         if abs(region.lo[2]) >= coil.L / 2 or abs(region.hi[2]) >= coil.L / 2:
             raise DomainError("region must lie inside the coil length")
-        max_copies = math.ceil(math.log(1e-17) / math.log(r_max / coil.R1))
+        ideal = annular_coil_A(coil.ideal_equivalent())
+        # logs taken apart: r_max/R1 can underflow to 0, r_max cannot
+        max_copies = 1 + math.ceil(math.log(1e-17) / (math.log(r_max) - math.log(coil.R1)))
         copies = tuple(Q for _, Q in _layer_sizes(coil, max_copies))
         if math.prod(grid) * sum(copies) * segments_per_turn > MAX_FIELD_PAIRS:
             raise ScenarioError(f"field evaluation exceeds {MAX_FIELD_PAIRS} point-segment pairs")
@@ -369,7 +375,6 @@ def homogeneity_report(coil, region, grid, segments_per_turn=8):
         max_B = float(np.max(np.linalg.norm(B, axis=1))) * abs(coil.I)
         K = coil_constant_K(coil.ideal_equivalent())
         rel_err = abs(float(mean_A[2]) - K) / abs(K)
-        ideal = K * coil.I
         A *= coil.I
         B *= coil.I
         mean_A = tuple(mean_A * coil.I)

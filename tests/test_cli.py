@@ -53,6 +53,10 @@ class TestReproducePaper:
         assert not os.path.exists(out_path)
 
 
+CURRENTS = ["--from", "-1", "--to", "1", "--step", "0.5"]
+VOLTAGES = ["--variable", "voltage", "--from", "1000", "--to", "3000", "--step", "1000"]
+
+
 class TestSweep:
     def test_current_sweep_with_fit_sidecar(self, tmp_path, capsys):
         out_path = str(tmp_path / "sweep.csv")
@@ -99,6 +103,36 @@ class TestSweep:
         lines = [l for l in read(out_path).splitlines() if not l.startswith("#")]
         assert lines[0].startswith("U_V,")
         assert len(lines) == 6
+
+
+    @pytest.mark.parametrize(
+        "scenario, span, message",
+        [
+            ({"grating_screen": {"a_m": 1e300}}, CURRENTS, "overflow encountered in divide"),
+            ({"grating_screen": {"D_m": 1e-300}}, CURRENTS, "overflow encountered in matmul"),
+            ({"current_A": 1e308}, VOLTAGES, "overflow encountered in divide"),
+            # the interfringe underflows to 0
+            ({"grating_screen": {"D_m": 1e-320}}, CURRENTS, "divide by zero encountered in divide"),
+            # lstsq returns an inf coefficient without raising
+            (
+                {"beam": {"U_V": 3.4e-312}, "grating_screen": {"a_m": 1e289, "D_m": 1e-10}},
+                ["--from", "1e-157", "--to", "3e-157", "--step", "1e-157"],
+                "the fit is not finite",
+            ),
+        ],
+        ids=["a_m", "D_m", "current_A", "D_m-subnormal", "fit"],
+    )
+    def test_overflow_rejected(self, tmp_path, capsys, scenario, span, message):
+        # the inverse interfringe, or the fit or its sums of squares, pass the
+        # float range; the suite's "error" warning filter fails any warning
+        config = tmp_path / "extreme.json"
+        config.write_text(json.dumps(scenario))
+        args = ["sweep", "--config", str(config), "--out", str(tmp_path / "sweep.csv")] + span
+        assert main(args) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: sweep values overflow the float range ({message})\n"
+        assert os.listdir(tmp_path) == ["extreme.json"]
 
 
 class TestFieldMap:
@@ -338,6 +372,30 @@ class TestDiffract:
         assert captured.out == ""
         assert captured.err == f"error: {message}\n"
         assert os.listdir(tmp_path) == ["extreme.json"]
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["field-map", "--region=-0.02,0.02,-0.02,0.02,-0.02,0.02", "--grid", "2",
+         "--out", "map.csv"],
+        ["diffract", "--out", "fringes.csv"],
+    ],
+    ids=["field-map", "diffract"],
+)
+def test_ideal_bore_value_overflow_rejected(tmp_path, capsys, monkeypatch, argv):
+    # K = 3.6e4 T*m/A at 1e12 turns, so K*I passes the float range
+    (tmp_path / "huge.json").write_text(
+        json.dumps({"coil": {"type": "ideal", "N_turns": 10**12}, "current_A": 1e308})
+    )
+    monkeypatch.chdir(tmp_path)
+    assert main(argv + ["--config", "huge.json"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        "error: bore potential K*I overflows the float range at I = 1.000e+308 A\n"
+    )
+    assert os.listdir(tmp_path) == ["huge.json"]
 
 
 class TestValidateCoil:

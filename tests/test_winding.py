@@ -697,7 +697,7 @@ class TestHomogeneityReport:
     def test_turn_copies_match_full_winding(self, ratio):
         # the Q copies of a layer's first turn differ from its M turns only
         # in the azimuthal harmonics of order Q, which fall off as
-        # (r/R1)**Q in the bore
+        # (r/R1)**(Q - 1) in the bore, and Q is chosen to make that < 1e-17
         spec = paper_coil(L=2.0)
         a = ratio * spec.R1 / math.sqrt(2)
         region = Box(lo=(-a, -a, 0.25), hi=(a, a, 0.35))
@@ -709,6 +709,27 @@ class TestHomogeneityReport:
         bound = ratio**Q + 1e-13
         assert np.all(np.linalg.norm(rep.A - A, axis=1) <= bound * A_norm)
         assert np.max(np.abs(rep.B - B)) <= 1e-14
+
+    @pytest.mark.parametrize("h", [1e-19, 1e-12, 1e-9, 0.02, 0.05])
+    def test_turn_copies_match_full_winding_near_the_axis(self, h):
+        # the transverse field's aliasing error goes as (r/R1)**(Q - 1), so a
+        # box that hugs the axis, where Q is 1 or 2, still needs the extra copy
+        spec = paper_coil(L=12.0)
+        rep = homogeneity_report(spec, Box(lo=(-h, -h, -0.01), hi=(h, h, 0.01)), 2)
+        A, B = field_at(build_winding(spec, 8), rep.points)
+        assert np.max(np.abs(rep.A - A)) <= 1e-13 * np.max(np.abs(A))
+        assert np.max(np.abs(rep.B - B)) <= 1e-16
+
+    def test_box_far_smaller_than_the_bore(self):
+        # r_max/R1 = 1.4e-330 underflows to 0; one copy per one-turn layer
+        spec = CoilWindingSpec(
+            R1=1e10, R2=2e10, L=1.0, turn_density=3e-11, layers=2,
+            helicity_sign_per_layer=(1, -1), wire_diameter=1e-3, I=1.0,
+        )
+        region = Box(lo=(-1e-320, -1e-320, -0.1), hi=(1e-320, 1e-320, 0.1))
+        rep = homogeneity_report(spec, region, 2)
+        assert rep.copies == (1, 1)
+        assert np.isfinite(rep.A).all() and np.isfinite(rep.B).all()
 
     def test_all_turn_copies_reproduce_the_winding(self):
         # 63 turns per layer are fewer copies than the region needs, so every
