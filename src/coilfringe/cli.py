@@ -2,7 +2,8 @@
 
 Subcommands: reproduce-paper, sweep, field-map, diffract, validate-coil.
 Exit codes: 0 = success / all tolerances met, 1 = tolerance or
-validation failure, 2 = usage or configuration error.
+validation failure (DomainError), 2 = usage or configuration error
+(ScenarioError, another ValueError, or a stdout closed by its reader).
 
 The environment variable COILFRINGE_CONFIG_DIR names a directory that
 is searched for relative --config paths that do not exist locally.
@@ -16,7 +17,7 @@ import math
 import os
 import sys
 
-from .errors import CoilfringeError, ConstructionError, DomainError, ScenarioError
+from .errors import DomainError, ScenarioError
 from .export import (
     FRINGE_COLUMNS,
     fmt,
@@ -179,7 +180,7 @@ def _cmd_validate_coil(args):
             segments = check_constructible(coil, segments_per_turn=4)
             print(f"winding constructible: {segments} segments, "
                   f"{coil.turn_count} turns in {coil.layers} layers")
-        except (ConstructionError, DomainError) as exc:
+        except DomainError as exc:
             print(f"winding NOT constructible: {exc}")
             status = 1
         print(f"ideal coil constant K = {fmt(coil_constant_K(coil.ideal_equivalent()))} T*m/A")
@@ -252,11 +253,18 @@ def build_parser():
 def main(argv=None):
     args = build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        status = args.func(args)
+        sys.stdout.flush()  # a closed stdout fails here, not at exit
+        return status
+    except BrokenPipeError as exc:
+        # the recipe of Python's signal docs: keep the exit-time flush quiet
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        print(f"configuration error: cannot write stdout: {exc.strerror}", file=sys.stderr)
+        return 2
     except ScenarioError as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return 2
-    except CoilfringeError as exc:
+    except DomainError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except ValueError as exc:

@@ -12,7 +12,7 @@ from collections import namedtuple
 import math
 
 from .constants import E_CHARGE, H, M_E, checked_make
-from .errors import DomainError, FitError, ModelDomainError, OrderLimitError, ScenarioError
+from .errors import DomainError, ScenarioError
 
 SMALL_ANGLE_LIMIT = 1e-3  # |tan - sin|/sin threshold for the flag
 # Largest k_max of one fringe pattern; bounds the orders it builds.
@@ -127,7 +127,7 @@ def effective_momentum(U, A):
     if p == 0.0 and mv == 0.0:
         raise DomainError(f"momentum sqrt(2*m_e*e*U) underflows to 0 at U = {U:.3e} V")
     if p <= 0:
-        raise ModelDomainError(
+        raise DomainError(
             f"effective momentum {p:.3e} kg*m/s is non-positive; "
             "outside the model's validity regime"
         )
@@ -144,8 +144,10 @@ def fringe_pattern(beam, gs, A, k_max):
 
     theta_k = arcsin(k*lambda_eff/a), y_k = D*tan(theta_k). The small
     angle interfringe lambda_eff*D/a is reported alongside the exact
-    y_1 - y_0. k_max may not exceed MAX_ORDERS (ScenarioError), and
-    lambda_eff/a, sin(theta_1), may not underflow to 0 (DomainError).
+    y_1 - y_0. k_max may not exceed MAX_ORDERS (ScenarioError). Each of
+    these is a DomainError: lambda_eff/a, sin(theta_1), underflowing to 0,
+    and an interfringe that underflows to 0 or a position y_k that
+    overflows.
     """
     if k_max < 1:
         raise DomainError("k_max must be >= 1")
@@ -162,24 +164,30 @@ def fringe_pattern(beam, gs, A, k_max):
         feasible = int(gs.a / lam)  # largest k with k*lambda/a < 1
         if gs.a / lam == feasible:
             feasible -= 1
-        raise OrderLimitError(
+        raise DomainError(
             f"grating equation unsolvable at order {k_max}; "
-            f"max feasible order is {feasible}",
-            max_order=feasible,
+            f"max feasible order is {feasible}"
         )
     orders = []
     for k in range(k_max + 1):
         theta = math.asin(k * lam / gs.a)
         y = gs.D * math.tan(theta)
         orders.append(FringeOrder(k=k, theta_k=theta, y_k=y, ring_radius=y))
+    # y_k grows with k, so y_k_max is the largest position
+    scales = (orders[1].y_k - orders[0].y_k, small_angle_interfringe(lam, gs), orders[-1].y_k)
+    if not all(0.0 < x < math.inf for x in scales):
+        raise DomainError(
+            "fringe positions leave the float range (y_1 - y_0 = {:.3e} m, "
+            "lambda*D/a = {:.3e} m, y_k_max = {:.3e} m)".format(*scales)
+        )
     theta1 = orders[1].theta_k
     small_angle_valid = (
         abs(math.tan(theta1) - math.sin(theta1)) / math.sin(theta1) < SMALL_ANGLE_LIMIT
     )
     return FringePattern(
         orders=tuple(orders),
-        interfringe_i=orders[1].y_k - orders[0].y_k,
-        interfringe_small_angle=small_angle_interfringe(lam, gs),
+        interfringe_i=scales[0],
+        interfringe_small_angle=scales[1],
         wavelength=lam,
         P_eff=P_eff,
         small_angle_valid=small_angle_valid,
@@ -205,13 +213,14 @@ def linear_response_fit(U, I, f):
 
     U, I, f = (np.asarray(x, dtype=float) for x in (U, I, f))
     if len(f) < 3:
-        raise FitError("need at least 3 samples")
-    if len(np.unique(I)) < 2:
-        raise FitError("samples must span at least 2 distinct currents")
+        raise DomainError("need at least 3 samples")
+    if not I.min() < I.max():
+        raise DomainError("samples must span at least 2 distinct currents")
     X = np.column_stack([np.sqrt(U), I])
-    if np.linalg.matrix_rank(X) < 2:
-        raise FitError("rank-deficient design: sqrt(U) and I columns are degenerate")
-    coef, _, _, _ = np.linalg.lstsq(X, f, rcond=None)
+    # rank counts the singular values above max(M, N) * eps * the largest
+    coef, _, rank, _ = np.linalg.lstsq(X, f, rcond=None)
+    if rank < 2:
+        raise DomainError("rank-deficient design: sqrt(U) and I columns are degenerate")
     resid = f - X @ coef
     ss_res = float(resid @ resid)
     ss_tot = float(np.sum((f - f.mean()) ** 2))

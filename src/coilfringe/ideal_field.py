@@ -25,13 +25,7 @@ from collections import namedtuple
 import math
 
 from .constants import MU0, checked_make
-from .errors import (
-    ConstructionError,
-    DomainError,
-    QuadratureError,
-    ScenarioError,
-    SingularityError,
-)
+from .errors import DomainError, ScenarioError
 
 # Largest segment count of one winding; bounds the memory of build_winding
 # (the reference coil at 8 segments per turn has 10056).
@@ -164,11 +158,11 @@ def check_constructible(spec, segments_per_turn):
     """Check that the winding of spec can be built; returns its segment count.
 
     The count is turns * segments_per_turn, and nothing is allocated.
-    segments_per_turn must be a positive multiple of 4 (DomainError);
-    the count may not exceed MAX_SEGMENTS (ScenarioError); turns may not
-    overlap, and each layer needs a turn (ConstructionError); the turn
-    path 2*L + 2*(R2 - R1), from which the segment endpoints are
-    computed, must be finite (DomainError).
+    The count may not exceed MAX_SEGMENTS (ScenarioError). Each of these
+    is a DomainError: segments_per_turn not a positive multiple of 4,
+    overlapping turns, a layer without a turn, and a turn path
+    2*L + 2*(R2 - R1), from which the segment endpoints are computed,
+    that is not finite.
     """
     check_segments_per_turn(segments_per_turn)
     turns = spec.turn_count
@@ -177,12 +171,12 @@ def check_constructible(spec, segments_per_turn):
         raise ScenarioError(f"winding exceeds {MAX_SEGMENTS} segments")
     per_layer_density = spec.turn_density / spec.layers
     if spec.wire_diameter * per_layer_density > 1.0 + 1e-12:
-        raise ConstructionError(
+        raise DomainError(
             "turns overlap: wire_diameter * per-layer turn density = "
             f"{spec.wire_diameter * per_layer_density:.3f} > 1"
         )
     if turns < spec.layers:
-        raise ConstructionError(f"{turns} turns cannot fill {spec.layers} layers")
+        raise DomainError(f"{turns} turns cannot fill {spec.layers} layers")
     if not math.isfinite(2 * spec.L + 2 * (spec.R2 - spec.R1)):
         raise DomainError("segment endpoints must be finite")
     return segments
@@ -211,7 +205,7 @@ def array_Az_quadrature(spec, r):
     if r < 0:
         raise DomainError("observation radius r must be non-negative")
     if r == spec.R:
-        raise SingularityError("integrand is log-singular on the wire circle r = R")
+        raise DomainError("integrand is log-singular on the wire circle r = R")
     if spec.I == 0.0:
         return 0.0
     R, NI = spec.R, spec.N * spec.I
@@ -226,8 +220,7 @@ def array_Az_quadrature(spec, r):
         if abs(refined - estimate) <= 1e-12 * scale:
             return refined
         estimate = refined
-    message = f"trapezoidal rule did not converge within {QUAD_EVAL_BUDGET} nodes"
-    raise QuadratureError(message, estimate=estimate)
+    raise DomainError(f"trapezoidal rule did not converge within {QUAD_EVAL_BUDGET} nodes")
 
 
 def array_Az_closed(spec, r):
@@ -239,7 +232,7 @@ def array_Az_closed(spec, r):
     if r < 0:
         raise DomainError("observation radius r must be non-negative")
     if r == spec.R:
-        raise SingularityError("closed form is singular on the wire circle r = R")
+        raise DomainError("closed form is singular on the wire circle r = R")
     return -MU0 * spec.N * spec.I / (2 * math.pi) * math.log(max(spec.R, r))
 
 
@@ -257,7 +250,7 @@ def array_Az_discrete(spec, r, azimuth0=0.0):
     ang = azimuth0 + 2 * math.pi * k / spec.N
     d = np.sqrt(spec.R**2 + r * r - 2 * spec.R * r * np.cos(ang))
     if np.any(d <= 0):
-        raise SingularityError("observation point coincides with a wire")
+        raise DomainError("observation point coincides with a wire")
     return float(np.sum(-MU0 * spec.I / (2 * math.pi) * np.log(d)))
 
 
@@ -278,5 +271,14 @@ def annular_coil_A(coil):
 
 
 def coil_constant_K(coil):
-    """Coil constant K = mu0*N/(2pi) * ln(R2/R1), so that A = K*I."""
-    return MU0 * coil.N / (2 * math.pi) * math.log(coil.R2 / coil.R1)
+    """Coil constant K = mu0*N/(2pi) * ln(R2/R1), so that A = K*I.
+
+    A K beyond the float range, as where R2/R1 overflows, is a DomainError.
+    """
+    K = MU0 * coil.N / (2 * math.pi) * math.log(coil.R2 / coil.R1)
+    if not math.isfinite(K):
+        raise DomainError(
+            f"coil constant K overflows the float range (N = {coil.N:.3e}, "
+            f"R1 = {coil.R1:.3e} m, R2 = {coil.R2:.3e} m)"
+        )
+    return K

@@ -7,7 +7,7 @@ from .diffraction import (
     mechanical_momentum,
     small_angle_interfringe,
 )
-from .errors import DomainError, FitError
+from .errors import DomainError
 from .export import csv_rows, key_value_lines, write_lines
 from .ideal_field import coil_constant_K
 
@@ -59,7 +59,7 @@ def _model(sweep):
     if sweep.variable == "current":
         try:
             fit = linear_response_fit(U[valid], I[valid], rows[valid, 4])
-        except FitError:
+        except DomainError:
             pass
     return rows, fit
 

@@ -73,7 +73,7 @@ import math
 import numpy as np
 
 from .constants import MU0, checked_make
-from .errors import DomainError, ScenarioError, SingularityError
+from .errors import DomainError, ScenarioError
 from .ideal_field import (
     AnnularCoilIdeal,
     annular_coil_A,
@@ -239,7 +239,7 @@ def field_at(winding, points):
     """Vector potential A (T*m) and magnetic field B (T) of the winding.
 
     points is an (n, 3) array, or one 3-vector; A and B are returned as
-    (n, 3) arrays. Raises SingularityError if a point lies within
+    (n, 3) arrays. Raises DomainError if a point lies within
     WIRE_GUARD of a segment.
     """
     points = np.asarray(points, dtype=float).reshape(-1, 3)
@@ -275,7 +275,7 @@ def field_at(winding, points):
             dist = np.where(t < 0, a, np.where(u < 0, b, np.sqrt(rho_sq)))
             j = np.argmin(dist)
             if dist[j] < WIRE_GUARD:
-                raise SingularityError(
+                raise DomainError(
                     f"point {p[c[j]].tolist()} within wire guard of segment {k[j]} "
                     f"(distance {dist[j]:.3e} m)"
                 )

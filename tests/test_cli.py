@@ -373,6 +373,31 @@ class TestDiffract:
         assert captured.err == f"error: {message}\n"
         assert os.listdir(tmp_path) == ["extreme.json"]
 
+    @pytest.mark.parametrize(
+        "D_m, k_max, scales",
+        [
+            # tan(theta_36) = 4.6, so y_36 = D*tan(theta_36) passes the float range
+            (1e308, "36", "y_1 - y_0 = 2.778e+306 m, lambda*D/a = 2.777e+306 m, "
+                          "y_k_max = inf m"),
+            # lambda*D underflows to 0 before the division by a
+            (1e-320, "1", "y_1 - y_0 = 2.767e-322 m, lambda*D/a = 0.000e+00 m, "
+                          "y_k_max = 2.767e-322 m"),
+        ],
+        ids=["overflow", "underflow"],
+    )
+    def test_positions_beyond_the_float_range_rejected(self, tmp_path, capsys, D_m, k_max,
+                                                       scales):
+        # both exited 0, writing inf positions or a zero interfringe
+        config = tmp_path / "extreme.json"
+        config.write_text(json.dumps({"grating_screen": {"D_m": D_m}}))
+        args = ["diffract", "--config", str(config), "--k-max", k_max,
+                "--out", str(tmp_path / "fringes.csv")]
+        assert main(args) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: fringe positions leave the float range ({scales})\n"
+        assert os.listdir(tmp_path) == ["extreme.json"]
+
 
 @pytest.mark.parametrize(
     "argv",
@@ -396,6 +421,34 @@ def test_ideal_bore_value_overflow_rejected(tmp_path, capsys, monkeypatch, argv)
         "error: bore potential K*I overflows the float range at I = 1.000e+308 A\n"
     )
     assert os.listdir(tmp_path) == ["huge.json"]
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["field-map", "--region=-0.002,0.002,-0.002,0.002,-0.002,0.002", "--out", "map.csv"],
+        ["diffract", "--out", "fringes.csv"],
+        ["sweep", "--from=-20", "--to=1", "--step=1", "--out", "sweep.csv"],
+        ["validate-coil"],
+    ],
+    ids=["field-map", "diffract", "sweep", "validate-coil"],
+)
+def test_coil_constant_overflow_rejected(tmp_path, capsys, monkeypatch, argv):
+    # R2/R1 = 1e310 passes the float range, so ln(R2/R1) and K are inf: the
+    # sweep warned "invalid value" at I = 0, validate-coil printed K = inf
+    # with exit 0, and diffract blamed K*I at I = 0
+    (tmp_path / "wide.json").write_text(json.dumps(
+        {"coil": {"type": "ideal", "R1_m": 0.01, "R2_m": 1e308, "N_turns": 10**12}}
+    ))
+    monkeypatch.chdir(tmp_path)
+    assert main(argv + ["--config", "wide.json"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        "error: coil constant K overflows the float range "
+        "(N = 1.000e+12, R1 = 1.000e-02 m, R2 = 1.000e+308 m)\n"
+    )
+    assert os.listdir(tmp_path) == ["wide.json"]
 
 
 class TestValidateCoil:
@@ -560,6 +613,24 @@ def test_failed_sidecar_write_leaves_neither_file(tmp_path, capsys, argv, sideca
         f"configuration error: cannot write {out_path}{sidecar}: Is a directory\n"
     )
     assert sorted(os.listdir(tmp_path)) == ["c.csv" + sidecar, "ideal.json"]
+
+
+@pytest.mark.parametrize("argv", [["reproduce-paper"], ["diffract"]])
+def test_closed_stdout_is_exit_2(argv):
+    # the reader of stdout is gone before the command starts, as in
+    # `coilfringe reproduce-paper | true`
+    src = os.path.dirname(os.path.dirname(coilfringe.__file__))
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        run = subprocess.run(
+            [sys.executable, "-m", "coilfringe.cli", *argv], stdout=write_end,
+            stderr=subprocess.PIPE, env=dict(os.environ, PYTHONPATH=src), text=True,
+        )
+    finally:
+        os.close(write_end)
+    assert run.returncode == 2
+    assert run.stderr == "configuration error: cannot write stdout: Broken pipe\n"
 
 
 class TestConfigHandling:

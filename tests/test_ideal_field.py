@@ -6,7 +6,7 @@ import pytest
 
 from coilfringe import ideal_field
 from coilfringe.constants import E_CHARGE, MU0
-from coilfringe.errors import DomainError, QuadratureError, SingularityError
+from coilfringe.errors import DomainError
 from coilfringe.ideal_field import (
     AnnularCoilIdeal,
     WireArraySpec,
@@ -73,7 +73,7 @@ class TestClosedForm:
         assert array_Az_closed(spec, 0.4) == pytest.approx(expected, rel=1e-14)
 
     def test_on_circle_rejected(self):
-        with pytest.raises(SingularityError):
+        with pytest.raises(DomainError, match="closed form is singular on the wire circle"):
             array_Az_closed(self.spec, self.spec.R)
 
 
@@ -96,7 +96,7 @@ class TestQuadrature:
         assert array_Az_quadrature(spec, 0.1) == 0.0
 
     def test_on_circle_rejected(self):
-        with pytest.raises(SingularityError):
+        with pytest.raises(DomainError, match="integrand is log-singular on the wire circle"):
             array_Az_quadrature(WireArraySpec(R=0.2, N=5, I=1.0), 0.2)
 
     def test_agreement_randomized(self):
@@ -129,12 +129,8 @@ class TestQuadrature:
         # near the circle the rule needs about 3e4 nodes for tol = 1e-10
         monkeypatch.setattr(ideal_field, "QUAD_EVAL_BUDGET", 64)
         spec = WireArraySpec(R=0.3, N=10, I=2.0)
-        with pytest.raises(QuadratureError, match="within 64 nodes") as exc_info:
+        with pytest.raises(DomainError, match="within 64 nodes"):
             array_Az_quadrature(spec, 0.999 * spec.R)
-        estimate = exc_info.value.estimate
-        assert math.isfinite(estimate)
-        # the 64-node value, a few percent off
-        assert estimate == pytest.approx(array_Az_closed(spec, 0.999 * spec.R), rel=0.1)
 
 
 class TestDiscreteSuperposition:

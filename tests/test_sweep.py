@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from coilfringe.diffraction import de_broglie_lambda, effective_momentum
-from coilfringe.errors import DomainError, ModelDomainError
+from coilfringe.errors import DomainError
 from coilfringe.ideal_field import coil_constant_K
 from coilfringe.scenario import SweepSpec, paper_scenario, scenario_from_dict
 from coilfringe.sweep import run_sweep
@@ -18,7 +18,9 @@ def pointwise_rows(sweep):
         U, I = (scen.beam.U, v) if sweep.variable == "current" else (v, scen.coil.I)
         try:
             P_eff = effective_momentum(U, K * I)
-        except ModelDomainError:
+        except DomainError as exc:
+            if "is non-positive" not in str(exc):
+                raise
             rows.append((v, np.nan, np.nan, np.nan, np.nan))
             continue
         lam = de_broglie_lambda(P_eff)

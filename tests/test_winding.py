@@ -7,12 +7,13 @@ import numpy as np
 import pytest
 
 from coilfringe.constants import MU0
-from coilfringe.errors import ConstructionError, DomainError, ScenarioError, SingularityError
+from coilfringe.errors import DomainError, ScenarioError
 from coilfringe.ideal_field import (
     AnnularCoilIdeal,
     CoilWindingSpec,
     annular_coil_A,
     check_constructible,
+    coil_constant_K,
 )
 from coilfringe.winding import (
     BATCH_PAIRS,
@@ -21,6 +22,7 @@ from coilfringe.winding import (
     WIRE_GUARD,
     Box,
     Winding,
+    _layers,
     build_winding,
     check_bore_grid,
     field_at,
@@ -98,7 +100,7 @@ def _field_at_per_pair(winding, points):
         dist = np.linalg.norm(r1 - t[..., None] * seg, axis=2)
         if dist.min() < WIRE_GUARD:
             c, k = np.unravel_index(np.argmin(dist), dist.shape)
-            raise SingularityError(
+            raise DomainError(
                 f"point {points[i + c].tolist()} within wire guard of segment {k} "
                 f"(distance {dist[c, k]:.3e} m)"
             )
@@ -173,7 +175,7 @@ class TestBuildWinding:
             wire_diameter=1e-3,
             I=1.0,
         )
-        with pytest.raises(ConstructionError):
+        with pytest.raises(DomainError, match="turns overlap"):
             build_winding(spec, 4)
 
     def test_matches_turn_by_turn_construction(self):
@@ -219,7 +221,7 @@ class TestBuildWinding:
             wire_diameter=1e-3,
             I=1.0,
         )
-        with pytest.raises(ConstructionError):
+        with pytest.raises(DomainError, match="1 turns cannot fill 2 layers"):
             build_winding(spec, 4)
 
     def test_non_finite_geometry_rejected(self):
@@ -244,7 +246,7 @@ class TestBuildWinding:
         # validate-coil reports the check's count instead of building
         try:
             winding = build_winding(spec, segments_per_turn)
-        except (ConstructionError, DomainError, ScenarioError) as exc:
+        except (DomainError, ScenarioError) as exc:
             with pytest.raises(type(exc), match=f"^{re.escape(str(exc))}$"):
                 check_constructible(spec, segments_per_turn)
         else:
@@ -285,10 +287,10 @@ class TestSegmentA:
 
     def test_guard_rejection(self):
         seg = segment((0, 0, -1), (0, 0, 1), 1.0)
-        with pytest.raises(SingularityError):
+        with pytest.raises(DomainError, match="within wire guard of segment 0"):
             field_at(seg, (0.0, 0.0, 0.5))
         # every point of a batch is checked, not only the first
-        with pytest.raises(SingularityError):
+        with pytest.raises(DomainError, match="within wire guard of segment 0"):
             field_at(seg, [(0.3, 0.0, 0.0), (0.0, 0.0, 0.5)])
 
     # at the midpoint of a 1 mm segment along z, and past either end
@@ -302,7 +304,7 @@ class TestSegmentA:
     @pytest.mark.parametrize("probe", GUARD_PROBES)
     def test_guard_boundary(self, probe):
         seg = segment((0, 0, 0), (0, 0, 1e-3), 1.0)
-        with pytest.raises(SingularityError, match="within wire guard of segment 0"):
+        with pytest.raises(DomainError, match="within wire guard of segment 0"):
             field_at(seg, probe(0.99 * WIRE_GUARD))
         A, B = field_at(seg, probe(1.01 * WIRE_GUARD))
         assert np.all(np.isfinite(A)) and np.all(np.isfinite(B))
@@ -315,9 +317,9 @@ class TestSegmentA:
             I=1.0,
         )
         points = [(0.5, 0.0, 0.5), (1.0, 5e-10, 0.25), (3e-10, 0.0, 0.5)]
-        with pytest.raises(SingularityError) as new:
+        with pytest.raises(DomainError, match="within wire guard") as new:
             field_at(w, points)
-        with pytest.raises(SingularityError) as ref:
+        with pytest.raises(DomainError, match="within wire guard") as ref:
             _field_at_per_pair(w, points)
         assert str(new.value) == str(ref.value)
         assert "segment 0 (distance 3.000e-10 m)" in str(new.value)
@@ -771,3 +773,49 @@ class TestHomogeneityReport:
         assert np.array_equal(rep.B, np.zeros((24, 3)))
         with pytest.raises(DomainError):
             homogeneity_report(coil, Box(lo=(-0.1, -0.01, -0.01), hi=(0.1, 0.01, 0.01)), 2)
+
+
+def finite_coil_axis_Az(spec, z):
+    """A_z on the axis of the finite coil, from the axial runs of its turns.
+
+    mu0*N*I/(4pi) * sum over R1 (+) and R2 (-) of
+    asinh((L/2 - z)/R) + asinh((L/2 + z)/R); on the axis the transverse
+    A of the radial legs cancels.
+    """
+    total = 0.0
+    for R, sign in ((spec.R1, 1.0), (spec.R2, -1.0)):
+        total += sign * (math.asinh((spec.L / 2 - z) / R) + math.asinh((spec.L / 2 + z) / R))
+    return MU0 * spec.turn_count * spec.I / (4 * math.pi) * total
+
+
+class TestFiniteCoilAxis:
+    def test_winding_matches_the_closed_form(self):
+        # from the centre to 0.1 m from either end of the 12 m coil
+        spec = paper_coil(L=12.0, I=2.5)
+        zs = [0.0, 1.0, -3.3, 5.0, 5.9, -5.9]
+        A, _ = field_at(build_winding(spec, 8), [(0.0, 0.0, z) for z in zs])
+        for z, (Ax, Ay, Az) in zip(zs, A):
+            closed = finite_coil_axis_Az(spec, z)
+            assert Az == pytest.approx(closed, rel=1e-7)
+            assert math.hypot(Ax, Ay) <= 1e-15 * abs(closed)
+
+    @pytest.mark.parametrize("helicity", [(1, -1), (1, 1)])
+    def test_axis_integral_is_the_enclosed_flux(self, helicity):
+        # Stokes: the beam axis closed at infinity encloses the flux
+        # K*I*L through one meridional section, whatever the end effects.
+        # On the axis every rotated turn gives the same A_z, so one copy
+        # per layer carrying its M turns' current is the winding there.
+        spec = paper_coil(L=12.0, helicity=helicity, I=-1.5)
+        T, h = 200.0, 0.01  # A_z is analytic along the axis: the rule converges fast
+        z = np.linspace(-T, T, round(2 * T / h) + 1)
+        points = np.column_stack([np.zeros_like(z), np.zeros_like(z), z])
+        Az = np.zeros_like(z)
+        for M, Q, starts, ends in _layers(spec, 8, 1):
+            Az += field_at(Winding(starts, ends, M * spec.I / Q), points)[0][:, 2]
+        integral = h * (Az.sum() - (Az[0] + Az[-1]) / 2)
+        flux = coil_constant_K(spec.ideal_equivalent()) * spec.I * spec.L
+        # the part of the integral beyond |z| = T, from the 1/z**2 far field
+        tail = (spec.R2**2 - spec.R1**2) / (4 * T**2 * math.log(spec.R2 / spec.R1)) * flux
+        assert integral + tail == pytest.approx(flux, rel=1e-9)
+        # without the tail the identity misses by 1.5e-7
+        assert abs(integral - flux) > 100 * abs(integral + tail - flux)
