@@ -5,6 +5,12 @@ Exit codes: 0 = success / all tolerances met, 1 = tolerance or
 validation failure (DomainError), 2 = usage or configuration error
 (ScenarioError, another ValueError, or a stdout closed by its reader).
 
+Each command returns (status, files, text): its exit status, its files
+as an ordered list of (path, lines) and its stdout lines. main writes
+them all with one export.write_all call, which removes the files when a
+later file or stdout fails, so a run leaves all of its output or none,
+and a command that ends in an error line prints nothing on stdout.
+
 The environment variable COILFRINGE_CONFIG_DIR names a directory that
 is searched for relative --config paths that do not exist locally.
 
@@ -20,19 +26,19 @@ import sys
 from .errors import DomainError, ScenarioError
 from .export import (
     FRINGE_COLUMNS,
+    csv_lines,
+    csv_rows,
+    emitted,
     fmt,
     json_text,
     key_value_lines,
     write_all,
-    write_field_map,
-    write_fringe_csv,
-    write_json,
 )
 from .diffraction import fringe_pattern
 from .ideal_field import CoilWindingSpec, annular_coil_A, check_constructible, coil_constant_K
 from .report import reproduce_paper
 from .scenario import SweepSpec, geometry_ratios, load_scenario, paper_scenario
-from .sweep import run_sweep, write_sweep_csv
+from .sweep import ERROR_MARKER, run_sweep
 
 CONFIG_DIR_ENV = "COILFRINGE_CONFIG_DIR"
 
@@ -64,6 +70,13 @@ def _cmd_reproduce_paper(args):
     if args.out is not None and args.format != "json":
         raise ValueError("reproduce-paper --out requires --format json")
     rep = reproduce_paper(profile=args.tolerance_profile)
+    files, text = [], [
+        f"{r.name:15s} [{r.equation}] computed {fmt(r.computed)} "
+        f"reference {fmt(r.reference)} dev {r.rel_deviation * 100:.3f}% "
+        f"tol {r.tolerance * 100:.2f}% {'ok' if r.ok else 'FAIL'}"
+        f"{' (flagged)' if r.flagged else ''}"
+        for r in rep.rows
+    ]
     if args.format == "json":
         data = {
             "profile": rep.profile,
@@ -71,18 +84,10 @@ def _cmd_reproduce_paper(args):
             "all_ok": rep.all_ok,
         }
         if args.out is None:
-            print(json_text(data))
-            return 0 if rep.all_ok else 1
-        write_json(args.out, data)
-    for r in rep.rows:
-        flag = " (flagged)" if r.flagged else ""
-        status = "ok" if r.ok else "FAIL"
-        print(
-            f"{r.name:15s} [{r.equation}] computed {fmt(r.computed)} "
-            f"reference {fmt(r.reference)} dev {r.rel_deviation * 100:.3f}% "
-            f"tol {r.tolerance * 100:.2f}% {status}{flag}"
-        )
-    return 0 if rep.all_ok else 1
+            text = [json_text(data)]
+        else:
+            files = [(args.out, [json_text(data)])]
+    return 0 if rep.all_ok else 1, files, text
 
 
 def _cmd_sweep(args):
@@ -95,13 +100,16 @@ def _cmd_sweep(args):
         scenario=scen,
     )
     rows, fit = run_sweep(sweep)
-    writes = [(write_sweep_csv, args.out, sweep, rows)]
+    header = {"sweep_variable": sweep.variable, "start": sweep.start,
+              "stop": sweep.stop, "step": sweep.step}
+    columns = ("I_A" if sweep.variable == "current" else "U_V", "P_eff", "lambda_eff_m",
+               "interfringe_m", "inverse_interfringe_per_m")
+    # the NaNs of the model-domain rows are written as the marker
+    files = [(args.out, csv_lines(header, columns, csv_rows(rows, nan_text=ERROR_MARKER)))]
     if fit is not None:
         fit_data = dict(zip(("alpha_sqrtU_coeff", "beta_I_coeff", "r_squared"), fit))
-        writes.append((write_json, args.out + ".fit.json", fit_data))
-    write_all(writes)
-    print(f"wrote {len(rows)} rows to {args.out}")
-    return 0
+        files.append((args.out + ".fit.json", [json_text(fit_data)]))
+    return 0, files, [f"wrote {len(rows)} rows to {args.out}"]
 
 
 def _parse_region(text):
@@ -122,6 +130,25 @@ def _parse_grid(text):
     return tuple(parts)
 
 
+def _coil_header(coil):
+    """The parameters of a coil that head its field-map CSV."""
+    if isinstance(coil, CoilWindingSpec):
+        return {
+            "coil_type": "winding",
+            "R1_m": coil.R1,
+            "R2_m": coil.R2,
+            "L_m": coil.L,
+            "turn_density_per_m": coil.turn_density,
+            "layers": coil.layers,
+            "helicity": coil.helicity_sign_per_layer,
+            "wire_diameter_m": coil.wire_diameter,
+            "I_A": coil.I,
+        }
+    return {
+        "coil_type": "ideal", "R1_m": coil.R1, "R2_m": coil.R2, "N_turns": coil.N, "I_A": coil.I
+    }
+
+
 def _cmd_field_map(args):
     import numpy as np
 
@@ -133,14 +160,15 @@ def _cmd_field_map(args):
     rep = homogeneity_report(
         scen.coil, region, grid, segments_per_turn=args.segments_per_turn
     )
+    columns = ("x", "y", "z", "Ax", "Ay", "Az", "Bx", "By", "Bz")
+    rows = csv_rows(np.hstack([rep.points, rep.A, rep.B]))
     # the sidecar holds the report's five statistics
     summary = dict(zip(rep._fields[:5], rep))
-    write_all([
-        (write_field_map, args.out, scen.coil, np.hstack([rep.points, rep.A, rep.B])),
-        (write_json, args.out + ".homogeneity.json", summary),
-    ])
-    print(f"wrote {len(rep.points)} field samples to {args.out}")
-    return 0
+    files = [
+        (args.out, csv_lines(_coil_header(scen.coil), columns, rows)),
+        (args.out + ".homogeneity.json", [json_text(summary)]),
+    ]
+    return 0, files, [f"wrote {len(rep.points)} field samples to {args.out}"]
 
 
 def _cmd_diffract(args):
@@ -154,18 +182,19 @@ def _cmd_diffract(args):
         "interfringe_exact_m": pattern.interfringe_i,
         "small_angle_valid": pattern.small_angle_valid,
     }
+    files = []
     if args.out and args.format == "json":
         orders = [dict(zip(FRINGE_COLUMNS, o)) for o in pattern.orders]
-        write_json(args.out, {"orders": orders, "summary": summary})
+        files = [(args.out, [json_text({"orders": orders, "summary": summary})])]
     elif args.out:
         gs = scen.grating_screen
         setup = {"U_V": scen.beam.U, "I_A": scen.coil.I, "a_m": gs.a, "D_m": gs.D}
-        write_all([
-            (write_fringe_csv, args.out, pattern, key_value_lines(setup, prefix="# ")),
-            (write_json, args.out + ".summary.json", summary),
-        ])
-    print("\n".join(key_value_lines(summary)))
-    return 0
+        rows = [",".join(map(str, emitted(order))) for order in pattern.orders]
+        files = [
+            (args.out, csv_lines(setup, FRINGE_COLUMNS, rows)),
+            (args.out + ".summary.json", [json_text(summary)]),
+        ]
+    return 0, files, key_value_lines(summary)
 
 
 def _cmd_validate_coil(args):
@@ -174,25 +203,27 @@ def _cmd_validate_coil(args):
         raise ValueError(f"--geometry-factor must be finite and positive, got {factor:g}")
     scen = _load(args)
     coil = scen.coil
-    status = 0
+    status, text = 0, []
     if isinstance(coil, CoilWindingSpec):
         try:
             segments = check_constructible(coil, segments_per_turn=4)
-            print(f"winding constructible: {segments} segments, "
-                  f"{coil.turn_count} turns in {coil.layers} layers")
+            text.append(f"winding constructible: {segments} segments, "
+                        f"{coil.turn_count} turns in {coil.layers} layers")
         except DomainError as exc:
-            print(f"winding NOT constructible: {exc}")
+            text.append(f"winding NOT constructible: {exc}")
             status = 1
-        print(f"ideal coil constant K = {fmt(coil_constant_K(coil.ideal_equivalent()))} T*m/A")
+        text.append(
+            f"ideal coil constant K = {fmt(coil_constant_K(coil.ideal_equivalent()))} T*m/A"
+        )
     else:
-        print(f"ideal coil: N = {coil.N}, K = {fmt(coil_constant_K(coil))} T*m/A")
+        text.append(f"ideal coil: N = {coil.N}, K = {fmt(coil_constant_K(coil))} T*m/A")
     for name, value in geometry_ratios(scen).items():
         ok = value >= factor
-        print(f"geometry {name} = {value:.3g} "
-              f"({'ok' if ok else 'BELOW'} threshold {factor:g})")
+        text.append(f"geometry {name} = {value:.3g} "
+                    f"({'ok' if ok else 'BELOW'} threshold {factor:g})")
         if not ok:
             status = 1
-    return status
+    return status, [], text
 
 
 def build_parser():
@@ -253,8 +284,8 @@ def build_parser():
 def main(argv=None):
     args = build_parser().parse_args(argv)
     try:
-        status = args.func(args)
-        sys.stdout.flush()  # a closed stdout fails here, not at exit
+        status, files, text = args.func(args)
+        write_all(files, text)  # a closed stdout fails here, not at exit
         return status
     except BrokenPipeError as exc:
         # the recipe of Python's signal docs: keep the exit-time flush quiet

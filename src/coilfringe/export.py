@@ -1,4 +1,4 @@
-"""Deterministic file emission: CSV field maps, fringe tables, sweeps.
+"""Deterministic output: the lines of CSV and JSON files, and their writing.
 
 One rule writes every emitted number, emitted(value): a float is
 fmt(value), "%.8e", scientific notation with 9 significant digits and
@@ -6,11 +6,12 @@ locale independent, and an int, bool or string stays as it is; dicts,
 lists and tuples are written item by item. Callers pass raw values:
 json_text, key_value_lines and the fringe rows apply the rule, and
 csv_rows gives its bytes for whole float arrays. Identical inputs thus
-yield byte-identical files. CSV files carry a '#'-prefixed
-"key = value" header echoing the originating parameters. Every file is
-written to a temporary file beside its path and then moved into place,
-so a failed write leaves no partial file, and write_all removes the
-files a command has written when a later one fails.
+yield byte-identical files. CSV files, built by csv_lines, carry a
+'#'-prefixed "key = value" header echoing the originating parameters.
+Every file is written to a temporary file beside its path and then
+moved into place, so a failed write leaves no partial file. write_all
+writes a command's files and then its stdout, and removes the files
+written when a later file or stdout fails.
 
 Arrays of values are formatted by csv_rows, which gives the bytes of
 "%.8e" % x for every float x without a Python call per value. A finite
@@ -31,9 +32,9 @@ import contextlib
 import functools
 import json
 import os
+import sys
 
 from .errors import ScenarioError
-from .ideal_field import CoilWindingSpec
 
 _EXP_LIMIT = 290  # values of larger |exponent| use Python's "%.8e"
 _TIE_WINDOW = 1e-5  # and so do scaled values this close to a half-integer
@@ -127,7 +128,7 @@ def _e8_fields(x, out):
 
 
 def csv_rows(rows, nan_text="nan"):
-    """The lines of an (n, c) float array as CSV, for write_lines.
+    """The lines of an (n, c) float array as CSV, for csv_lines.
 
     Each value is written as fmt(value), and a NaN as nan_text. Returns
     the lines in blocks of consecutive rows, each block one string of
@@ -160,23 +161,10 @@ def csv_rows(rows, nan_text="nan"):
     return blocks
 
 
-def _coil_header(coil):
-    """The parameters of a coil that head its field-map CSV."""
-    if isinstance(coil, CoilWindingSpec):
-        return {
-            "coil_type": "winding",
-            "R1_m": coil.R1,
-            "R2_m": coil.R2,
-            "L_m": coil.L,
-            "turn_density_per_m": coil.turn_density,
-            "layers": coil.layers,
-            "helicity": coil.helicity_sign_per_layer,
-            "wire_diameter_m": coil.wire_diameter,
-            "I_A": coil.I,
-        }
-    return {
-        "coil_type": "ideal", "R1_m": coil.R1, "R2_m": coil.R2, "N_turns": coil.N, "I_A": coil.I
-    }
+def csv_lines(header, columns, body):
+    """The lines of a CSV file: the dict header as "# key = value"
+    comments, the column names joined by ',', then the lines of body."""
+    return key_value_lines(header, prefix="# ") + [",".join(columns), *body]
 
 
 def write_lines(path, lines):
@@ -202,16 +190,18 @@ def write_lines(path, lines):
         raise
 
 
-def write_all(writes):
-    """Make each write of writes, a list of (function, path, *args) calls
-    that each write path, in turn; if one fails, the paths written before
-    it are removed and the error is raised, so a command leaves all of
-    its files or none."""
+def write_all(files, text):
+    """Write each (path, lines) of files with write_lines, in turn, and
+    then the lines of text to stdout, and flush it. If any of it fails,
+    a closed stdout included, the files already written are removed and
+    the error is raised, so a command leaves all of its output or none."""
     written = []
     try:
-        for write, path, *args in writes:
-            write(path, *args)
+        for path, lines in files:
+            write_lines(path, lines)
             written.append(path)
+        sys.stdout.write("".join(f"{line}\n" for line in text))
+        sys.stdout.flush()
     except BaseException:
         for path in written:
             with contextlib.suppress(FileNotFoundError):
@@ -219,23 +209,6 @@ def write_all(writes):
         raise
 
 
-def write_field_map(path, coil, rows):
-    """Write a field-map CSV from an (n, 9) array of x,y,z,Ax,Ay,Az,Bx,By,Bz rows."""
-    lines = key_value_lines(_coil_header(coil), prefix="# ") + ["x,y,z,Ax,Ay,Az,Bx,By,Bz"]
-    write_lines(path, lines + csv_rows(rows))
-
-
-def write_fringe_csv(path, pattern, scenario_comment=()):
-    """CSV of fringe orders, one row of FRINGE_COLUMNS each."""
-    lines = list(scenario_comment) + [",".join(FRINGE_COLUMNS)]
-    lines += [",".join(map(str, emitted(order))) for order in pattern.orders]
-    write_lines(path, lines)
-
-
 def json_text(data):
     """The fixed JSON layout of every emitted JSON document."""
     return json.dumps(emitted(data), indent=2, sort_keys=True)
-
-
-def write_json(path, data):
-    write_lines(path, [json_text(data)])

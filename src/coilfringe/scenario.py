@@ -183,9 +183,9 @@ def scenario_from_dict(data):
     """Build a validated ExperimentScenario from a plain dict."""
     if not isinstance(data, dict):
         raise ScenarioError("scenario must be a JSON object")
-    version = data.get("schema_version", SCHEMA_VERSION)
+    version = _number(data.get("schema_version", SCHEMA_VERSION), "schema_version", integer=True)
     if version != SCHEMA_VERSION:
-        raise ScenarioError(f"unsupported schema_version {version}")
+        raise ScenarioError(f"unsupported schema_version {version!r}")
     merged = _merge_defaults(data)
     current = _number(merged["current_A"], "current_A")
     beam_data, screen_data = merged["beam"], merged["grating_screen"]

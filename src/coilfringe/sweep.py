@@ -8,7 +8,6 @@ from .diffraction import (
     small_angle_interfringe,
 )
 from .errors import DomainError
-from .export import csv_rows, key_value_lines, write_lines
 from .ideal_field import coil_constant_K
 
 ERROR_MARKER = "model-domain-error"
@@ -63,13 +62,3 @@ def _model(sweep):
             pass
     return rows, fit
 
-
-def write_sweep_csv(path, sweep, rows):
-    var_col = "I_A" if sweep.variable == "current" else "U_V"
-    header = {"sweep_variable": sweep.variable, "start": sweep.start,
-              "stop": sweep.stop, "step": sweep.step}
-    lines = key_value_lines(header, prefix="# ") + [
-        f"{var_col},P_eff,lambda_eff_m,interfringe_m,inverse_interfringe_per_m"
-    ]
-    # the NaNs of the model-domain rows are written as the marker
-    write_lines(path, lines + csv_rows(rows, nan_text=ERROR_MARKER))

@@ -479,6 +479,17 @@ class TestValidateCoil:
         )
         assert captured.err == ""
 
+    def test_error_line_comes_without_stdout(self, tmp_path, capsys):
+        # the winding is not constructible, and then K overflows: the
+        # error line alone, not half of the report before it
+        config = tmp_path / "wide.json"
+        config.write_text(json.dumps({"coil": {"R2_m": 1e308}}))
+        assert main(["validate-coil", "--config", str(config)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: coil constant K overflows")
+        assert captured.err.count("\n") == 1
+
     def test_segment_limit(self, tmp_path, capsys):
         # about 2.5e9 segments at 4 per turn: a usage error, not a build
         config = tmp_path / "dense.json"
@@ -615,22 +626,39 @@ def test_failed_sidecar_write_leaves_neither_file(tmp_path, capsys, argv, sideca
     assert sorted(os.listdir(tmp_path)) == ["c.csv" + sidecar, "ideal.json"]
 
 
-@pytest.mark.parametrize("argv", [["reproduce-paper"], ["diffract"]])
-def test_closed_stdout_is_exit_2(argv):
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["reproduce-paper"],
+        ["diffract"],
+        ["sweep", "--from", "-1", "--to", "1", "--step", "1", "--out", "s.csv"],
+        ["field-map", "--config", "../current.json", "--region=-0.02,0.02,-0.02,0.02,-0.02,0.02",
+         "--grid", "2", "--out", "m.csv"],
+        ["diffract", "--out", "f.csv"],
+        ["diffract", "--format", "json", "--out", "f.json"],
+        ["reproduce-paper", "--format", "json", "--out", "r.json"],
+    ],
+)
+def test_closed_stdout_is_exit_2(tmp_path, argv):
     # the reader of stdout is gone before the command starts, as in
-    # `coilfringe reproduce-paper | true`
+    # `coilfringe reproduce-paper | true`; the files written before
+    # stdout are removed again
     src = os.path.dirname(os.path.dirname(coilfringe.__file__))
+    (tmp_path / "current.json").write_text(json.dumps({"current_A": 2.5}))
+    (tmp_path / "run").mkdir()
     read_end, write_end = os.pipe()
     os.close(read_end)
     try:
         run = subprocess.run(
             [sys.executable, "-m", "coilfringe.cli", *argv], stdout=write_end,
             stderr=subprocess.PIPE, env=dict(os.environ, PYTHONPATH=src), text=True,
+            cwd=tmp_path / "run",
         )
     finally:
         os.close(write_end)
     assert run.returncode == 2
     assert run.stderr == "configuration error: cannot write stdout: Broken pipe\n"
+    assert os.listdir(tmp_path / "run") == []
 
 
 class TestConfigHandling:

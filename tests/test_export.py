@@ -1,3 +1,4 @@
+import json
 import math
 import os
 
@@ -5,16 +6,22 @@ from hypothesis import example, given, strategies as st
 import numpy as np
 import pytest
 
-from coilfringe.export import csv_rows, write_field_map, write_lines
-from coilfringe.ideal_field import AnnularCoilIdeal, CoilWindingSpec
+from coilfringe.cli import main
+from coilfringe.export import csv_rows, write_lines
 from coilfringe.scenario import SweepSpec, scenario_from_dict
-from coilfringe.sweep import ERROR_MARKER, run_sweep, write_sweep_csv
+from coilfringe.sweep import ERROR_MARKER, run_sweep
 from coilfringe.winding import Box, homogeneity_report
 
 
 def read_bytes(path):
     with open(path, "rb") as fh:
         return fh.read()
+
+
+def write_config(tmp_path, data):
+    path = tmp_path / "scenario.json"
+    path.write_text(json.dumps(data))
+    return str(path)
 
 
 def _write_sweep_csv_by_row(path, sweep, rows):
@@ -104,26 +111,34 @@ def test_csv_rows_blocks_join_to_the_lines():
         ("voltage", 1000.0, 50000.0, 3.7),
     ],
 )
-def test_sweep_csv_matches_row_by_row_writer(tmp_path, variable, start, stop, step):
-    sweep = SweepSpec(variable, start, stop, step, scenario_from_dict({"current_A": 2.5}))
+def test_sweep_csv_matches_row_by_row_writer(tmp_path, capsys, variable, start, stop, step):
+    config = {"current_A": 2.5}
+    sweep = SweepSpec(variable, start, stop, step, scenario_from_dict(config))
     rows, _ = run_sweep(sweep)
     assert np.isnan(rows[:, 1]).any() == (variable == "current")
-    write_sweep_csv(tmp_path / "a.csv", sweep, rows)
+    argv = ["sweep", "--config", write_config(tmp_path, config), "--variable", variable,
+            f"--from={start!r}", f"--to={stop!r}", f"--step={step!r}"]
+    assert main(argv + ["--out", str(tmp_path / "a.csv")]) == 0
     _write_sweep_csv_by_row(tmp_path / "b.csv", sweep, rows)
     assert read_bytes(tmp_path / "a.csv") == read_bytes(tmp_path / "b.csv")
 
 
-def test_field_map_matches_row_by_row_writer(tmp_path):
-    winding = CoilWindingSpec(
-        R1=0.1, R2=0.12, L=2.0, turn_density=2000.0, layers=2,
-        helicity_sign_per_layer=(1, -1), wire_diameter=1e-3, I=-3.3,
-    )
-    rep = homogeneity_report(winding, Box((-0.02, -0.01, -0.3), (0.01, 0.02, 0.2)), 4)
-    ideal = AnnularCoilIdeal(R1=0.1, R2=0.12, N=1257, I=2.5)
-    zeros = np.zeros_like(rep.points)
-    for coil, rows in ((winding, np.hstack([rep.points, rep.A, rep.B])),
-                       (ideal, np.hstack([rep.points, zeros, -zeros]))):
-        write_field_map(tmp_path / "a.csv", coil, rows)
+def test_field_map_matches_row_by_row_writer(tmp_path, capsys):
+    winding = {
+        "type": "winding", "R1_m": 0.1, "R2_m": 0.12, "L_m": 2.0,
+        "turn_density_per_m": 2000.0, "layers": 2, "helicity_sign_per_layer": [1, -1],
+        "wire_diameter_m": 1e-3,
+    }
+    ideal = {"type": "ideal", "R1_m": 0.1, "R2_m": 0.12, "N_turns": 1257}
+    box = Box((-0.02, -0.01, -0.3), (0.01, 0.02, 0.2))
+    region = ",".join(f"{lo!r},{hi!r}" for lo, hi in zip(box.lo, box.hi))
+    for coil in (winding, ideal):
+        config = {"coil": coil, "current_A": -3.3}
+        argv = ["field-map", "--config", write_config(tmp_path, config), f"--region={region}",
+                "--grid", "4", "--out", str(tmp_path / "a.csv")]
+        assert main(argv) == 0
+        rep = homogeneity_report(scenario_from_dict(config).coil, box, 4)
+        rows = np.hstack([rep.points, rep.A, rep.B])
         header = read_bytes(tmp_path / "a.csv").decode().split("\nx,y,z")[0].split("\n")
         _write_field_map_by_row(tmp_path / "b.csv", header, rows)
         assert read_bytes(tmp_path / "a.csv") == read_bytes(tmp_path / "b.csv")
@@ -145,3 +160,4 @@ class TestWriteLines:
         assert read_bytes(path) == b"old\n"
         write_lines(path, ["new"])
         assert read_bytes(path) == b"new\n"
+

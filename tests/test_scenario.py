@@ -75,6 +75,24 @@ class TestLoadScenario:
         with pytest.raises(ScenarioError, match="schema_version"):
             load_scenario(path)
 
+    @pytest.mark.parametrize(
+        "version, message",
+        [
+            ("1", "schema_version must be a number, got '1'"),
+            (True, "schema_version must be a number, got True"),
+            (2, "unsupported schema_version 2"),
+            (1.5, "schema_version must be an integer, got 1.5"),
+        ],
+    )
+    def test_schema_version_read_as_an_integer(self, version, message):
+        with pytest.raises(ScenarioError) as exc:
+            scenario_from_dict({"schema_version": version})
+        assert str(exc.value) == message
+
+    def test_schema_version_float_read_as_its_integer(self):
+        # as every integer field is read, layers among them
+        assert scenario_from_dict({"schema_version": 1.0}) == scenario_from_dict({})
+
     def test_ideal_coil_type(self, tmp_path):
         path = write_scenario(
             tmp_path, {"coil": {"type": "ideal", "N_turns": 1257}, "current_A": 2.0}

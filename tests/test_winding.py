@@ -1,7 +1,7 @@
 import math
 import re
 
-from hypothesis import assume, given, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 import mpmath
 import numpy as np
 import pytest
@@ -788,6 +788,46 @@ def finite_coil_axis_Az(spec, z):
     return MU0 * spec.turn_count * spec.I / (4 * math.pi) * total
 
 
+def finite_coil_axis_flux(spec, T):
+    """The integral of finite_coil_axis_Az over [-T, T], in closed form and
+    in mpmath: each asinh term integrates to F(L/2 + T) - F(L/2 - T), where
+    F(x) = x*asinh(x/R) - sqrt(x**2 + R**2) is the antiderivative of asinh(x/R)."""
+    half, T = mpmath.mpf(spec.L) / 2, mpmath.mpf(T)
+    total = 0
+    for R, sign in ((mpmath.mpf(spec.R1), 1), (mpmath.mpf(spec.R2), -1)):
+        F = [x * mpmath.asinh(x / R) - mpmath.sqrt(x**2 + R**2) for x in (half + T, half - T)]
+        total += sign * 2 * (F[0] - F[1])
+    return MU0 * spec.turn_count * mpmath.mpf(spec.I) / (4 * mpmath.pi) * total
+
+
+def axis_flux_tail(spec, T):
+    """The part of the axis integral beyond |z| = T, as a fraction of K*I*L.
+
+    asinh(x/R) = ln(2x/R) + R**2/(4x**2) - ..., so A_z falls off as the
+    R**2 terms of the closed form, whose integral beyond T is this; the
+    R**4 terms leave a relative 3*(R2**4 - R1**4)/(32*T**4*ln(R2/R1)).
+    For T >> L it is (R2**2 - R1**2)/(4*T**2*ln(R2/R1)).
+    """
+    R1, R2, L = spec.R1, spec.R2, spec.L
+    return (R2**2 - R1**2) / (4 * (T**2 - L**2 / 4) * math.log(R2 / R1))
+
+
+def winding_axis_integral(spec, T=200.0, h=0.01):
+    """The trapezoidal integral of the winding's A_z over [-T, T] at step h.
+
+    On the axis every rotated turn gives the same A_z, so one copy per
+    layer carrying its M turns' current is the winding there. As a
+    function of z, A_z is analytic in a strip of half-width R1 about the
+    real axis, so the rule's error falls as exp(-2*pi*R1/h).
+    """
+    z = np.linspace(-T, T, round(2 * T / h) + 1)
+    points = np.column_stack([np.zeros_like(z), np.zeros_like(z), z])
+    Az = np.zeros_like(z)
+    for M, Q, starts, ends in _layers(spec, 8, 1):
+        Az += field_at(Winding(starts, ends, M * spec.I / Q), points)[0][:, 2]
+    return h * (Az.sum() - (Az[0] + Az[-1]) / 2)
+
+
 class TestFiniteCoilAxis:
     def test_winding_matches_the_closed_form(self):
         # from the centre to 0.1 m from either end of the 12 m coil
@@ -803,19 +843,46 @@ class TestFiniteCoilAxis:
     def test_axis_integral_is_the_enclosed_flux(self, helicity):
         # Stokes: the beam axis closed at infinity encloses the flux
         # K*I*L through one meridional section, whatever the end effects.
-        # On the axis every rotated turn gives the same A_z, so one copy
-        # per layer carrying its M turns' current is the winding there.
         spec = paper_coil(L=12.0, helicity=helicity, I=-1.5)
-        T, h = 200.0, 0.01  # A_z is analytic along the axis: the rule converges fast
-        z = np.linspace(-T, T, round(2 * T / h) + 1)
-        points = np.column_stack([np.zeros_like(z), np.zeros_like(z), z])
-        Az = np.zeros_like(z)
-        for M, Q, starts, ends in _layers(spec, 8, 1):
-            Az += field_at(Winding(starts, ends, M * spec.I / Q), points)[0][:, 2]
-        integral = h * (Az.sum() - (Az[0] + Az[-1]) / 2)
+        T = 200.0
+        integral = winding_axis_integral(spec, T)
         flux = coil_constant_K(spec.ideal_equivalent()) * spec.I * spec.L
-        # the part of the integral beyond |z| = T, from the 1/z**2 far field
-        tail = (spec.R2**2 - spec.R1**2) / (4 * T**2 * math.log(spec.R2 / spec.R1)) * flux
+        tail = axis_flux_tail(spec, T) * flux
         assert integral + tail == pytest.approx(flux, rel=1e-9)
         # without the tail the identity misses by 1.5e-7
         assert abs(integral - flux) > 100 * abs(integral + tail - flux)
+
+    @settings(max_examples=8)
+    @given(
+        R1=st.floats(0.05, 0.2),
+        ratio=st.floats(1.01, 2.5),
+        L=st.floats(0.5, 12.0),
+        helicity=st.lists(st.sampled_from([1, -1]), min_size=1, max_size=3),
+        I=st.sampled_from([-1.5, 2.5]),
+    )
+    def test_axis_integral_is_the_enclosed_flux_of_any_geometry(
+        self, R1, ratio, L, helicity, I
+    ):
+        # R1 >= 0.05 m keeps the 1 cm rule's error near 1e-14, and the
+        # R**4 part of the tail is below 4e-12 at T = 200 m
+        spec = CoilWindingSpec(
+            R1=R1, R2=R1 * ratio, L=L, turn_density=2000.0, layers=len(helicity),
+            helicity_sign_per_layer=tuple(helicity), wire_diameter=1e-3, I=I,
+        )
+        T = 200.0
+        flux = coil_constant_K(spec.ideal_equivalent()) * spec.I * spec.L
+        integral = winding_axis_integral(spec, T)
+        assert integral + axis_flux_tail(spec, T) * flux == pytest.approx(flux, rel=1e-9)
+
+    @given(R1=st.floats(0.01, 0.2), ratio=st.floats(1.01, 2.5), L=st.floats(0.5, 12.0))
+    def test_closed_form_axis_integral_is_the_enclosed_flux(self, R1, ratio, L):
+        # the closed form over [-1000, 1000] m plus its tail, whose R**4
+        # part is below 1e-14 here; it grows as R2**4, which is why R2/R1
+        # stops at 2.5
+        spec = paper_coil(L=L, I=-1.5)._replace(R1=R1, R2=R1 * ratio)
+        T = 1000.0
+        flux = coil_constant_K(spec.ideal_equivalent()) * spec.I * spec.L
+        with mpmath.workdps(40):
+            integral = finite_coil_axis_flux(spec, T)
+        residual = float(integral) + axis_flux_tail(spec, T) * flux - flux
+        assert abs(residual) <= 1e-12 * abs(flux)
