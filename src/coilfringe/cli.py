@@ -3,13 +3,14 @@
 Subcommands: reproduce-paper, sweep, field-map, diffract, validate-coil.
 Exit codes: 0 = success / all tolerances met, 1 = tolerance or
 validation failure (DomainError), 2 = usage or configuration error
-(ScenarioError, another ValueError, or a stdout closed by its reader).
+(ScenarioError, another ValueError, or a stdout that cannot be written).
 
 Each command returns (status, files, text): its exit status, its files
 as an ordered list of (path, lines) and its stdout lines. main writes
 them all with one export.write_all call, which removes the files when a
-later file or stdout fails, so a run leaves all of its output or none,
-and a command that ends in an error line prints nothing on stdout.
+later file or stdout fails and raises that failure as a ScenarioError,
+so a run leaves all of its output or none, and a command that ends in an
+error line prints nothing on stdout.
 
 The environment variable COILFRINGE_CONFIG_DIR names a directory that
 is searched for relative --config paths that do not exist locally.
@@ -29,7 +30,6 @@ from .export import (
     csv_lines,
     csv_rows,
     emitted,
-    fmt,
     json_text,
     key_value_lines,
     write_all,
@@ -46,24 +46,13 @@ CONFIG_DIR_ENV = "COILFRINGE_CONFIG_DIR"
 DEFAULT_GEOMETRY_FACTOR = 10.0
 
 
-def _resolve_config(path):
-    if path is None:
-        return None
-    if os.path.exists(path):
-        return path
-    cfg_dir = os.environ.get(CONFIG_DIR_ENV)
-    if cfg_dir and not os.path.isabs(path):
-        candidate = os.path.join(cfg_dir, path)
-        if os.path.exists(candidate):
-            return candidate
-    return path  # let the loader produce the error
-
-
 def _load(args):
-    path = _resolve_config(args.config)
-    if path is None:
+    if args.config is None:
         return paper_scenario()
-    return load_scenario(path)
+    # an absolute path joins to itself; a path found nowhere is the loader's error
+    in_dir = os.path.join(os.environ.get(CONFIG_DIR_ENV, ""), args.config)
+    found_there = not os.path.exists(args.config) and os.path.exists(in_dir)
+    return load_scenario(in_dir if found_there else args.config)
 
 
 def _cmd_reproduce_paper(args):
@@ -71,8 +60,8 @@ def _cmd_reproduce_paper(args):
         raise ValueError("reproduce-paper --out requires --format json")
     rep = reproduce_paper(profile=args.tolerance_profile)
     files, text = [], [
-        f"{r.name:15s} [{r.equation}] computed {fmt(r.computed)} "
-        f"reference {fmt(r.reference)} dev {r.rel_deviation * 100:.3f}% "
+        f"{r.name:15s} [{r.equation}] computed {emitted(r.computed)} "
+        f"reference {emitted(r.reference)} dev {r.rel_deviation * 100:.3f}% "
         f"tol {r.tolerance * 100:.2f}% {'ok' if r.ok else 'FAIL'}"
         f"{' (flagged)' if r.flagged else ''}"
         for r in rep.rows
@@ -123,11 +112,9 @@ def _parse_region(text):
 
 def _parse_grid(text):
     parts = [int(x) for x in text.split(",")]
-    if len(parts) == 1:
-        return (parts[0],) * 3
-    if len(parts) != 3:
+    if len(parts) not in (1, 3):
         raise ValueError("grid must be n or nx,ny,nz")
-    return tuple(parts)
+    return tuple(parts) if len(parts) == 3 else parts[0]
 
 
 def _coil_header(coil):
@@ -213,10 +200,10 @@ def _cmd_validate_coil(args):
             text.append(f"winding NOT constructible: {exc}")
             status = 1
         text.append(
-            f"ideal coil constant K = {fmt(coil_constant_K(coil.ideal_equivalent()))} T*m/A"
+            f"ideal coil constant K = {emitted(coil_constant_K(coil.ideal_equivalent()))} T*m/A"
         )
     else:
-        text.append(f"ideal coil: N = {coil.N}, K = {fmt(coil_constant_K(coil))} T*m/A")
+        text.append(f"ideal coil: N = {coil.N}, K = {emitted(coil_constant_K(coil))} T*m/A")
     for name, value in geometry_ratios(scen).items():
         ok = value >= factor
         text.append(f"geometry {name} = {value:.3g} "
@@ -285,13 +272,8 @@ def main(argv=None):
     args = build_parser().parse_args(argv)
     try:
         status, files, text = args.func(args)
-        write_all(files, text)  # a closed stdout fails here, not at exit
+        write_all(files, text)  # a stdout that cannot be written fails here, not at exit
         return status
-    except BrokenPipeError as exc:
-        # the recipe of Python's signal docs: keep the exit-time flush quiet
-        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
-        print(f"configuration error: cannot write stdout: {exc.strerror}", file=sys.stderr)
-        return 2
     except ScenarioError as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return 2

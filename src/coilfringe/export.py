@@ -1,15 +1,15 @@
 """Deterministic output: the lines of CSV and JSON files, and their writing.
 
 One rule writes every emitted number, emitted(value): a float is
-fmt(value), "%.8e", scientific notation with 9 significant digits and
-locale independent, and an int, bool or string stays as it is; dicts,
+"%.8e", scientific notation with 9 significant digits and locale
+independent, and an int, bool or string stays as it is; dicts,
 lists and tuples are written item by item. Callers pass raw values:
 json_text, key_value_lines and the fringe rows apply the rule, and
 csv_rows gives its bytes for whole float arrays. Identical inputs thus
 yield byte-identical files. CSV files, built by csv_lines, carry a
 '#'-prefixed "key = value" header echoing the originating parameters.
-Every file is written to a temporary file beside its path and then
-moved into place, so a failed write leaves no partial file. write_all
+Every file is written to a temporary file beside its resolved path and
+then moved into place, so a failed write leaves no partial file. write_all
 writes a command's files and then its stdout, and removes the files
 written when a later file or stdout fails.
 
@@ -29,6 +29,7 @@ float64's 17 digits this scale, round and fall back scheme suffices.
 """
 
 import contextlib
+import errno
 import functools
 import json
 import os
@@ -44,16 +45,11 @@ _BLOCK_VALUES = 2**16  # values formatted at a time, which bounds the temporarie
 FRINGE_COLUMNS = ("k", "theta_k_rad", "y_k_m", "ring_radius_m")
 
 
-def fmt(x):
-    """Fixed float format: scientific, 9 significant digits."""
-    return f"{float(x):.8e}"
-
-
 def emitted(value):
-    """value as the package emits it: a float as fmt(value), a dict, list
-    or tuple item by item (a tuple as a list), anything else as it is."""
+    """value as the package emits it: a float as "%.8e", a dict, list or
+    tuple item by item (a tuple as a list), anything else as it is."""
     if isinstance(value, float):
-        return fmt(value)
+        return f"{value:.8e}"
     if isinstance(value, dict):
         return {key: emitted(item) for key, item in value.items()}
     if isinstance(value, (list, tuple)):
@@ -130,7 +126,7 @@ def _e8_fields(x, out):
 def csv_rows(rows, nan_text="nan"):
     """The lines of an (n, c) float array as CSV, for csv_lines.
 
-    Each value is written as fmt(value), and a NaN as nan_text. Returns
+    Each value is written as emitted(value), and a NaN as nan_text. Returns
     the lines in blocks of consecutive rows, each block one string of
     lines joined by '\\n'; no rows give no blocks.
     """
@@ -170,18 +166,24 @@ def csv_lines(header, columns, body):
 def write_lines(path, lines):
     """Write lines as UTF-8 text with '\\n' endings, the last one included.
 
-    The text goes to a temporary file beside path, which then replaces
-    path; if anything fails, path is left as it was and the temporary
-    file is removed. An OSError, such as a missing directory, is raised
-    as a ScenarioError naming path.
+    The text goes to a temporary file beside os.path.realpath(path), the
+    target, which then replaces it, so a symlink keeps its link; if
+    anything fails, the target is left as it was and the temporary file
+    is removed. Returns the target. A target that is neither a regular
+    file nor a directory (a FIFO) is refused before anything is opened.
+    An OSError, such as a missing directory, is a ScenarioError naming path.
     """
-    tmp = f"{path}.{os.getpid()}.tmp"
+    target = os.path.realpath(path)
+    if os.path.exists(target) and not (os.path.isfile(target) or os.path.isdir(target)):
+        raise ScenarioError(f"cannot write {path}: not a regular file")
+    tmp = f"{target}.{os.getpid()}.tmp"
     try:
         with open(tmp, "w", encoding="utf-8", newline="\n") as fh:
             for line in lines:
                 fh.write(line)
                 fh.write("\n")
-        os.replace(tmp, path)
+        os.replace(tmp, target)
+        return target
     except BaseException as exc:
         with contextlib.suppress(FileNotFoundError):
             os.remove(tmp)
@@ -193,15 +195,25 @@ def write_lines(path, lines):
 def write_all(files, text):
     """Write each (path, lines) of files with write_lines, in turn, and
     then the lines of text to stdout, and flush it. If any of it fails,
-    a closed stdout included, the files already written are removed and
-    the error is raised, so a command leaves all of its output or none."""
+    the files already written are removed and the error is raised, so a
+    command leaves all of its output or none. A stdout that raises an
+    OSError, or is None (fd 1 closed), is a ScenarioError; its descriptor
+    is first pointed at os.devnull, to keep the flush at exit quiet."""
     written = []
     try:
         for path, lines in files:
-            write_lines(path, lines)
-            written.append(path)
-        sys.stdout.write("".join(f"{line}\n" for line in text))
-        sys.stdout.flush()
+            written.append(write_lines(path, lines))
+        try:
+            if sys.stdout is None:
+                raise OSError(errno.EBADF, os.strerror(errno.EBADF))
+            sys.stdout.write("".join(f"{line}\n" for line in text))
+            sys.stdout.flush()
+        except OSError as exc:
+            if hasattr(sys.stdout, "fileno"):  # a stream that has a descriptor, not a fake
+                fd, devnull = sys.stdout.fileno(), os.open(os.devnull, os.O_WRONLY)
+                os.dup2(devnull, fd)
+                os.close(devnull)
+            raise ScenarioError(f"cannot write stdout: {exc.strerror}") from exc
     except BaseException:
         for path in written:
             with contextlib.suppress(FileNotFoundError):

@@ -25,40 +25,31 @@ def run_sweep(sweep):
     """
     import numpy as np
 
+    scen = sweep.scenario
     message = "sweep values overflow the float range"
     try:
         with np.errstate(over="raise", divide="raise"):
-            rows, fit = _model(sweep)
+            K = coil_constant_K(scen.coil.ideal_equivalent())
+            values = sweep.values()
+            if sweep.variable == "current":
+                U, I = np.full_like(values, scen.beam.U), values
+            else:
+                U, I = values, np.full_like(values, scen.coil.I)
+            P_eff = mechanical_momentum(U) + E_CHARGE * (K * I)
+            valid = ~(P_eff <= 0)
+            lam = de_broglie_lambda(P_eff[valid])
+            interfringe = small_angle_interfringe(lam, scen.grating_screen)
+            rows = np.full((len(values), 5), np.nan)
+            rows[:, 0] = values
+            rows[valid, 1:] = np.column_stack([P_eff[valid], lam, interfringe, 1.0 / interfringe])
+            fit = None
+            if sweep.variable == "current":
+                try:
+                    fit = linear_response_fit(U[valid], I[valid], rows[valid, 4])
+                except DomainError:
+                    pass
     except FloatingPointError as exc:
         raise DomainError(f"{message} ({exc})") from None
     if fit is not None and not np.isfinite(fit).all():  # lstsq ignores overflow
         raise DomainError(f"{message} (the fit is not finite)")
     return rows, fit
-
-
-def _model(sweep):
-    """The rows and fit of run_sweep, under the caller's numpy error state."""
-    import numpy as np
-
-    scen = sweep.scenario
-    K = coil_constant_K(scen.coil.ideal_equivalent())
-    values = sweep.values()
-    if sweep.variable == "current":
-        U, I = np.full_like(values, scen.beam.U), values
-    else:
-        U, I = values, np.full_like(values, scen.coil.I)
-    P_eff = mechanical_momentum(U) + E_CHARGE * (K * I)
-    valid = ~(P_eff <= 0)
-    lam = de_broglie_lambda(P_eff[valid])
-    interfringe = small_angle_interfringe(lam, scen.grating_screen)
-    rows = np.full((len(values), 5), np.nan)
-    rows[:, 0] = values
-    rows[valid, 1:] = np.column_stack([P_eff[valid], lam, interfringe, 1.0 / interfringe])
-    fit = None
-    if sweep.variable == "current":
-        try:
-            fit = linear_response_fit(U[valid], I[valid], rows[valid, 4])
-        except DomainError:
-            pass
-    return rows, fit
-

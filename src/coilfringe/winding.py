@@ -101,7 +101,7 @@ class Box(namedtuple("Box", "lo hi")):
     """Axis-aligned box given by its min and max corners (meters).
 
     The corners are finite 3-vectors with lo < hi on every axis, and the
-    extent hi - lo on every axis is finite.
+    extent hi - lo on every axis is finite; both are tuples of floats.
     """
 
     __slots__ = ()
@@ -111,12 +111,13 @@ class Box(namedtuple("Box", "lo hi")):
         low, high = np.asarray(lo, dtype=float), np.asarray(hi, dtype=float)
         if low.shape != (3,) or high.shape != (3,):
             raise DomainError("box corners must be 3-vectors")
-        if not (np.isfinite(low).all() and np.isfinite(high).all()):
+        lo, hi = tuple(low.tolist()), tuple(high.tolist())
+        if not all(map(math.isfinite, lo + hi)):
             raise ScenarioError("box corners must be finite")
-        if not np.all(low < high):
+        if not all(l < h for l, h in zip(lo, hi)):
             raise DomainError("box must have positive extent on every axis")
         # Python floats: an extent beyond the float range is inf, without a warning
-        if not all(math.isfinite(h - l) for l, h in zip(low.tolist(), high.tolist())):
+        if not all(math.isfinite(h - l) for l, h in zip(lo, hi)):
             raise ScenarioError("box extent hi - lo must be finite on every axis")
         return super().__new__(cls, lo, hi)
 
@@ -307,9 +308,8 @@ def check_bore_grid(R1, region, grid):
         raise DomainError("grid must have >= 2 points per axis")
     if math.prod(grid) > MAX_GRID_POINTS:
         raise ScenarioError(f"grid exceeds {MAX_GRID_POINTS} points")
-    lo = np.asarray(region.lo, dtype=float)
-    hi = np.asarray(region.hi, dtype=float)
-    r_max = max(math.hypot(x, y) for x in (lo[0], hi[0]) for y in (lo[1], hi[1]))
+    (x0, y0, _), (x1, y1, _) = region
+    r_max = max(math.hypot(x, y) for x in (x0, x1) for y in (y0, y1))
     if r_max >= R1 - WIRE_GUARD:
         raise DomainError(
             f"region transverse extent {r_max:.4g} m reaches the "

@@ -1,7 +1,9 @@
 import argparse
+import errno
 import json
 import math
 import os
+import stat
 import subprocess
 import sys
 
@@ -10,6 +12,7 @@ import pytest
 import coilfringe
 from coilfringe.cli import build_parser, main
 from coilfringe.diffraction import MAX_ORDERS
+from coilfringe.scenario import geometry_ratios, paper_scenario
 
 
 def read(path):
@@ -184,6 +187,20 @@ class TestFieldMap:
         hom = json.loads(read(out_path + ".homogeneity.json"))
         # default scenario has L/R2 = 100
         assert float(hom["rel_error_vs_ideal"]) <= 0.01
+
+    def test_max_B_magnitude_is_even_in_current(self, tmp_path, capsys):
+        def max_B(current):
+            config = tmp_path / "c.json"
+            config.write_text(json.dumps({"current_A": current}))
+            out_path = str(tmp_path / "map.csv")
+            assert main(["field-map", "--config", str(config),
+                         "--region=-0.02,0.02,-0.02,0.02,-0.02,0.02",
+                         "--grid", "2", "--out", out_path]) == 0
+            return float(json.loads(read(out_path + ".homogeneity.json"))["max_B_magnitude"])
+
+        negative = max_B(-3.3)
+        assert negative >= 0
+        assert negative == max_B(3.3)
 
     def test_region_touching_winding_rejected(self, tmp_path, capsys):
         out_path = str(tmp_path / "map.csv")
@@ -499,6 +516,14 @@ class TestValidateCoil:
         assert main(["validate-coil", "--config", str(config)]) == 2
         assert "exceeds" in capsys.readouterr().err
 
+    def test_factor_equal_to_smallest_ratio_is_ok(self, capsys):
+        # a ratio equal to the factor meets it
+        factor = min(geometry_ratios(paper_scenario()).values())
+        assert main(["validate-coil", f"--geometry-factor={factor!r}"]) == 0
+        out = capsys.readouterr().out
+        assert "BELOW" not in out
+        assert f"= {factor:.3g} (ok threshold {factor:g})" in out
+
     @pytest.mark.parametrize("factor", ["nan", "inf", "0", "-3"])
     def test_geometry_factor_must_be_finite_and_positive(self, factor, capsys):
         assert main(["validate-coil", f"--geometry-factor={factor}"]) == 2
@@ -626,39 +651,105 @@ def test_failed_sidecar_write_leaves_neither_file(tmp_path, capsys, argv, sideca
     assert sorted(os.listdir(tmp_path)) == ["c.csv" + sidecar, "ideal.json"]
 
 
+def test_out_through_symlink_updates_its_target(tmp_path, capsys):
+    target, link = tmp_path / "t.csv", tmp_path / "l.csv"
+    target.write_text("old\n")
+    link.symlink_to("t.csv")
+    assert main(["diffract", "--out", str(link)]) == 0
+    assert os.readlink(link) == "t.csv"
+    assert read(target).startswith("# U_V = ")
+    assert sorted(os.listdir(tmp_path)) == ["l.csv", "l.csv.summary.json", "t.csv"]
+    # a later failure removes the file written, the link's target
+    os.remove(tmp_path / "l.csv.summary.json")
+    os.mkdir(tmp_path / "l.csv.summary.json")
+    assert main(["diffract", "--out", str(link)]) == 2
+    assert not target.exists() and link.is_symlink()
+
+
+def test_fifo_out_is_refused_unopened(tmp_path):
+    # opening a FIFO without a reader would block; the run is a child
+    # with a timeout so that such a fault fails the test
+    src = os.path.dirname(os.path.dirname(coilfringe.__file__))
+    fifo = tmp_path / "f.csv"
+    os.mkfifo(fifo)
+    run = subprocess.run(
+        [sys.executable, "-m", "coilfringe.cli", "diffract", "--out", str(fifo)],
+        capture_output=True, env=dict(os.environ, PYTHONPATH=src), text=True, timeout=60,
+    )
+    assert run.returncode == 2
+    assert run.stderr == f"configuration error: cannot write {fifo}: not a regular file\n"
+    assert run.stdout == ""
+    assert stat.S_ISFIFO(os.lstat(fifo).st_mode)
+    assert os.listdir(tmp_path) == ["f.csv"]
+
+
+STDOUT_ARGVS = [
+    ["reproduce-paper"],
+    ["diffract"],
+    ["sweep", "--from", "-1", "--to", "1", "--step", "1", "--out", "s.csv"],
+    ["field-map", "--config", "../current.json", "--region=-0.02,0.02,-0.02,0.02,-0.02,0.02",
+     "--grid", "2", "--out", "m.csv"],
+    ["diffract", "--out", "f.csv"],
+    ["diffract", "--format", "json", "--out", "f.json"],
+    ["reproduce-paper", "--format", "json", "--out", "r.json"],
+]
+SINK_ERRORS = {"pipe": "Broken pipe", "full": "No space left on device",
+               "closed": "Bad file descriptor"}
+
+
 @pytest.mark.parametrize(
-    "argv",
-    [
-        ["reproduce-paper"],
-        ["diffract"],
-        ["sweep", "--from", "-1", "--to", "1", "--step", "1", "--out", "s.csv"],
-        ["field-map", "--config", "../current.json", "--region=-0.02,0.02,-0.02,0.02,-0.02,0.02",
-         "--grid", "2", "--out", "m.csv"],
-        ["diffract", "--out", "f.csv"],
-        ["diffract", "--format", "json", "--out", "f.json"],
-        ["reproduce-paper", "--format", "json", "--out", "r.json"],
-    ],
+    "argv, sink",
+    # the ids of the broken-pipe cases carry no sink suffix
+    [pytest.param(argv, sink, id=f"argv{i}" + ("" if sink == "pipe" else f"-{sink}"))
+     for sink in SINK_ERRORS for i, argv in enumerate(STDOUT_ARGVS)],
 )
-def test_closed_stdout_is_exit_2(tmp_path, argv):
-    # the reader of stdout is gone before the command starts, as in
-    # `coilfringe reproduce-paper | true`; the files written before
-    # stdout are removed again
+def test_closed_stdout_is_exit_2(tmp_path, argv, sink):
+    # stdout fails: its reader is gone before the command starts, as in
+    # `coilfringe reproduce-paper | true`, it is /dev/full, or fd 1 is
+    # closed; the files written before stdout are removed again, and
+    # the flush at exit prints nothing
     src = os.path.dirname(os.path.dirname(coilfringe.__file__))
     (tmp_path / "current.json").write_text(json.dumps({"current_A": 2.5}))
     (tmp_path / "run").mkdir()
-    read_end, write_end = os.pipe()
-    os.close(read_end)
+    command = [sys.executable, "-m", "coilfringe.cli", *argv]
+    if sink == "full":
+        if not os.path.exists("/dev/full"):
+            pytest.skip("no /dev/full")
+        stdout = os.open("/dev/full", os.O_WRONLY)
+    elif sink == "pipe":
+        read_end, stdout = os.pipe()
+        os.close(read_end)
+    else:
+        stdout, command = None, ["sh", "-c", 'exec "$0" "$@" >&-', *command]
     try:
         run = subprocess.run(
-            [sys.executable, "-m", "coilfringe.cli", *argv], stdout=write_end,
-            stderr=subprocess.PIPE, env=dict(os.environ, PYTHONPATH=src), text=True,
-            cwd=tmp_path / "run",
+            command, stdout=stdout, stderr=subprocess.PIPE,
+            env=dict(os.environ, PYTHONPATH=src), text=True, cwd=tmp_path / "run",
         )
     finally:
-        os.close(write_end)
+        if stdout is not None:
+            os.close(stdout)
     assert run.returncode == 2
-    assert run.stderr == "configuration error: cannot write stdout: Broken pipe\n"
+    assert run.stderr == f"configuration error: cannot write stdout: {SINK_ERRORS[sink]}\n"
     assert os.listdir(tmp_path / "run") == []
+
+
+def test_stdout_fault_without_descriptor_is_exit_2(tmp_path, capsys, monkeypatch):
+    class FullStdout:  # a stream with no fileno, whose every write fails
+        def write(self, text):
+            raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+
+        def flush(self):
+            pass
+
+    out_path = str(tmp_path / "f.csv")
+    monkeypatch.setattr(sys, "stdout", FullStdout())
+    assert main(["diffract", "--out", out_path]) == 2
+    monkeypatch.undo()
+    assert capsys.readouterr().err == (
+        "configuration error: cannot write stdout: No space left on device\n"
+    )
+    assert os.listdir(tmp_path) == []
 
 
 class TestConfigHandling:

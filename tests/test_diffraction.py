@@ -107,6 +107,15 @@ class TestFringePattern:
         assert 1 <= max_order < 100
         fringe_pattern(BEAM, GS, 0.0, k_max=max_order)
 
+    def test_feasible_order_below_integer_a_over_lambda(self):
+        # at a = 5*lambda order 5 is at 90 degrees, so order 4 is the last
+        lam = de_broglie_lambda(mechanical_momentum(BEAM.U))
+        gs = GratingScreenSpec(a=5 * lam, D=0.1)
+        assert gs.a / lam == 5.0
+        with pytest.raises(DomainError, match="max feasible order is 4$"):
+            fringe_pattern(BEAM, gs, 0.0, k_max=5)
+        assert len(fringe_pattern(BEAM, gs, 0.0, k_max=4).orders) == 5
+
     def test_interfringe_inverse_to_momentum(self):
         # small-angle interfringe is exactly h*D/(a*P_eff)
         pat1 = fringe_pattern(BEAM, GS, 0.0, k_max=1)

@@ -650,6 +650,16 @@ class TestHomogeneityReport:
         with pytest.raises(DomainError):
             homogeneity_report(spec, region, 1)
 
+    def test_corner_at_guard_radius_rejected(self):
+        # the farthest corner lies exactly at r = R1 - WIRE_GUARD: the
+        # y extent of 1e-20 m leaves its hypot at x
+        spec = paper_coil(L=6.0)
+        x = spec.R1 - WIRE_GUARD
+        region = Box(lo=(-0.01, -1e-20, -0.01), hi=(x, 0.0, 0.01))
+        assert math.hypot(x, -1e-20) == x
+        with pytest.raises(DomainError, match="reaches the winding"):
+            check_bore_grid(spec.R1, region, 2)
+
     def test_work_limits(self):
         spec = paper_coil(L=6.0)
         region = Box(lo=(-0.01, -0.01, -0.01), hi=(0.01, 0.01, 0.01))
