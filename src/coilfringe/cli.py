@@ -160,7 +160,7 @@ def _cmd_field_map(args):
 
 def _cmd_diffract(args):
     scen = _load(args)
-    A = annular_coil_A(scen.coil.ideal_equivalent())
+    A = annular_coil_A(scen.coil)
     pattern = fringe_pattern(scen.beam, scen.grating_screen, A, args.k_max)
     summary = {
         "lambda_m": pattern.wavelength,
@@ -195,13 +195,11 @@ def _cmd_validate_coil(args):
         try:
             segments = check_constructible(coil, segments_per_turn=4)
             text.append(f"winding constructible: {segments} segments, "
-                        f"{coil.turn_count} turns in {coil.layers} layers")
+                        f"{coil.N} turns in {coil.layers} layers")
         except DomainError as exc:
             text.append(f"winding NOT constructible: {exc}")
             status = 1
-        text.append(
-            f"ideal coil constant K = {emitted(coil_constant_K(coil.ideal_equivalent()))} T*m/A"
-        )
+        text.append(f"ideal coil constant K = {emitted(coil_constant_K(coil))} T*m/A")
     else:
         text.append(f"ideal coil: N = {coil.N}, K = {emitted(coil_constant_K(coil))} T*m/A")
     for name, value in geometry_ratios(scen).items():

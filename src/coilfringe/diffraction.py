@@ -194,15 +194,6 @@ def fringe_pattern(beam, gs, A, k_max):
     )
 
 
-def inverse_interfringe(U, I, coil_K, gs):
-    """Inverse small-angle interfringe a*(sqrt(2*m*e*U) + e*K*I)/(h*D).
-
-    Linear in I at fixed U; 1 over the small-angle interfringe.
-    """
-    lam = de_broglie_lambda(effective_momentum(U, coil_K * I))
-    return 1.0 / small_angle_interfringe(lam, gs)
-
-
 def linear_response_fit(U, I, f):
     """Least squares of inverse interfringe f against (sqrt(U), I).
 

@@ -185,7 +185,7 @@ def write_lines(path, lines):
         os.replace(tmp, target)
         return target
     except BaseException as exc:
-        with contextlib.suppress(FileNotFoundError):
+        with contextlib.suppress(FileNotFoundError, NotADirectoryError):  # tmp never made
             os.remove(tmp)
         if isinstance(exc, OSError):
             raise ScenarioError(f"cannot write {path}: {exc.strerror}") from exc

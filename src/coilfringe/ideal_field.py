@@ -18,7 +18,8 @@ parallel to the +z beam axis inside the bore.
 The finite coil's description, CoilWindingSpec, and its constructibility
 check live here beside the ideal coil it reduces to: commands that only
 read a coil's numbers then need no numpy, which winding.py imports to
-build and evaluate the winding.
+build and evaluate the winding. Both coil records read as (R1, R2, N, I),
+so coil_constant_K and annular_coil_A take either coil as it is.
 """
 
 from collections import namedtuple
@@ -73,10 +74,6 @@ class AnnularCoilIdeal(namedtuple("AnnularCoilIdeal", "R1 R2 N I")):
             raise DomainError("turn count N must be >= 1")
         return super().__new__(cls, R1, R2, N, I)
 
-    def ideal_equivalent(self):
-        """The coil itself, as CoilWindingSpec.ideal_equivalent gives a winding's."""
-        return self
-
 
 def turn_count(R1, turn_density):
     """Turns on the inner circumference, round(2*pi*R1*turn_density).
@@ -99,7 +96,8 @@ class CoilWindingSpec(
 
     turn_density is turns per meter of inner circumference counted over
     all layers, so the derived total turn count is
-    N = round(2*pi*R1*turn_density), distributed across the layers.
+    N = round(2*pi*R1*turn_density), at least 1 and distributed across
+    the layers. Like an AnnularCoilIdeal, the winding has R1, R2, N and I.
 
     R1, R2                   inner and outer radius, m
     L                        coil length, m
@@ -130,19 +128,16 @@ class CoilWindingSpec(
             raise DomainError("helicity_sign_per_layer must have one entry per layer")
         if any(s not in (-1, +1) for s in helicity_sign_per_layer):
             raise DomainError("helicity signs must be +1 or -1")
-        turn_count(R1, turn_density)  # rejects a count that overflows
+        if turn_count(R1, turn_density) < 1:  # turn_count rejects one that overflows
+            raise DomainError("turn count N = round(2*pi*R1*turn_density) must be >= 1")
         return super().__new__(
             cls, R1, R2, L, turn_density, layers, helicity_sign_per_layer, wire_diameter, I
         )
 
     @property
-    def turn_count(self):
-        """Total number of turns over all layers."""
+    def N(self):
+        """Total number of turns over all layers, at least 1."""
         return turn_count(self.R1, self.turn_density)
-
-    def ideal_equivalent(self):
-        """Ideal annular coil with the same radii and ampere-turns."""
-        return AnnularCoilIdeal(R1=self.R1, R2=self.R2, N=self.turn_count, I=self.I)
 
 
 def check_segments_per_turn(segments_per_turn):
@@ -165,7 +160,7 @@ def check_constructible(spec, segments_per_turn):
     that is not finite.
     """
     check_segments_per_turn(segments_per_turn)
-    turns = spec.turn_count
+    turns = spec.N
     segments = turns * segments_per_turn
     if segments > MAX_SEGMENTS:
         raise ScenarioError(f"winding exceeds {MAX_SEGMENTS} segments")
@@ -259,8 +254,8 @@ def annular_coil_A(coil):
 
     A = mu0*N*I/(2pi) * ln(R2/R1); equals the superposition of the
     R1 cylinder with current I and the R2 cylinder with current -I at
-    any bore radius r < R1. A value K*I beyond the float range is a
-    DomainError.
+    any bore radius r < R1; coil is either coil. A value K*I beyond the
+    float range is a DomainError.
     """
     A = coil_constant_K(coil) * coil.I
     if not math.isfinite(A):
@@ -271,7 +266,7 @@ def annular_coil_A(coil):
 
 
 def coil_constant_K(coil):
-    """Coil constant K = mu0*N/(2pi) * ln(R2/R1), so that A = K*I.
+    """Coil constant K = mu0*N/(2pi) * ln(R2/R1) of either coil, so that A = K*I.
 
     A K beyond the float range, as where R2/R1 overflows, is a DomainError.
     """

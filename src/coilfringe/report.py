@@ -13,7 +13,6 @@ from .constants import E_CHARGE
 from .diffraction import (
     de_broglie_lambda,
     effective_momentum,
-    inverse_interfringe,
     mechanical_momentum,
     small_angle_interfringe,
 )
@@ -81,7 +80,7 @@ def computed_quantities():
     """Model values for every quantity in the reference estimate set."""
     scen = paper_scenario()
     U, gs = scen.beam.U, scen.grating_screen
-    K = coil_constant_K(scen.coil.ideal_equivalent())
+    K = coil_constant_K(scen.coil)
     p_mec = mechanical_momentum(U)
     p_min = effective_momentum(U, K * -REF_I_MAX)
     p_max = effective_momentum(U, K * +REF_I_MAX)
@@ -97,8 +96,8 @@ def computed_quantities():
         "i_zero_field": i_zero,
         "i_eff_min": i_min,
         "i_eff_max": i_max,
-        "inverse_i_min": inverse_interfringe(U, -REF_I_MAX, K, gs),
-        "inverse_i_max": inverse_interfringe(U, +REF_I_MAX, K, gs),
+        "inverse_i_min": 1.0 / i_max,
+        "inverse_i_max": 1.0 / i_min,
     }
 
 

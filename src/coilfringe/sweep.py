@@ -29,7 +29,7 @@ def run_sweep(sweep):
     message = "sweep values overflow the float range"
     try:
         with np.errstate(over="raise", divide="raise"):
-            K = coil_constant_K(scen.coil.ideal_equivalent())
+            K = coil_constant_K(scen.coil)
             values = sweep.values()
             if sweep.variable == "current":
                 U, I = np.full_like(values, scen.beam.U), values

@@ -167,7 +167,7 @@ def _layer_sizes(spec, max_copies):
     """(M, Q) for each layer: its M turns, the turn count spread over the
     layers, and the Q = min(M, max_copies) copies of its first turn that
     stand for them (see _layers)."""
-    base, rem = divmod(spec.turn_count, spec.layers)
+    base, rem = divmod(spec.N, spec.layers)
     sizes = [base + 1] * rem + [base] * (spec.layers - rem)
     return [(M, min(M, max_copies)) for M in sizes]
 
@@ -232,7 +232,7 @@ def build_winding(spec, segments_per_turn=8):
     built, MAX_SEGMENTS segments included, before anything is allocated.
     """
     check_constructible(spec, segments_per_turn)
-    _, _, starts, ends = zip(*_layers(spec, segments_per_turn, spec.turn_count))
+    _, _, starts, ends = zip(*_layers(spec, segments_per_turn, spec.N))
     return Winding(starts=np.concatenate(starts), ends=np.concatenate(ends), I=float(spec.I))
 
 
@@ -355,7 +355,7 @@ def homogeneity_report(coil, region, grid, segments_per_turn=8):
             raise DomainError("relative field deviations are undefined at zero current")
         if abs(region.lo[2]) >= coil.L / 2 or abs(region.hi[2]) >= coil.L / 2:
             raise DomainError("region must lie inside the coil length")
-        ideal = annular_coil_A(coil.ideal_equivalent())
+        ideal = annular_coil_A(coil)
         # logs taken apart: r_max/R1 can underflow to 0, r_max cannot
         max_copies = 1 + math.ceil(math.log(1e-17) / (math.log(r_max) - math.log(coil.R1)))
         copies = tuple(Q for _, Q in _layer_sizes(coil, max_copies))
@@ -373,7 +373,7 @@ def homogeneity_report(coil, region, grid, segments_per_turn=8):
             np.max(np.linalg.norm(A - mean_A, axis=1)) / np.linalg.norm(mean_A)
         )
         max_B = float(np.max(np.linalg.norm(B, axis=1))) * abs(coil.I)
-        K = coil_constant_K(coil.ideal_equivalent())
+        K = coil_constant_K(coil)
         rel_err = abs(float(mean_A[2]) - K) / abs(K)
         A *= coil.I
         B *= coil.I

@@ -15,7 +15,6 @@ from coilfringe.diffraction import (
     BeamSpec,
     GratingScreenSpec,
     fringe_pattern,
-    inverse_interfringe,
     linear_response_fit,
 )
 from coilfringe.ideal_field import (
@@ -28,6 +27,8 @@ from coilfringe.ideal_field import (
     coil_constant_K,
 )
 from coilfringe.report import reproduce_paper
+from coilfringe.scenario import SweepSpec, paper_scenario
+from coilfringe.sweep import run_sweep
 from coilfringe.winding import (
     Box,
     build_winding,
@@ -132,12 +133,14 @@ def test_criterion_4_homogeneity_and_ideal_limit():
 
 
 def test_criterion_5_linearity_and_pattern_scaling():
-    gs = GratingScreenSpec(a=2.55e-10, D=0.1)
-    coil = coil_spec(L=12.0).ideal_equivalent()
-    K = coil_constant_K(coil)
-    I = np.linspace(-10, 10, 21)
-    f = [inverse_interfringe(30e3, i, K, gs) for i in I]
-    alpha, beta, r2 = linear_response_fit(np.full_like(I, 30e3), I, f)
+    # the reference scenario: the coil_spec(L=12.0) winding, 30 kV and a = 2.55e-10 m
+    scen = paper_scenario()
+    assert scen.coil == coil_spec(L=12.0)._replace(I=0.0)
+    gs = scen.grating_screen
+    K = coil_constant_K(scen.coil)
+    # f(U, I) as the sweep writes it, in its fifth column, at I = -10, -9, ..., 10 A
+    rows, _ = run_sweep(SweepSpec("current", -10.0, 10.0, 1.0, scen))
+    alpha, beta, r2 = linear_response_fit(np.full(len(rows), 30e3), rows[:, 0], rows[:, 4])
     beta_expected = gs.a * E_CHARGE * K / (H * gs.D)
     beta_ok = abs(beta - beta_expected) / beta_expected <= 1e-10
     report(

@@ -12,6 +12,7 @@ import pytest
 import coilfringe
 from coilfringe.cli import build_parser, main
 from coilfringe.diffraction import MAX_ORDERS
+from coilfringe.report import reproduce_paper
 from coilfringe.scenario import geometry_ratios, paper_scenario
 
 
@@ -36,6 +37,10 @@ class TestReproducePaper:
         assert main(["reproduce-paper", "--tolerance-profile", "strict"]) == 1
         out = capsys.readouterr().out
         assert "FAIL" in out
+
+    def test_unknown_profile_rejected(self):
+        with pytest.raises(ValueError, match="^unknown tolerance profile 'x'$"):
+            reproduce_paper(profile="x")
 
     def test_json_output(self, tmp_path, capsys):
         out_path = str(tmp_path / "report.json")
@@ -201,6 +206,13 @@ class TestFieldMap:
         negative = max_B(-3.3)
         assert negative >= 0
         assert negative == max_B(3.3)
+
+    @pytest.mark.parametrize("region", ["-0.02,0.02,-0.02,0.02,-0.02", "0,1,0,1,0,1,0"])
+    def test_region_of_other_than_six_values_rejected(self, tmp_path, capsys, region):
+        out_path = str(tmp_path / "m.csv")
+        assert main(["field-map", f"--region={region}", "--out", out_path]) == 2
+        assert capsys.readouterr().err == "usage error: region must be x0,x1,y0,y1,z0,z1\n"
+        assert os.listdir(tmp_path) == []
 
     def test_region_touching_winding_rejected(self, tmp_path, capsys):
         out_path = str(tmp_path / "map.csv")

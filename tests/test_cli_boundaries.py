@@ -6,16 +6,23 @@ no example is slow. Hypothesis draws a seed, and each case is built from
 it with fixed odds, so that most cases get past the scenario checks to
 the model. Each example runs cli.main in-process in its own temporary
 directory.
+
+Output sinks are drawn too: a stdout that works, raises EPIPE or ENOSPC,
+or is None, and an --out that works, lies under a regular file or in a
+missing directory, names a directory, or is a symlink. A run then
+leaves all of its files or none.
 """
 
 import contextlib
 import copy
+import errno
 import io
 import json
 import math
 import os
 import random
 import re
+import sys
 import tempfile
 import warnings
 
@@ -193,3 +200,97 @@ def test_every_command_ends_in_a_documented_exit(small_caps, seed):
     printed = [line for line in out.splitlines() if not line.startswith("geometry ")]
     for text in printed + texts:
         assert NON_FINITE.search(text) is None, (case, text[:300])
+
+
+# commands that print to stdout, each with the suffixes of the sidecars it
+# writes beside its --out, or None if it is run without --out
+SINK_COMMANDS = [
+    (["reproduce-paper"], None),
+    (["reproduce-paper", "--format", "json"], ()),
+    (["diffract", "--config", "scenario.json"], None),
+    (["diffract", "--config", "scenario.json"], (".summary.json",)),
+    (["diffract", "--config", "scenario.json", "--format", "json"], ()),
+    (["sweep", "--config", "scenario.json", "--from=-1", "--to=1", "--step=0.5"], (".fit.json",)),
+    (["field-map", "--config", "scenario.json", "--region=-0.02,0.02,-0.02,0.02,-0.02,0.02",
+      "--grid", "2"], (".homogeneity.json",)),
+]
+# a stdout that works, or the errno its writes raise, or None (fd 1 closed)
+STDOUT_SINKS = ["fine", errno.EPIPE, errno.ENOSPC, None]
+# each --out: "f" is a regular file and "d" a directory of the run
+# directory, and the link "l.out" points to "t/target.out"
+OUT_SINKS = ["o.out", "f/o.out", "missing/o.out", "d", "l.out"]
+# the errno of each --out that cannot be written
+OUT_FAULTS = {"f/o.out": errno.ENOTDIR, "missing/o.out": errno.ENOENT, "d": errno.EISDIR}
+
+
+class FaultyStdout:
+    """A stdout without a descriptor whose every write raises an OSError."""
+
+    def __init__(self, code):
+        self.code = code
+
+    def write(self, text):
+        raise OSError(self.code, os.strerror(self.code))
+
+    def flush(self):
+        pass
+
+
+def tree(root):
+    """Every path under root, relative to it, directories ending in '/'."""
+    found = set()
+    for dirpath, dirnames, filenames in os.walk(root):
+        rel = os.path.relpath(dirpath, root)
+        found.update(os.path.normpath(os.path.join(rel, d)) + "/" for d in dirnames)
+        found.update(os.path.normpath(os.path.join(rel, f)) for f in filenames)
+    return found
+
+
+@settings(max_examples=150, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(command=st.sampled_from(SINK_COMMANDS), stdout_sink=st.sampled_from(STDOUT_SINKS),
+       out_sink=st.sampled_from(OUT_SINKS))
+def test_every_sink_fault_is_exit_2_with_all_files_or_none(tmp_path, command, stdout_sink,
+                                                           out_sink):
+    argv, sidecars = command
+    out = None if sidecars is None else out_sink
+    run_dir = tempfile.mkdtemp(dir=tmp_path)
+    with open(os.path.join(run_dir, "scenario.json"), "w", encoding="utf-8") as fh:
+        fh.write(json.dumps({"current_A": 2.5}))
+    with open(os.path.join(run_dir, "f"), "w", encoding="utf-8") as fh:
+        fh.write("a regular file\n")
+    os.mkdir(os.path.join(run_dir, "d"))
+    os.mkdir(os.path.join(run_dir, "t"))
+    os.symlink(os.path.join("t", "target.out"), os.path.join(run_dir, "l.out"))
+    before = tree(run_dir)
+    stdout = io.StringIO() if stdout_sink == "fine" else (
+        None if stdout_sink is None else FaultyStdout(stdout_sink))
+    err = io.StringIO()
+    cwd, saved = os.getcwd(), sys.stdout
+    os.chdir(run_dir)
+    try:
+        sys.stdout = stdout
+        with contextlib.redirect_stderr(err):
+            code = main(argv if out is None else argv + ["--out", out])
+    finally:
+        sys.stdout = saved
+        os.chdir(cwd)
+    after = tree(run_dir)
+    case = (argv, out, stdout_sink, code, err.getvalue())
+    assert not any(name.endswith(".tmp") for name in after), case
+    lines = err.getvalue().splitlines()
+    if out in OUT_FAULTS:
+        assert code == 2, case
+        assert lines == [f"configuration error: cannot write {out}: "
+                         f"{os.strerror(OUT_FAULTS[out])}"], case
+        assert after == before, case
+    elif stdout_sink != "fine":
+        reason = os.strerror(errno.EBADF if stdout_sink is None else stdout_sink)
+        assert code == 2, case
+        assert lines == [f"configuration error: cannot write stdout: {reason}"], case
+        assert after == before, case
+    else:
+        assert code == 0 and lines == [] and stdout.getvalue(), case
+        written = set() if out is None else {
+            "t/target.out" if out == "l.out" else out, *(out + s for s in sidecars)}
+        assert after == before | written, case
+        assert os.path.islink(os.path.join(run_dir, "l.out")), case

@@ -11,9 +11,9 @@ from coilfringe.diffraction import (
     de_broglie_lambda,
     effective_momentum,
     fringe_pattern,
-    inverse_interfringe,
     linear_response_fit,
     mechanical_momentum,
+    small_angle_interfringe,
 )
 from coilfringe.errors import DomainError
 from coilfringe.ideal_field import AnnularCoilIdeal, coil_constant_K
@@ -116,6 +116,17 @@ class TestFringePattern:
             fringe_pattern(BEAM, gs, 0.0, k_max=5)
         assert len(fringe_pattern(BEAM, gs, 0.0, k_max=4).orders) == 5
 
+    def test_small_angle_flag_between_the_limit_and_twice_it(self):
+        # sin(theta_1) = lambda/a = 0.055 gives |tan - sin|/sin = 1.52e-3,
+        # above SMALL_ANGLE_LIMIT = 1e-3 and below 2e-3
+        lam = de_broglie_lambda(mechanical_momentum(BEAM.U))
+        pat = fringe_pattern(BEAM, GratingScreenSpec(a=lam / 0.055, D=0.1), 0.0, k_max=1)
+        theta1 = pat.orders[1].theta_k
+        ratio = (math.tan(theta1) - math.sin(theta1)) / math.sin(theta1)
+        assert 1.5e-3 < ratio < 1.6e-3
+        assert pat.small_angle_valid is False
+        assert fringe_pattern(BEAM, GS, 0.0, k_max=1).small_angle_valid is True
+
     def test_interfringe_inverse_to_momentum(self):
         # small-angle interfringe is exactly h*D/(a*P_eff)
         pat1 = fringe_pattern(BEAM, GS, 0.0, k_max=1)
@@ -138,25 +149,36 @@ class TestFringePattern:
 
 
 class TestInverseInterfringe:
+    # the inverse interfringe f(U, I) is 1 over the pattern's small-angle interfringe
     def test_reference_endpoints(self):
-        assert inverse_interfringe(30e3, -10, REF_K, GS) == pytest.approx(78.58, rel=0.015)
-        assert inverse_interfringe(30e3, +10, REF_K, GS) == pytest.approx(641.84, rel=0.015)
+        f_lo, f_hi = (
+            1.0 / fringe_pattern(BEAM, GS, REF_K * i, k_max=1).interfringe_small_angle
+            for i in (-10, +10)
+        )
+        assert f_lo == pytest.approx(78.58, rel=0.015)
+        assert f_hi == pytest.approx(641.84, rel=0.015)
 
     def test_zero_current_reciprocal(self):
-        assert inverse_interfringe(30e3, 0.0, REF_K, GS) == pytest.approx(
-            1 / 2.776e-3, rel=0.003
-        )
+        pat = fringe_pattern(BEAM, GS, 0.0, k_max=1)
+        assert 1.0 / pat.interfringe_small_angle == pytest.approx(1 / 2.776e-3, rel=0.003)
 
     def test_exact_linearity_in_current(self):
-        f0 = inverse_interfringe(30e3, 0.0, REF_K, GS)
-        f1 = inverse_interfringe(30e3, 2.0, REF_K, GS)
-        f2 = inverse_interfringe(30e3, 4.0, REF_K, GS)
+        f0, f1, f2 = (
+            1.0 / fringe_pattern(BEAM, GS, REF_K * i, k_max=1).interfringe_small_angle
+            for i in (0.0, 2.0, 4.0)
+        )
         assert f2 - f1 == pytest.approx(f1 - f0, rel=1e-12)
 
     def test_round_trip_with_pattern(self):
-        pat = fringe_pattern(BEAM, GS, REF_K * 3.0, k_max=1)
-        inv = inverse_interfringe(30e3, 3.0, REF_K, GS)
-        assert inv * pat.interfringe_small_angle == pytest.approx(1.0, rel=1e-12)
+        # the pattern's inverse interfringe against the model's chain
+        # P_eff -> lambda -> lambda*D/a and the closed form a*P_eff/(h*D)
+        inv = 1.0 / fringe_pattern(BEAM, GS, REF_K * 3.0, k_max=1).interfringe_small_angle
+        P_eff = effective_momentum(30e3, REF_K * 3.0)
+        assert inv * small_angle_interfringe(de_broglie_lambda(P_eff), GS) == pytest.approx(
+            1.0, rel=1e-12
+        )
+        closed = GS.a * (math.sqrt(2 * M_E * E_CHARGE * 30e3) + E_CHARGE * REF_K * 3.0)
+        assert inv == pytest.approx(closed / (H * GS.D), rel=1e-12)
 
     def test_monotone_decreasing_interfringe(self):
         currents = np.linspace(-10, 10, 21)
@@ -170,7 +192,8 @@ class TestInverseInterfringe:
 class TestLinearResponseFit:
     def test_noiseless_grid_recovers_coefficients(self):
         I = np.linspace(-10, 10, 21)
-        f = [inverse_interfringe(30e3, i, REF_K, GS) for i in I]
+        f = [1.0 / fringe_pattern(BEAM, GS, REF_K * i, k_max=1).interfringe_small_angle
+             for i in I]
         alpha, beta, r2 = linear_response_fit(np.full_like(I, 30e3), I, f)
         assert r2 >= 1 - 1e-12
         beta_expected = GS.a * E_CHARGE * REF_K / (H * GS.D)
@@ -194,8 +217,10 @@ class TestLinearResponseFit:
     def test_reference_endpoint_slope(self):
         # difference quotient over the printed interval endpoints
         slope = (641.84 - 78.58) / 20
-        f_lo = inverse_interfringe(30e3, -10, REF_K, GS)
-        f_hi = inverse_interfringe(30e3, +10, REF_K, GS)
+        f_lo, f_hi = (
+            1.0 / fringe_pattern(BEAM, GS, REF_K * i, k_max=1).interfringe_small_angle
+            for i in (-10, +10)
+        )
         assert (f_hi - f_lo) / 20 == pytest.approx(slope, rel=0.02)
 
 

@@ -145,6 +145,19 @@ class TestDiscreteSuperposition:
         assert errors[1] < errors[0]
 
 
+@pytest.mark.parametrize("route", [array_Az_closed, array_Az_quadrature, array_Az_discrete])
+def test_negative_observation_radius_rejected(route):
+    # at zero current, where the quadrature would return 0 without its own check
+    with pytest.raises(DomainError, match="^observation radius r must be non-negative$"):
+        route(WireArraySpec(R=0.1, N=8, I=0.0), -0.05)
+
+
+def test_discrete_point_on_a_wire_rejected():
+    # the wire at azimuth 0 sits at (R, 0), where d = sqrt(1 + 1 - 2) is 0 exactly
+    with pytest.raises(DomainError, match="^observation point coincides with a wire$"):
+        array_Az_discrete(WireArraySpec(R=1.0, N=4, I=1.0), 1.0)
+
+
 class TestAnnularCoil:
     coil = AnnularCoilIdeal(R1=0.1, R2=0.12, N=1257, I=1.0)
 

@@ -75,3 +75,32 @@ def test_make_and_replace_run_the_construction_checks(record, name, bad, error):
         record._replace(**{name: bad})
     with pytest.raises(error):
         cls._make(bad if field == name else value for field, value in zip(cls._fields, record))
+
+
+# a field value that each constructor check rejects, with its message
+GUARDED = [
+    (WINDING_SPEC, "L", 0.0, "coil length L must be positive"),
+    (WINDING_SPEC, "turn_density", 0.0, "turn density must be positive"),
+    (WINDING_SPEC, "helicity_sign_per_layer", (1, 2), "helicity signs must be +1 or -1"),
+    # 2*pi*0.1 m*0.5 /m = 0.31 rounds to no turn
+    (WINDING_SPEC, "turn_density", 0.5, "turn count N = round(2*pi*R1*turn_density) must be >= 1"),
+    (WireArraySpec(0.1, 8, 1.0), "R", 0.0, "wire array radius R must be positive"),
+    (COIL, "N", 0, "turn count N must be >= 1"),
+    (BOX, "lo", (-0.01, -0.01), "box corners must be 3-vectors"),
+]
+
+
+@pytest.mark.parametrize(
+    "record, name, bad, message",
+    GUARDED,
+    ids=[f"{type(r).__name__}-{name}={bad!r}" for r, name, bad, _ in GUARDED],
+)
+def test_each_construction_check_raises_its_message(record, name, bad, message):
+    with pytest.raises(DomainError) as exc:
+        record._replace(**{name: bad})
+    assert str(exc.value) == message
+
+
+def test_winding_of_one_turn_is_accepted():
+    # 2*pi*0.1 m*1.6 /m = 1.005 rounds to one turn
+    assert WINDING_SPEC._replace(turn_density=1.6).N == 1

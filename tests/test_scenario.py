@@ -1,5 +1,6 @@
 import json
 import math
+import os
 
 import pytest
 
@@ -103,6 +104,40 @@ class TestLoadScenario:
         assert scen.coil.I == 2.0
 
 
+@pytest.mark.parametrize("data", [[], [{"current_A": 1.0}]])
+def test_top_level_list_rejected(tmp_path, capsys, data):
+    path = write_scenario(tmp_path, data)
+    with pytest.raises(ScenarioError, match="^scenario must be a JSON object$"):
+        load_scenario(path)
+    assert main(["diffract", "--config", path]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == "configuration error: scenario must be a JSON object\n"
+    assert captured.out == ""
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["diffract", "--out", "d.csv"],
+        ["validate-coil"],
+        ["sweep", "--from", "-1", "--to", "1", "--step", "0.5", "--out", "s.csv"],
+        ["field-map", "--region=-0.02,0.02,-0.02,0.02,-0.02,0.02", "--out", "m.csv"],
+    ],
+    ids=lambda argv: argv[0],
+)
+def test_zero_turn_winding_rejected_at_load(tmp_path, capsys, monkeypatch, argv):
+    # 2*pi*0.1 m*0.5 /m = 0.31 rounds to no turn
+    path = write_scenario(tmp_path, {"coil": {"turn_density_per_m": 0.5}, "current_A": 1.0})
+    monkeypatch.chdir(tmp_path)
+    assert main(argv + ["--config", path]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == (
+        "configuration error: turn count N = round(2*pi*R1*turn_density) must be >= 1\n"
+    )
+    assert captured.out == ""
+    assert os.listdir(tmp_path) == ["scenario.json"]
+
+
 @pytest.mark.parametrize(
     "text",
     [
@@ -164,6 +199,10 @@ class TestSweepSpec:
             SweepSpec("radius", 0.0, 1.0, 0.1, scen)
         with pytest.raises(ScenarioError):
             SweepSpec("current", 0.0, 1.0, -0.1, scen)
+
+    def test_count_slack_is_rounding_only(self):
+        # a stop 5e-7 steps short of the tenth step gives ten values, not eleven
+        assert SweepSpec("current", 0.0, 9.9999995, 1.0, paper_scenario()).count() == 10
 
     def test_point_limit(self):
         scen = paper_scenario()

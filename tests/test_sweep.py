@@ -12,7 +12,7 @@ def pointwise_rows(sweep):
     """Reference: the diffraction model evaluated one sweep value at a time."""
     scen = sweep.scenario
     gs = scen.grating_screen
-    K = coil_constant_K(scen.coil.ideal_equivalent())
+    K = coil_constant_K(scen.coil)
     rows = []
     for v in sweep.values():
         U, I = (scen.beam.U, v) if sweep.variable == "current" else (v, scen.coil.I)

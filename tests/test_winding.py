@@ -128,17 +128,17 @@ def _distances(winding, points):
 
 class TestBuildWinding:
     def test_turn_count_matches_inner_circumference_density(self):
-        assert paper_coil().turn_count == 1257
+        assert paper_coil().N == 1257
 
     def test_segment_count(self):
         spec = paper_coil()
         w = build_winding(spec, segments_per_turn=4)
         # each turn contributes segments_per_turn chained segments and
         # every layer closes on itself with no extra closure segment
-        assert w.starts.shape == w.ends.shape == (spec.turn_count * 4, 3)
+        assert w.starts.shape == w.ends.shape == (spec.N * 4, 3)
         assert w.I == spec.I
         w8 = build_winding(spec, segments_per_turn=8)
-        assert len(w8.starts) == spec.turn_count * 8
+        assert len(w8.starts) == spec.N * 8
 
     def test_net_axial_ampere_turns_through_midplane(self):
         # signed crossings of z=0 inside the bore annulus: every inner
@@ -151,7 +151,7 @@ class TestBuildWinding:
         inner = np.hypot(w.starts[:, 0], w.starts[:, 1]) < mid
         signed = np.where(zb > za, w.I, -w.I)
         net = signed[crossing & inner].sum()
-        assert net == pytest.approx(spec.turn_count * spec.I)
+        assert net == pytest.approx(spec.N * spec.I)
 
     def test_helicity_mirrored_axial_geometry(self):
         a = build_winding(paper_coil(helicity=(1, -1)), 4)
@@ -178,6 +178,14 @@ class TestBuildWinding:
         with pytest.raises(DomainError, match="turns overlap"):
             build_winding(spec, 4)
 
+    def test_overlap_beyond_rounding_rejected(self):
+        # a wire 1e-9 relative wider than the per-layer turn spacing of
+        # 1/1000 m overlaps; only a rounding of 1e-12 is let through
+        spec = paper_coil(L=1.0)._replace(wire_diameter=(1 + 1e-9) / 1000)
+        with pytest.raises(DomainError, match="turns overlap"):
+            check_constructible(spec, 4)
+        assert check_constructible(spec._replace(wire_diameter=1e-3), 4) == spec.N * 4
+
     def test_matches_turn_by_turn_construction(self):
         # reference: walk each layer turn by turn, leg by leg
         spec = paper_coil(L=2.0, layers=3, helicity=(1, -1, 1))
@@ -188,7 +196,7 @@ class TestBuildWinding:
             (spec.R2, -1.0, spec.R1, -1.0, spec.R2 - spec.R1),
         )
         perimeter = 2 * 2.0 + 2 * (spec.R2 - spec.R1)
-        base, rem = divmod(spec.turn_count, spec.layers)
+        base, rem = divmod(spec.N, spec.layers)
         starts, ends = [], []
         for layer, s in enumerate(spec.helicity_sign_per_layer):
             M = base + (1 if layer < rem else 0)
@@ -438,7 +446,7 @@ class TestCoilField:
     def test_center_matches_ideal_at_L_over_R2_50(self):
         spec = paper_coil(L=50 * 0.12)
         A = A_at(build_winding(spec, 8), (0.0, 0.0, 0.0))
-        ideal = annular_coil_A(spec.ideal_equivalent())
+        ideal = annular_coil_A(spec)
         assert A[2] == pytest.approx(ideal, rel=0.02)
         # transverse leakage stays small for paired opposite helicity
         assert abs(A[0]) <= 1e-3 * abs(A[2])
@@ -522,7 +530,7 @@ class TestCoilB:
         spec = paper_coil(L=2.0, I=2.5)
         w = build_winding(spec, 8)
         r = 0.11
-        expected = MU0 * spec.turn_count * spec.I / (2 * math.pi * r)
+        expected = MU0 * spec.N * spec.I / (2 * math.pi * r)
         for phi in (0.3, 2.0, 4.0):
             e_phi = np.array([-math.sin(phi), math.cos(phi), 0.0])
             B = B_at(w, (r * math.cos(phi), r * math.sin(phi), 0.0))
@@ -531,7 +539,7 @@ class TestCoilB:
     def test_field_free_in_bore_and_outside(self):
         spec = paper_coil(L=2.0, I=2.5)
         w = build_winding(spec, 8)
-        scale = MU0 * spec.turn_count * abs(spec.I) / (2 * math.pi * spec.R1)
+        scale = MU0 * spec.N * abs(spec.I) / (2 * math.pi * spec.R1)
         for p in self.PROBES:
             if spec.R1 <= math.hypot(p[0], p[1]) <= spec.R2:
                 continue
@@ -592,15 +600,15 @@ class TestCoilB:
         tangent = np.column_stack([-a * np.sin(theta), b * np.cos(theta), np.zeros(n)])
         B = field_at(build_winding(spec, 8), points)[1]
         circulation = np.sum(B * tangent) * 2 * math.pi / n
-        mu0_NI = MU0 * spec.turn_count * spec.I
+        mu0_NI = MU0 * spec.N * spec.I
         assert abs(circulation / mu0_NI - enclosed) <= 1e-11
 
     def test_rotation_by_one_turn_spacing(self):
         # each layer of M turns maps onto itself under a rotation by 2pi/M
         # about the axis, so A and B rotate with the probe points
         spec = paper_coil(L=2.0, turn_density=200.0)
-        M = spec.turn_count // spec.layers
-        assert M * spec.layers == spec.turn_count  # the layers have equal M
+        M = spec.N // spec.layers
+        assert M * spec.layers == spec.N  # the layers have equal M
         c, s = math.cos(2 * math.pi / M), math.sin(2 * math.pi / M)
         R = np.array([[c, -s, 0.0], [s, c, 0.0], [0.0, 0.0, 1.0]])
         w = build_winding(spec, 8)
@@ -623,6 +631,20 @@ class TestHomogeneityReport:
         region = Box(lo=(-0.025, -0.025, -0.025), hi=(0.025, 0.025, 0.025))
         rep = homogeneity_report(spec, region, 2)
         assert rep.rel_error_vs_ideal <= 0.01
+
+    def test_long_coil_rate(self):
+        # rel_error_vs_ideal tends to (R2^2 - R1^2)/(L^2*ln(R2/R1)), whose
+        # next term falls like 1/L^4; past 12 m an error near 1e-8 relative
+        # outweighs that term, so the ratio is bounded, not monotone
+        region = Box(lo=(-0.01, -0.01, -0.01), hi=(0.01, 0.01, 0.01))
+        gaps = {}
+        for L in (3.0, 6.0, 12.0, 24.0, 48.0):
+            spec = paper_coil(L=L)
+            rep = homogeneity_report(spec, region, 2)
+            leading = (spec.R2**2 - spec.R1**2) / (L**2 * math.log(spec.R2 / spec.R1))
+            gaps[L] = abs(rep.rel_error_vs_ideal / leading - 1)
+        assert max(gaps.values()) <= 5e-3
+        assert gaps[6.0] <= gaps[3.0] / 3
 
     def test_short_coil_less_uniform(self):
         region = Box(lo=(-0.025, -0.025, -0.025), hi=(0.025, 0.025, 0.025))
@@ -669,7 +691,7 @@ class TestHomogeneityReport:
             check_bore_grid(spec.R1, region, (100, 100, 101))
         # out to r = 0.99 * R1 each layer needs all of its turns
         wide = Box(lo=(-0.07, -0.07, -0.01), hi=(0.07, 0.07, 0.01))
-        pairs_per_point = spec.turn_count * 8
+        pairs_per_point = spec.N * 8
         assert 4 * 24860 * pairs_per_point <= MAX_FIELD_PAIRS < 4 * 24861 * pairs_per_point
         with pytest.raises(ScenarioError, match="exceeds"):
             homogeneity_report(spec, wide, (2, 2, 24861))
@@ -680,7 +702,7 @@ class TestHomogeneityReport:
         spec = paper_coil(L=6.0)
         region = Box(lo=(-0.01, -0.01, -0.01), hi=(0.01, 0.01, 0.01))
         rep = homogeneity_report(spec, region, 2)
-        assert max(rep.copies) < spec.turn_count // spec.layers
+        assert max(rep.copies) < spec.N // spec.layers
         pairs = 2**3 * 8 * sum(rep.copies)
         monkeypatch.setattr("coilfringe.winding.MAX_FIELD_PAIRS", pairs)
         assert homogeneity_report(spec, region, 2).copies == rep.copies
@@ -715,7 +737,7 @@ class TestHomogeneityReport:
         region = Box(lo=(-a, -a, 0.25), hi=(a, a, 0.35))
         rep = homogeneity_report(spec, region, 3)
         Q = min(rep.copies)
-        assert max(rep.copies) < spec.turn_count // spec.layers
+        assert max(rep.copies) < spec.N // spec.layers
         A, B = field_at(build_winding(spec, 8), rep.points)
         A_norm = np.linalg.norm(A, axis=1)
         bound = ratio**Q + 1e-13
@@ -754,7 +776,7 @@ class TestHomogeneityReport:
         A_norm = np.linalg.norm(A, axis=1)
         assert np.all(np.linalg.norm(rep.A - A, axis=1) <= 1e-13 * A_norm)
         # relative to the field inside the winding, the size of the summed terms
-        scale = MU0 * spec.turn_count * abs(spec.I) / (2 * math.pi * spec.R1)
+        scale = MU0 * spec.N * abs(spec.I) / (2 * math.pi * spec.R1)
         assert np.max(np.abs(rep.B - B)) <= 1e-13 * scale
 
     @pytest.mark.parametrize("turn_density", [2000.0, 200.0])
@@ -764,7 +786,7 @@ class TestHomogeneityReport:
         centre = (0.005, -0.005, 0.5)
         region = Box(lo=tuple(c - 0.02 for c in centre), hi=tuple(c + 0.02 for c in centre))
         rep = homogeneity_report(spec, region, 2)
-        base = spec.turn_count // spec.layers
+        base = spec.N // spec.layers
         assert len(rep.copies) == spec.layers
         assert all(Q < base for Q in rep.copies)
 
@@ -795,7 +817,7 @@ def finite_coil_axis_Az(spec, z):
     total = 0.0
     for R, sign in ((spec.R1, 1.0), (spec.R2, -1.0)):
         total += sign * (math.asinh((spec.L / 2 - z) / R) + math.asinh((spec.L / 2 + z) / R))
-    return MU0 * spec.turn_count * spec.I / (4 * math.pi) * total
+    return MU0 * spec.N * spec.I / (4 * math.pi) * total
 
 
 def finite_coil_axis_flux(spec, T):
@@ -807,7 +829,7 @@ def finite_coil_axis_flux(spec, T):
     for R, sign in ((mpmath.mpf(spec.R1), 1), (mpmath.mpf(spec.R2), -1)):
         F = [x * mpmath.asinh(x / R) - mpmath.sqrt(x**2 + R**2) for x in (half + T, half - T)]
         total += sign * 2 * (F[0] - F[1])
-    return MU0 * spec.turn_count * mpmath.mpf(spec.I) / (4 * mpmath.pi) * total
+    return MU0 * spec.N * mpmath.mpf(spec.I) / (4 * mpmath.pi) * total
 
 
 def axis_flux_tail(spec, T):
@@ -856,7 +878,7 @@ class TestFiniteCoilAxis:
         spec = paper_coil(L=12.0, helicity=helicity, I=-1.5)
         T = 200.0
         integral = winding_axis_integral(spec, T)
-        flux = coil_constant_K(spec.ideal_equivalent()) * spec.I * spec.L
+        flux = coil_constant_K(spec) * spec.I * spec.L
         tail = axis_flux_tail(spec, T) * flux
         assert integral + tail == pytest.approx(flux, rel=1e-9)
         # without the tail the identity misses by 1.5e-7
@@ -880,7 +902,7 @@ class TestFiniteCoilAxis:
             helicity_sign_per_layer=tuple(helicity), wire_diameter=1e-3, I=I,
         )
         T = 200.0
-        flux = coil_constant_K(spec.ideal_equivalent()) * spec.I * spec.L
+        flux = coil_constant_K(spec) * spec.I * spec.L
         integral = winding_axis_integral(spec, T)
         assert integral + axis_flux_tail(spec, T) * flux == pytest.approx(flux, rel=1e-9)
 
@@ -891,7 +913,7 @@ class TestFiniteCoilAxis:
         # stops at 2.5
         spec = paper_coil(L=L, I=-1.5)._replace(R1=R1, R2=R1 * ratio)
         T = 1000.0
-        flux = coil_constant_K(spec.ideal_equivalent()) * spec.I * spec.L
+        flux = coil_constant_K(spec) * spec.I * spec.L
         with mpmath.workdps(40):
             integral = finite_coil_axis_flux(spec, T)
         residual = float(integral) + axis_flux_tail(spec, T) * flux - flux
