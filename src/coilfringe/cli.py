@@ -6,11 +6,12 @@ validation failure (DomainError), 2 = usage or configuration error
 (ScenarioError, another ValueError, or a stdout that cannot be written).
 
 Each command returns (status, files, text): its exit status, its files
-as an ordered list of (path, lines) and its stdout lines. main writes
-them all with one export.write_all call, which removes the files when a
-later file or stdout fails and raises that failure as a ScenarioError,
-so a run leaves all of its output or none, and a command that ends in an
-error line prints nothing on stdout.
+as an ordered list of (path, lines), where lines None names a stale file
+to remove, and its stdout lines. main writes them all with one
+export.write_all call, which removes the files when a later file or
+stdout fails and raises that failure as a ScenarioError, so a run leaves
+all of its output or none, and a command that ends in an error line
+prints nothing on stdout.
 
 The environment variable COILFRINGE_CONFIG_DIR names a directory that
 is searched for relative --config paths that do not exist locally.
@@ -25,22 +26,17 @@ import os
 import sys
 
 from .errors import DomainError, ScenarioError
-from .export import (
-    FRINGE_COLUMNS,
-    csv_lines,
-    csv_rows,
-    emitted,
-    json_text,
-    key_value_lines,
-    write_all,
-)
-from .diffraction import fringe_pattern
+from .export import csv_lines, csv_rows, emitted, json_text, key_value_lines, write_all
+from .diffraction import fringe_pattern, run_sweep
 from .ideal_field import CoilWindingSpec, annular_coil_A, check_constructible, coil_constant_K
-from .report import reproduce_paper
+from .report import TOLERANCE_PROFILES, reproduce_paper
 from .scenario import SweepSpec, geometry_ratios, load_scenario, paper_scenario
-from .sweep import ERROR_MARKER, run_sweep
 
 CONFIG_DIR_ENV = "COILFRINGE_CONFIG_DIR"
+# The sweep CSV's text for a value outside the model domain (P_eff <= 0).
+ERROR_MARKER = "model-domain-error"
+# The columns of a fringe table, the fields of diffraction.FringeOrder.
+FRINGE_COLUMNS = ("k", "theta_k_rad", "y_k_m", "ring_radius_m")
 
 # Factor validate-coil demands of each ">>" setup relation by default.
 DEFAULT_GEOMETRY_FACTOR = 10.0
@@ -95,9 +91,10 @@ def _cmd_sweep(args):
                "interfringe_m", "inverse_interfringe_per_m")
     # the NaNs of the model-domain rows are written as the marker
     files = [(args.out, csv_lines(header, columns, csv_rows(rows, nan_text=ERROR_MARKER)))]
-    if fit is not None:
-        fit_data = dict(zip(("alpha_sqrtU_coeff", "beta_I_coeff", "r_squared"), fit))
-        files.append((args.out + ".fit.json", [json_text(fit_data)]))
+    # without a fit, an earlier run's sidecar no longer describes the CSV: remove it
+    fit_keys = ("alpha_sqrtU_coeff", "beta_I_coeff", "r_squared")
+    fit_lines = None if fit is None else [json_text(dict(zip(fit_keys, fit)))]
+    files.append((args.out + ".fit.json", fit_lines))
     return 0, files, [f"wrote {len(rows)} rows to {args.out}"]
 
 
@@ -224,9 +221,7 @@ def build_parser():
     p = sub.add_parser("reproduce-paper", help="recompute the reference estimates")
     p.add_argument("--out", default=None, help="JSON report file (with --format json)")
     p.add_argument("--format", choices=("csv", "json"), default="csv")
-    p.add_argument(
-        "--tolerance-profile", choices=("paper", "strict"), default="paper"
-    )
+    p.add_argument("--tolerance-profile", choices=TOLERANCE_PROFILES, default="paper")
     p.set_defaults(func=_cmd_reproduce_paper)
 
     p = sub.add_parser("sweep", help="sweep current or voltage")

@@ -3,9 +3,11 @@
 Grating-equation model: a*sin(theta_k) = k*lambda with screen positions
 y_k = D*tan(theta_k). The de Broglie wavelength uses the canonical
 momentum mv + e*A, with the sign of A carried by the coil current
-polarity. The model is non-relativistic. The momentum and wavelength
-take a real scalar or a numpy array; numpy is imported only for an
-array.
+polarity. The model is non-relativistic. It comes in two forms:
+fringe_pattern for one setup, and run_sweep for an array of currents or
+voltages, whose inverse interfringe linear_response_fit fits against
+(sqrt(U), I). The momentum and wavelength take a real scalar or a numpy
+array; numpy is imported only for an array.
 """
 
 from collections import namedtuple
@@ -13,6 +15,7 @@ import math
 
 from .constants import E_CHARGE, H, M_E, checked_make
 from .errors import DomainError, ScenarioError
+from .ideal_field import coil_constant_K
 
 SMALL_ANGLE_LIMIT = 1e-3  # |tan - sin|/sin threshold for the flag
 # Largest k_max of one fringe pattern; bounds the orders it builds.
@@ -115,25 +118,6 @@ def de_broglie_lambda(p):
     return H / p
 
 
-def effective_momentum(U, A):
-    """Canonical momentum mv + e*A for the signed axial potential A.
-
-    The beam axis and A are collinear; the coil current polarity carries
-    the sign of A. A momentum that is 0 only because mv underflowed, at a
-    tiny U, is a DomainError.
-    """
-    mv = mechanical_momentum(U)
-    p = mv + E_CHARGE * A
-    if p == 0.0 and mv == 0.0:
-        raise DomainError(f"momentum sqrt(2*m_e*e*U) underflows to 0 at U = {U:.3e} V")
-    if p <= 0:
-        raise DomainError(
-            f"effective momentum {p:.3e} kg*m/s is non-positive; "
-            "outside the model's validity regime"
-        )
-    return p
-
-
 def small_angle_interfringe(lam, gs):
     """Small-angle interfringe lambda*D/a for wavelength lam (scalar or array)."""
     return lam * gs.D / gs.a
@@ -144,16 +128,25 @@ def fringe_pattern(beam, gs, A, k_max):
 
     theta_k = arcsin(k*lambda_eff/a), y_k = D*tan(theta_k). The small
     angle interfringe lambda_eff*D/a is reported alongside the exact
-    y_1 - y_0. k_max may not exceed MAX_ORDERS (ScenarioError). Each of
-    these is a DomainError: lambda_eff/a, sin(theta_1), underflowing to 0,
-    and an interfringe that underflows to 0 or a position y_k that
-    overflows.
+    y_1 - y_0; lambda_eff = h/P_eff, P_eff = mv + e*A for the signed axial
+    potential A. k_max may not exceed MAX_ORDERS (ScenarioError). Each of
+    these is a DomainError: P_eff <= 0, mv underflowing to 0 at a tiny U,
+    lambda_eff/a, sin(theta_1), underflowing to 0, and an interfringe that
+    underflows to 0 or a position y_k that overflows.
     """
     if k_max < 1:
         raise DomainError("k_max must be >= 1")
     if k_max > MAX_ORDERS:
         raise ScenarioError(f"k_max exceeds {MAX_ORDERS} orders")
-    P_eff = effective_momentum(beam.U, A)
+    mv = mechanical_momentum(beam.U)
+    P_eff = mv + E_CHARGE * A
+    if P_eff == 0.0 and mv == 0.0:
+        raise DomainError(f"momentum sqrt(2*m_e*e*U) underflows to 0 at U = {beam.U:.3e} V")
+    if P_eff <= 0:
+        raise DomainError(
+            f"effective momentum {P_eff:.3e} kg*m/s is non-positive; "
+            "outside the model's validity regime"
+        )
     lam = de_broglie_lambda(P_eff)
     if lam / gs.a == 0.0:
         raise DomainError(
@@ -217,3 +210,45 @@ def linear_response_fit(U, I, f):
     ss_tot = float(np.sum((f - f.mean()) ** 2))
     r_squared = 1.0 if ss_tot == 0.0 else 1.0 - ss_res / ss_tot
     return float(coef[0]), float(coef[1]), r_squared
+
+
+def run_sweep(sweep):
+    """Evaluate the diffraction model over the sweep grid.
+
+    Returns (rows, fit) where rows is an (n, 5) array of
+    (swept_value, P_eff, lambda_eff_m, interfringe_m, inverse_interfringe_per_m)
+    with NaN in the last four columns for points outside the model
+    domain (P_eff <= 0), and fit is (alpha, beta, r_squared) for current
+    sweeps whose valid points determine it (None otherwise). A value of
+    the rows or the fit that overflows the float range is a DomainError.
+    """
+    import numpy as np
+
+    scen = sweep.scenario
+    message = "sweep values overflow the float range"
+    try:
+        with np.errstate(over="raise", divide="raise"):
+            K = coil_constant_K(scen.coil)
+            values = sweep.values()
+            if sweep.variable == "current":
+                U, I = np.full_like(values, scen.beam.U), values
+            else:
+                U, I = values, np.full_like(values, scen.coil.I)
+            P_eff = mechanical_momentum(U) + E_CHARGE * (K * I)
+            valid = ~(P_eff <= 0)
+            lam = de_broglie_lambda(P_eff[valid])
+            interfringe = small_angle_interfringe(lam, scen.grating_screen)
+            rows = np.full((len(values), 5), np.nan)
+            rows[:, 0] = values
+            rows[valid, 1:] = np.column_stack([P_eff[valid], lam, interfringe, 1.0 / interfringe])
+            fit = None
+            if sweep.variable == "current":
+                try:
+                    fit = linear_response_fit(U[valid], I[valid], rows[valid, 4])
+                except DomainError:
+                    pass
+    except FloatingPointError as exc:
+        raise DomainError(f"{message} ({exc})") from None
+    if fit is not None and not np.isfinite(fit).all():  # lstsq ignores overflow
+        raise DomainError(f"{message} (the fit is not finite)")
+    return rows, fit

@@ -11,7 +11,8 @@ yield byte-identical files. CSV files, built by csv_lines, carry a
 Every file is written to a temporary file beside its resolved path and
 then moved into place, so a failed write leaves no partial file. write_all
 writes a command's files and then its stdout, and removes the files
-written when a later file or stdout fails.
+written when a later file or stdout fails; a stale file the command
+names goes only after all of that succeeded.
 
 Arrays of values are formatted by csv_rows, which gives the bytes of
 "%.8e" % x for every float x without a Python call per value. A finite
@@ -41,8 +42,6 @@ _EXP_LIMIT = 290  # values of larger |exponent| use Python's "%.8e"
 _TIE_WINDOW = 1e-5  # and so do scaled values this close to a half-integer
 _EXPONENTS = range(-_EXP_LIMIT - 2, _EXP_LIMIT + 3)  # room for a correction and a carry
 _BLOCK_VALUES = 2**16  # values formatted at a time, which bounds the temporaries
-# The columns of a fringe table, the fields of diffraction.FringeOrder.
-FRINGE_COLUMNS = ("k", "theta_k_rad", "y_k_m", "ring_radius_m")
 
 
 def emitted(value):
@@ -197,23 +196,33 @@ def write_all(files, text):
     then the lines of text to stdout, and flush it. If any of it fails,
     the files already written are removed and the error is raised, so a
     command leaves all of its output or none. A stdout that raises an
-    OSError, or is None (fd 1 closed), is a ScenarioError; its descriptor
-    is first pointed at os.devnull, to keep the flush at exit quiet."""
+    OSError, or is None (fd 1 closed), is a ScenarioError; its descriptor,
+    if it has one, is first pointed at os.devnull, to keep the flush at
+    exit quiet. A (path, None) entry names a stale file, removed (if it
+    exists) once all the rest is written."""
     written = []
     try:
         for path, lines in files:
-            written.append(write_lines(path, lines))
+            if lines is not None:
+                written.append(write_lines(path, lines))
         try:
             if sys.stdout is None:
                 raise OSError(errno.EBADF, os.strerror(errno.EBADF))
             sys.stdout.write("".join(f"{line}\n" for line in text))
             sys.stdout.flush()
         except OSError as exc:
-            if hasattr(sys.stdout, "fileno"):  # a stream that has a descriptor, not a fake
+            # None, a fake without fileno, or one whose fileno raises
+            with contextlib.suppress(AttributeError, ValueError):
                 fd, devnull = sys.stdout.fileno(), os.open(os.devnull, os.O_WRONLY)
                 os.dup2(devnull, fd)
                 os.close(devnull)
             raise ScenarioError(f"cannot write stdout: {exc.strerror}") from exc
+        for path, lines in files:
+            if lines is None and os.path.lexists(path):
+                try:
+                    os.remove(path)
+                except OSError as exc:
+                    raise ScenarioError(f"cannot remove {path}: {exc.strerror}") from exc
     except BaseException:
         for path in written:
             with contextlib.suppress(FileNotFoundError):

@@ -10,12 +10,7 @@ tolerance and the artifact reports its own arithmetic.
 from collections import namedtuple
 
 from .constants import E_CHARGE
-from .diffraction import (
-    de_broglie_lambda,
-    effective_momentum,
-    mechanical_momentum,
-    small_angle_interfringe,
-)
+from .diffraction import fringe_pattern
 from .ideal_field import coil_constant_K
 from .scenario import paper_scenario
 
@@ -76,37 +71,32 @@ class PaperReport(namedtuple("PaperReport", "rows profile")):
         return all(row.ok for row in self.rows)
 
 
-def computed_quantities():
-    """Model values for every quantity in the reference estimate set."""
+def reproduce_paper(profile="paper"):
+    """Compare computed values against the printed reference values."""
+    if profile not in TOLERANCE_PROFILES:
+        raise ValueError(f"unknown tolerance profile {profile!r}")
+    scale = TOLERANCE_PROFILES[profile]
     scen = paper_scenario()
-    U, gs = scen.beam.U, scen.grating_screen
     K = coil_constant_K(scen.coil)
-    p_mec = mechanical_momentum(U)
-    p_min = effective_momentum(U, K * -REF_I_MAX)
-    p_max = effective_momentum(U, K * +REF_I_MAX)
-    i_zero, i_min, i_max = (
-        small_angle_interfringe(de_broglie_lambda(p), gs) for p in (p_mec, p_max, p_min)
+    # the fringes at 0 A and at the two current extremes; +I shortens the
+    # interfringe, so i_eff_min comes from +REF_I_MAX
+    zero, minus, plus = (
+        fringe_pattern(scen.beam, scen.grating_screen, K * I, 1)
+        for I in (0.0, -REF_I_MAX, +REF_I_MAX)
     )
-    return {
-        "p_mec": p_mec,
+    i_zero, i_min, i_max = (p.interfringe_small_angle for p in (zero, plus, minus))
+    values = {
+        "p_mec": zero.P_eff,
         "K": K,
         "p_add_coeff": E_CHARGE * K,
-        "P_eff_min": p_min,
-        "P_eff_max": p_max,
+        "P_eff_min": minus.P_eff,
+        "P_eff_max": plus.P_eff,
         "i_zero_field": i_zero,
         "i_eff_min": i_min,
         "i_eff_max": i_max,
         "inverse_i_min": 1.0 / i_max,
         "inverse_i_max": 1.0 / i_min,
     }
-
-
-def reproduce_paper(profile="paper"):
-    """Compare computed values against the printed reference values."""
-    if profile not in TOLERANCE_PROFILES:
-        raise ValueError(f"unknown tolerance profile {profile!r}")
-    scale = TOLERANCE_PROFILES[profile]
-    values = computed_quantities()
     rows = []
     for name, eq, ref, tol, flagged in _PAPER_ROWS:
         computed = float(values[name])  # plain floats for JSON emission

@@ -16,6 +16,7 @@ from coilfringe.diffraction import (
     GratingScreenSpec,
     fringe_pattern,
     linear_response_fit,
+    run_sweep,
 )
 from coilfringe.ideal_field import (
     CoilWindingSpec,
@@ -28,7 +29,6 @@ from coilfringe.ideal_field import (
 )
 from coilfringe.report import reproduce_paper
 from coilfringe.scenario import SweepSpec, paper_scenario
-from coilfringe.sweep import run_sweep
 from coilfringe.winding import (
     Box,
     build_winding,

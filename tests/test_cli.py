@@ -1,5 +1,6 @@
 import argparse
 import errno
+import io
 import json
 import math
 import os
@@ -78,6 +79,27 @@ class TestSweep:
         assert len(lines) == 1 + 21  # header + rows
         fit = json.loads(read(out_path + ".fit.json"))
         assert float(fit["r_squared"]) >= 1 - 1e-12
+
+    def test_sweep_without_fit_removes_stale_fit_sidecar(self, tmp_path, capsys):
+        # a voltage sweep has no fit, so the current sweep's sidecar
+        # would no longer describe the CSV it sits beside
+        out_path = str(tmp_path / "s.csv")
+        assert main(["sweep", *CURRENTS, "--out", out_path]) == 0
+        assert os.path.exists(out_path + ".fit.json")
+        assert main(["sweep", *VOLTAGES, "--out", out_path]) == 0
+        assert read(out_path).startswith("# sweep_variable = voltage\n")
+        assert os.listdir(tmp_path) == ["s.csv"]
+        assert main(["sweep", *VOLTAGES, "--out", out_path]) == 0  # nothing to remove
+        assert os.listdir(tmp_path) == ["s.csv"]
+        # a sidecar that cannot be removed fails the run, which then
+        # leaves none of its files
+        os.mkdir(out_path + ".fit.json")
+        capsys.readouterr()
+        assert main(["sweep", *VOLTAGES, "--out", out_path]) == 2
+        assert capsys.readouterr().err == (
+            f"configuration error: cannot remove {out_path}.fit.json: Is a directory\n"
+        )
+        assert os.listdir(tmp_path) == ["s.csv.fit.json"]
 
     def test_determinism(self, tmp_path, capsys):
         a = str(tmp_path / "a.csv")
@@ -754,14 +776,18 @@ def test_stdout_fault_without_descriptor_is_exit_2(tmp_path, capsys, monkeypatch
         def flush(self):
             pass
 
-    out_path = str(tmp_path / "f.csv")
-    monkeypatch.setattr(sys, "stdout", FullStdout())
-    assert main(["diffract", "--out", out_path]) == 2
-    monkeypatch.undo()
-    assert capsys.readouterr().err == (
-        "configuration error: cannot write stdout: No space left on device\n"
-    )
-    assert os.listdir(tmp_path) == []
+    class FullStringIO(io.StringIO):  # its fileno raises io.UnsupportedOperation
+        write = FullStdout.write
+
+    for stream in (FullStdout(), FullStringIO()):
+        out_path = str(tmp_path / "f.csv")
+        monkeypatch.setattr(sys, "stdout", stream)
+        assert main(["diffract", "--out", out_path]) == 2
+        monkeypatch.undo()
+        assert capsys.readouterr().err == (
+            "configuration error: cannot write stdout: No space left on device\n"
+        )
+        assert os.listdir(tmp_path) == []
 
 
 class TestConfigHandling:

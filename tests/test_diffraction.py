@@ -9,7 +9,6 @@ from coilfringe.diffraction import (
     BeamSpec,
     GratingScreenSpec,
     de_broglie_lambda,
-    effective_momentum,
     fringe_pattern,
     linear_response_fit,
     mechanical_momentum,
@@ -58,23 +57,23 @@ class TestMomentumAndWavelength:
 
 class TestEffectiveMomentum:
     def test_reference_upper_endpoint(self):
-        P = effective_momentum(30e3, REF_K * 10)
+        P = fringe_pattern(BEAM, GS, REF_K * 10, 1).P_eff
         assert P == pytest.approx(16.662e-23, rel=0.015)
 
     def test_zero_field_reduction(self):
-        assert effective_momentum(30e3, 0.0) == mechanical_momentum(30e3)
+        assert fringe_pattern(BEAM, GS, 0.0, 1).P_eff == mechanical_momentum(30e3)
 
     def test_lower_endpoint_own_arithmetic(self):
         # the artifact's own subtraction; the printed 2.040e-23 carries a
         # documented ~1% internal inconsistency
-        P = effective_momentum(30e3, REF_K * -10)
+        P = fringe_pattern(BEAM, GS, REF_K * -10, 1).P_eff
         own = mechanical_momentum(30e3) - E_CHARGE * REF_K * 10
         assert P == pytest.approx(own, rel=1e-14)
         assert P == pytest.approx(2.040e-23, rel=0.02)
 
     def test_non_positive_momentum_rejected(self):
         with pytest.raises(DomainError, match="effective momentum .* is non-positive"):
-            effective_momentum(30e3, -1.0)
+            fringe_pattern(BEAM, GS, -1.0, 1).P_eff
 
 
 class TestFringePattern:
@@ -173,7 +172,7 @@ class TestInverseInterfringe:
         # the pattern's inverse interfringe against the model's chain
         # P_eff -> lambda -> lambda*D/a and the closed form a*P_eff/(h*D)
         inv = 1.0 / fringe_pattern(BEAM, GS, REF_K * 3.0, k_max=1).interfringe_small_angle
-        P_eff = effective_momentum(30e3, REF_K * 3.0)
+        P_eff = mechanical_momentum(30e3) + E_CHARGE * (REF_K * 3.0)
         assert inv * small_angle_interfringe(de_broglie_lambda(P_eff), GS) == pytest.approx(
             1.0, rel=1e-12
         )

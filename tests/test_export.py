@@ -6,10 +6,10 @@ from hypothesis import example, given, strategies as st
 import numpy as np
 import pytest
 
-from coilfringe.cli import main
+from coilfringe.cli import ERROR_MARKER, main
+from coilfringe.diffraction import run_sweep
 from coilfringe.export import csv_rows, write_lines
 from coilfringe.scenario import SweepSpec, scenario_from_dict
-from coilfringe.sweep import ERROR_MARKER, run_sweep
 from coilfringe.winding import Box, homogeneity_report
 
 

@@ -1,11 +1,11 @@
 import numpy as np
 import pytest
 
-from coilfringe.diffraction import de_broglie_lambda, effective_momentum
+from coilfringe.constants import E_CHARGE
+from coilfringe.diffraction import de_broglie_lambda, mechanical_momentum, run_sweep
 from coilfringe.errors import DomainError
 from coilfringe.ideal_field import coil_constant_K
 from coilfringe.scenario import SweepSpec, paper_scenario, scenario_from_dict
-from coilfringe.sweep import run_sweep
 
 
 def pointwise_rows(sweep):
@@ -16,11 +16,8 @@ def pointwise_rows(sweep):
     rows = []
     for v in sweep.values():
         U, I = (scen.beam.U, v) if sweep.variable == "current" else (v, scen.coil.I)
-        try:
-            P_eff = effective_momentum(U, K * I)
-        except DomainError as exc:
-            if "is non-positive" not in str(exc):
-                raise
+        P_eff = mechanical_momentum(U) + E_CHARGE * (K * I)
+        if P_eff <= 0:
             rows.append((v, np.nan, np.nan, np.nan, np.nan))
             continue
         lam = de_broglie_lambda(P_eff)
