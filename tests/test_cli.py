@@ -779,8 +779,8 @@ def test_stdout_fault_without_descriptor_is_exit_2(tmp_path, capsys, monkeypatch
     class FullStringIO(io.StringIO):  # its fileno raises io.UnsupportedOperation
         write = FullStdout.write
 
+    out_path = str(tmp_path / "f.csv")
     for stream in (FullStdout(), FullStringIO()):
-        out_path = str(tmp_path / "f.csv")
         monkeypatch.setattr(sys, "stdout", stream)
         assert main(["diffract", "--out", out_path]) == 2
         monkeypatch.undo()
