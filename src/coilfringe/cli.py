@@ -8,10 +8,11 @@ validation failure (DomainError), 2 = usage or configuration error
 Each command returns (status, files, text): its exit status, its files
 as an ordered list of (path, lines), where lines None names a stale file
 to remove, and its stdout lines. main writes them all with one
-export.write_all call, which removes the files when a later file or
-stdout fails and raises that failure as a ScenarioError, so a run leaves
-all of its output or none, and a command that ends in an error line
-prints nothing on stdout.
+export.write_all call: the files in order, each written or, if stale,
+removed, and then stdout. A failed entry or stdout removes the files
+written and is raised as a ScenarioError, so a run leaves all of its
+output or none, and a command that ends in an error line prints nothing
+on stdout.
 
 The environment variable COILFRINGE_CONFIG_DIR names a directory that
 is searched for relative --config paths that do not exist locally.
@@ -167,10 +168,10 @@ def _cmd_diffract(args):
         "small_angle_valid": pattern.small_angle_valid,
     }
     files = []
-    if args.out and args.format == "json":
+    if args.out is not None and args.format == "json":
         orders = [dict(zip(FRINGE_COLUMNS, o)) for o in pattern.orders]
         files = [(args.out, [json_text({"orders": orders, "summary": summary})])]
-    elif args.out:
+    elif args.out is not None:
         gs = scen.grating_screen
         setup = {"U_V": scen.beam.U, "I_A": scen.coil.I, "a_m": gs.a, "D_m": gs.D}
         rows = [",".join(map(str, emitted(order))) for order in pattern.orders]

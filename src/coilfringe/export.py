@@ -10,21 +10,22 @@ yield byte-identical files. CSV files, built by csv_lines, carry a
 '#'-prefixed "key = value" header echoing the originating parameters.
 Every file is written to a temporary file beside its resolved path and
 then moved into place, so a failed write leaves no partial file. write_all
-writes a command's files and then its stdout, and removes the files
-written when a later file or stdout fails; a stale file the command
-names goes only after all of that succeeded.
+takes a command's files in order, writing each or removing the stale
+file it names, then writes its stdout, and removes the files written
+when a later entry or stdout fails.
 
 Arrays of values are formatted by csv_rows, which gives the bytes of
 "%.8e" % x for every float x without a Python call per value. A finite
-x = +-m * 10**(e - 8) with 10**8 <= m < 10**9 has e = floor(log10|x|),
-corrected by one where the scaled value s = |x| * 10**(8 - e) falls
-outside [1e8, 1e9), and m = rint(s), with a carry to 10**9 moving to
-the next exponent. The power of ten is the correctly rounded double, so
-s is within 2.2e-7 of the exact value, and rint(s) is the correctly
-rounded m unless the fraction of s lies within 1e-5 of one half. Those
-values, the exponents beyond +-290 (subnormals among them) and +-inf
-go through Python's "%.8e" instead; +-0 is written from m = 0, e = 0,
-and NaN as "nan", as Python does. Ryu printf (Adams, Proc. ACM Program.
+x = +-m * 10**(e - 8) with 10**8 <= m < 10**9 has e = floor(log10|x|)
+and m = rint(s) for s = |x| * 10**(8 - e). The power of ten is the
+correctly rounded double, so s is within 2.2e-7 of the exact value, and
+rint(s) is the correctly rounded m unless the fraction of s lies within
+1e-5 of one half. Where log10 rounds up to a power of ten just above
+|x|, s is a few ulps below 1e8 and m = 1e8 is right. Near halves, an m
+of 1e9 or more (log10 one too low, or rounding up to the next exponent),
+exponents beyond +-290 (subnormals among them) and +-inf go through
+Python's "%.8e" instead; +-0 is written from m = 0, e = 0, and NaN as
+"nan", as Python does. Ryu printf (Adams, Proc. ACM Program.
 Lang. 3, OOPSLA, 169 (2019)) is the exact general method; at 9 of
 float64's 17 digits this scale, round and fall back scheme suffices.
 """
@@ -40,7 +41,7 @@ from .errors import ScenarioError
 
 _EXP_LIMIT = 290  # values of larger |exponent| use Python's "%.8e"
 _TIE_WINDOW = 1e-5  # and so do scaled values this close to a half-integer
-_EXPONENTS = range(-_EXP_LIMIT - 2, _EXP_LIMIT + 3)  # room for a correction and a carry
+_EXPONENTS = range(-_EXP_LIMIT, _EXP_LIMIT + 1)
 _BLOCK_VALUES = 2**16  # values formatted at a time, which bounds the temporaries
 
 
@@ -100,19 +101,11 @@ def _e8_fields(x, out):
     a[~vectorised] = 0.0  # zeros, and placeholders for NaN and the fallback
     e[~vectorised] = 0
     s = a * scales[e + row0]
-    off = (s < 1e8) & vectorised
-    off |= s >= 1e9
-    if off.any():  # log10 misjudged the exponent next to a power of ten
-        e[off] += np.where(s[off] >= 1e9, 1, -1)
-        s[off] = a[off] * scales[e[off] + row0]
     m = np.rint(s)
-    fallback = (s >= 1e9) | (np.abs(s - m) > 0.5 - _TIE_WINDOW) | (vectorised & (s < 1e8))
+    fallback = (m >= 1e9) | (np.abs(s - m) > 0.5 - _TIE_WINDOW)
     fallback |= ~vectorised & (x != 0) & ~np.isnan(x)
     m = m.astype(np.int64)
     m[fallback] = 0
-    carry = m == 10**9
-    m[carry] = 10**8
-    e[carry] += 1
     hi, lo = np.divmod(m, 1000)
     out[:, 0] = head[np.signbit(x) * 100 + hi // 10**4]
     out[:, 1] = digits[hi % 10**4]
@@ -168,13 +161,14 @@ def write_lines(path, lines):
     The text goes to a temporary file beside os.path.realpath(path), the
     target, which then replaces it, so a symlink keeps its link; if
     anything fails, the target is left as it was and the temporary file
-    is removed. Returns the target. A target that is neither a regular
-    file nor a directory (a FIFO) is refused before anything is opened.
+    is removed. Returns the target. A target that exists and is not a
+    regular file (a directory, a FIFO) is refused before anything is opened.
     An OSError, such as a missing directory, is a ScenarioError naming path.
     """
     target = os.path.realpath(path)
-    if os.path.exists(target) and not (os.path.isfile(target) or os.path.isdir(target)):
-        raise ScenarioError(f"cannot write {path}: not a regular file")
+    if os.path.exists(target) and not os.path.isfile(target):
+        reason = os.strerror(errno.EISDIR) if os.path.isdir(target) else "not a regular file"
+        raise ScenarioError(f"cannot write {path}: {reason}")
     tmp = f"{target}.{os.getpid()}.tmp"
     try:
         with open(tmp, "w", encoding="utf-8", newline="\n") as fh:
@@ -192,19 +186,25 @@ def write_lines(path, lines):
 
 
 def write_all(files, text):
-    """Write each (path, lines) of files with write_lines, in turn, and
-    then the lines of text to stdout, and flush it. If any of it fails,
-    the files already written are removed and the error is raised, so a
-    command leaves all of its output or none. A stdout that raises an
-    OSError, or is None (fd 1 closed), is a ScenarioError; its descriptor,
-    if it has one, is first pointed at os.devnull, to keep the flush at
-    exit quiet. A (path, None) entry names a stale file, removed (if it
-    exists) once all the rest is written."""
+    """Take each (path, lines) of files in turn: write it with
+    write_lines, or, where lines is None, remove the stale file at path
+    if it exists. Then write the lines of text to stdout, and flush it.
+    If any of it fails, the files already written are removed and the
+    error is raised, so a command leaves all of its output or none, and a
+    failed file leaves stdout unwritten. A stdout that raises an OSError,
+    or is None (fd 1 closed), is a ScenarioError; its descriptor, if it
+    has one, is first pointed at os.devnull, to keep the flush at exit
+    quiet."""
     written = []
     try:
         for path, lines in files:
             if lines is not None:
                 written.append(write_lines(path, lines))
+            elif os.path.lexists(path):
+                try:
+                    os.remove(path)
+                except OSError as exc:
+                    raise ScenarioError(f"cannot remove {path}: {exc.strerror}") from exc
         try:
             if sys.stdout is None:
                 raise OSError(errno.EBADF, os.strerror(errno.EBADF))
@@ -217,12 +217,6 @@ def write_all(files, text):
                 os.dup2(devnull, fd)
                 os.close(devnull)
             raise ScenarioError(f"cannot write stdout: {exc.strerror}") from exc
-        for path, lines in files:
-            if lines is None and os.path.lexists(path):
-                try:
-                    os.remove(path)
-                except OSError as exc:
-                    raise ScenarioError(f"cannot remove {path}: {exc.strerror}") from exc
     except BaseException:
         for path in written:
             with contextlib.suppress(FileNotFoundError):

@@ -16,7 +16,7 @@ import math
 import numbers
 
 from .constants import checked_make
-from .errors import ScenarioError
+from .errors import DomainError, ScenarioError
 from .ideal_field import AnnularCoilIdeal, CoilWindingSpec, turn_count
 from .diffraction import BeamSpec, GratingScreenSpec
 
@@ -199,9 +199,7 @@ def scenario_from_dict(data):
             a=_number(screen_data["a_m"], "grating_screen.a_m"),
             D=_number(screen_data["D_m"], "grating_screen.D_m"),
         )
-    except ScenarioError:
-        raise
-    except ValueError as exc:
+    except DomainError as exc:
         raise ScenarioError(str(exc)) from exc
     return ExperimentScenario(coil=coil, beam=beam, grating_screen=gs)
 

@@ -22,8 +22,8 @@ finite-filament Biot-Savart field of Hanson & Hirshman, Phys. Plasmas
 once.
 
 field_at works on (points, segments) arrays of d1, d2 and the log's
-denominator gap = d1 + d2 - Lseg; B's denominator is
-(d1 + d2)^2 - Lseg^2 = gap*(d1 + d2 + Lseg). Next to a wire gap cancels:
+denominator gap = d1 + d2 - Lseg; B's denominator (d1 + d2)^2 - Lseg^2
+is taken as gap*(d1 + d2 + Lseg). Next to a wire gap cancels:
 a distance rho from the middle of a segment, gap is about 4*rho^2/Lseg,
 which at rho = 1e-8*Lseg is below the rounding of d1 + d2. So a pair
 with gap < NEAR_GAP*Lseg gets gap recomputed from t = l_hat.(p - s), the
@@ -34,19 +34,18 @@ rho^2 = |l_hat x (p - s)|^2 from the segment's line:
     d1 - t = rho^2/(d1 + t) for t > 0,  d2 - u = rho^2/(d2 + u) for u > 0,
 
 taking d1 - t and d2 - u as they are where t or u is not positive, so no
-term cancels; both denominators follow from this gap. Above the
-threshold gap keeps a relative rounding of a few 1e-16/NEAR_GAP at most.
-Bore maps have no pair below it (gap/Lseg >= 7.6e-4 on the benchmark
-boxes), so they pay only the screen. Through the point of the segment
-nearest to the sample, gap <= 2*distance, so only pairs with
-gap < 2*WIRE_GUARD (plus a rounding margin) can lie inside the wire
-guard; the screen takes these too, and their distance comes from t, u
-and rho. As Lseg*l_hat = e - s and (e - s) x s = e x s, the B sum splits
-into two matrix products,
+term cancels. Above the threshold gap keeps a relative rounding of a few
+1e-16/NEAR_GAP at most. Bore maps have no pair below it (gap/Lseg >=
+7.6e-4 on the benchmark boxes), so they pay only the screen. Through the
+point of the segment nearest to the sample, gap <= 2*distance, so only
+pairs with gap < 2*WIRE_GUARD (plus a rounding margin) can lie inside
+the wire guard; the screen takes these too, and their distance comes
+from t, u and rho. As Lseg*l_hat = e - s and (e - s) x s = e x s, the B
+sum splits into two matrix products,
 
     sum(c * Lseg*l_hat x (p - s)) = (sum(c * (e - s))) x p - sum(c * (e x s)),
 
-with c = (d1 + d2) / (d1*d2*((d1 + d2)^2 - Lseg^2)) and e x s computed
+with c = (d1 + d2) / (d1*d2*gap*(d1 + d2 + Lseg)) and e x s computed
 once per call.
 
 homogeneity_report sums fewer turns than the winding has. A layer of M
@@ -251,7 +250,6 @@ def field_at(winding, points):
     seg_len = np.linalg.norm(seg, axis=1)
     unit = seg / seg_len[:, None]
     end_x_start = np.cross(ends, starts)
-    seg_len_sq = seg_len**2
     # the pairs near a wire; as gap <= 2*distance, they hold those in the guard
     near_gap = np.maximum(NEAR_GAP * seg_len, 2 * WIRE_GUARD + 1e-12)
     sx, sy, sz = starts.T
@@ -266,7 +264,6 @@ def field_at(winding, points):
         d2 = np.sqrt((x - ex) ** 2 + (y - ey) ** 2 + (z - ez) ** 2)
         dsum = d1 + d2
         gap = dsum - seg_len
-        den = dsum**2 - seg_len_sq  # gap * (dsum + seg_len)
         near = gap < near_gap
         if near.any():
             c, k = np.nonzero(near)
@@ -287,9 +284,8 @@ def field_at(winding, points):
                 u > 0, rho_sq / (b + np.abs(u)), b - u
             )
             gap[c, k] = g
-            den[c, k] = g * (dsum[c, k] + seg_len[k])
         A[i:i + step] = np.log((dsum + seg_len) / gap) @ unit
-        coef = dsum / (d1 * d2 * den)
+        coef = dsum / (d1 * d2 * gap * (dsum + seg_len))
         B[i:i + step] = np.cross(coef @ seg, p) - coef @ end_x_start
     scale = MU0 * winding.I / (4 * math.pi)
     return scale * A, 2 * scale * B

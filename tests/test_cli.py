@@ -22,6 +22,14 @@ def read(path):
         return fh.read()
 
 
+class FullStdout:  # a stream with no fileno, whose every write fails
+    def write(self, text):
+        raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+
+    def flush(self):
+        pass
+
+
 class TestReproducePaper:
     def test_exit_zero_and_rows(self, capsys):
         assert main(["reproduce-paper"]) == 0
@@ -80,7 +88,7 @@ class TestSweep:
         fit = json.loads(read(out_path + ".fit.json"))
         assert float(fit["r_squared"]) >= 1 - 1e-12
 
-    def test_sweep_without_fit_removes_stale_fit_sidecar(self, tmp_path, capsys):
+    def test_sweep_without_fit_removes_stale_fit_sidecar(self, tmp_path, capsys, monkeypatch):
         # a voltage sweep has no fit, so the current sweep's sidecar
         # would no longer describe the CSV it sits beside
         out_path = str(tmp_path / "s.csv")
@@ -96,10 +104,24 @@ class TestSweep:
         os.mkdir(out_path + ".fit.json")
         capsys.readouterr()
         assert main(["sweep", *VOLTAGES, "--out", out_path]) == 2
-        assert capsys.readouterr().err == (
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
             f"configuration error: cannot remove {out_path}.fit.json: Is a directory\n"
         )
         assert os.listdir(tmp_path) == ["s.csv.fit.json"]
+        # a failed stdout removes the new CSV, and so leaves no sidecar
+        # beside no CSV either
+        os.rmdir(out_path + ".fit.json")
+        assert main(["sweep", *CURRENTS, "--out", out_path]) == 0
+        capsys.readouterr()
+        monkeypatch.setattr(sys, "stdout", FullStdout())
+        assert main(["sweep", *VOLTAGES, "--out", out_path]) == 2
+        monkeypatch.undo()
+        assert capsys.readouterr().err == (
+            "configuration error: cannot write stdout: No space left on device\n"
+        )
+        assert os.listdir(tmp_path) == []
 
     def test_determinism(self, tmp_path, capsys):
         a = str(tmp_path / "a.csv")
@@ -700,6 +722,30 @@ def test_out_through_symlink_updates_its_target(tmp_path, capsys):
     assert not target.exists() and link.is_symlink()
 
 
+@pytest.mark.parametrize("out", ["d", ".", "..", ""])
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_directory_out_is_refused_unopened(tmp_path, capsys, monkeypatch, out, fmt):
+    # a temp file beside a directory target would land in its parent,
+    # outside the working directory for "." and ""
+    run = tmp_path / "a" / "b"
+    (run / "d").mkdir(parents=True)
+    monkeypatch.chdir(run)
+    opened, real_open = [], open
+
+    def spy(file, *args, **kwargs):
+        opened.append(file)
+        return real_open(file, *args, **kwargs)
+
+    monkeypatch.setattr("builtins.open", spy)
+    assert main(["diffract", "--format", fmt, "--out", out]) == 2
+    monkeypatch.undo()
+    assert opened == []
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"configuration error: cannot write {out}: Is a directory\n"
+    assert sorted(p.name for p in tmp_path.rglob("*")) == ["a", "b", "d"]
+
+
 def test_fifo_out_is_refused_unopened(tmp_path):
     # opening a FIFO without a reader would block; the run is a child
     # with a timeout so that such a fault fails the test
@@ -769,13 +815,6 @@ def test_closed_stdout_is_exit_2(tmp_path, argv, sink):
 
 
 def test_stdout_fault_without_descriptor_is_exit_2(tmp_path, capsys, monkeypatch):
-    class FullStdout:  # a stream with no fileno, whose every write fails
-        def write(self, text):
-            raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
-
-        def flush(self):
-            pass
-
     class FullStringIO(io.StringIO):  # its fileno raises io.UnsupportedOperation
         write = FullStdout.write
 

@@ -78,6 +78,8 @@ values = st.one_of(
 @given(st.lists(values, min_size=1, max_size=60), st.integers(1, 3))
 @example([1000000005.0, 100000000.5, 999999999.5, 9.999999995e22], 1)
 @example([5e-324, -2.2250738585072014e-308, 1.7976931348623157e308, -math.nan], 1)
+@example([9.9999999996, -9.9999999996e-3], 1)  # m rounds up to 1e9: the next exponent
+@example([9.999999999999999e-17, math.nextafter(1e3, math.inf)], 1)  # log10 may round up
 def test_csv_rows_equals_percent_format(xs, columns):
     xs += [0.0] * (-len(xs) % columns)  # whole rows
     rows = np.array(xs).reshape(-1, columns)
