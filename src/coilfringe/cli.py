@@ -170,7 +170,10 @@ def _cmd_diffract(args):
     files = []
     if args.out is not None and args.format == "json":
         orders = [dict(zip(FRINGE_COLUMNS, o)) for o in pattern.orders]
-        files = [(args.out, [json_text({"orders": orders, "summary": summary})])]
+        files = [
+            (args.out, [json_text({"orders": orders, "summary": summary})]),
+            (args.out + ".summary.json", None),  # a CSV run's sidecar is stale
+        ]
     elif args.out is not None:
         gs = scen.grating_screen
         setup = {"U_V": scen.beam.U, "I_A": scen.coil.I, "a_m": gs.a, "D_m": gs.D}

@@ -6,8 +6,9 @@ momentum mv + e*A, with the sign of A carried by the coil current
 polarity. The model is non-relativistic. It comes in two forms:
 fringe_pattern for one setup, and run_sweep for an array of currents or
 voltages, whose inverse interfringe linear_response_fit fits against
-(sqrt(U), I). The momentum and wavelength take a real scalar or a numpy
-array; numpy is imported only for an array.
+(sqrt(U), I). mechanical_momentum and de_broglie_lambda take floats, so
+the scalar form needs no numpy; run_sweep restates their two formulas on
+arrays rather than have one function branch on its argument's type.
 """
 
 from collections import namedtuple
@@ -88,38 +89,22 @@ class FringePattern(
     __slots__ = ()
 
 
-def _any_non_positive(x):
-    """Whether a scalar or any element of an array is <= 0 (NaN is not)."""
-    le = x <= 0
-    return bool(le.any()) if hasattr(le, "any") else le
-
-
-def _sqrt(x):
-    """Correctly rounded square root of a real scalar or of each array element."""
-    if isinstance(x, float):  # a numpy float64 too
-        return math.sqrt(x)
-    import numpy as np
-
-    return np.sqrt(x)
-
-
 def mechanical_momentum(U):
-    """Momentum sqrt(2*m_e*e*U) of an electron accelerated through
-    voltage U (scalar or array)."""
-    if _any_non_positive(U):
+    """Momentum sqrt(2*m_e*e*U) of an electron accelerated through voltage U."""
+    if U <= 0:
         raise DomainError("accelerating voltage U must be positive")
-    return _sqrt(2 * M_E * E_CHARGE * U)
+    return math.sqrt(2 * M_E * E_CHARGE * U)
 
 
 def de_broglie_lambda(p):
-    """de Broglie wavelength lambda = h/p (scalar or array)."""
-    if _any_non_positive(p):
+    """de Broglie wavelength lambda = h/p."""
+    if p <= 0:
         raise DomainError("momentum must be positive")
     return H / p
 
 
 def small_angle_interfringe(lam, gs):
-    """Small-angle interfringe lambda*D/a for wavelength lam (scalar or array)."""
+    """Small-angle interfringe lambda*D/a for wavelength lam (a float or an array)."""
     return lam * gs.D / gs.a
 
 
@@ -154,12 +139,9 @@ def fringe_pattern(beam, gs, A, k_max):
         )
     s_max = k_max * lam / gs.a
     if s_max >= 1.0:
-        feasible = int(gs.a / lam)  # largest k with k*lambda/a < 1
-        if gs.a / lam == feasible:
-            feasible -= 1
         raise DomainError(
             f"grating equation unsolvable at order {k_max}; "
-            f"max feasible order is {feasible}"
+            f"max feasible order is {math.ceil(gs.a / lam) - 1}"  # largest k < a/lambda
         )
     orders = []
     for k in range(k_max + 1):
@@ -234,9 +216,13 @@ def run_sweep(sweep):
                 U, I = np.full_like(values, scen.beam.U), values
             else:
                 U, I = values, np.full_like(values, scen.coil.I)
-            P_eff = mechanical_momentum(U) + E_CHARGE * (K * I)
+            if (U <= 0).any():
+                raise DomainError("accelerating voltage U must be positive")
+            # mechanical_momentum and de_broglie_lambda on arrays; the rows are
+            # held to those two bit for bit by test_rows_match_pointwise_model
+            P_eff = np.sqrt(2 * M_E * E_CHARGE * U) + E_CHARGE * (K * I)
             valid = ~(P_eff <= 0)
-            lam = de_broglie_lambda(P_eff[valid])
+            lam = H / P_eff[valid]
             interfringe = small_angle_interfringe(lam, scen.grating_screen)
             rows = np.full((len(values), 5), np.nan)
             rows[:, 0] = values

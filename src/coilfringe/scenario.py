@@ -123,6 +123,8 @@ def _merge_defaults(data):
                 if k not in known:
                     raise ScenarioError(f"unknown key {key}.{k!r}")
                 sub[k] = v
+            if {"N_turns", "turn_density_per_m"} <= user.keys():  # N_turns passes only for ideal
+                raise ScenarioError("an ideal coil reads N_turns or turn_density_per_m, not both")
             merged[key] = sub
         else:
             merged[key] = data.get(key, default)
@@ -209,7 +211,7 @@ def load_scenario(path):
     try:
         with open(path, "r", encoding="utf-8") as fh:
             data = json.load(fh)
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError, RecursionError) as exc:
         raise ScenarioError(f"cannot read scenario file {path}: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise ScenarioError(

@@ -404,6 +404,19 @@ class TestDiffract:
         assert len(data["orders"]) == 4
         assert "lambda_m" in data["summary"]
 
+    def test_json_removes_stale_csv_summary(self, tmp_path, capsys):
+        # the 0 A run's sidecar would sit beside, and contradict, the 5 A JSON
+        out_path = str(tmp_path / "f")
+        config = tmp_path / "c5.json"
+        config.write_text(json.dumps({"current_A": 5.0}))
+        assert main(["diffract", "--out", out_path]) == 0
+        assert os.path.exists(out_path + ".summary.json")
+        argv = ["diffract", "--config", str(config), "--format", "json", "--out", out_path]
+        assert main(argv) == 0
+        assert sorted(os.listdir(tmp_path)) == ["c5.json", "f"]
+        assert main(argv) == 0  # nothing to remove
+        assert sorted(os.listdir(tmp_path)) == ["c5.json", "f"]
+
     def test_order_limit(self, tmp_path, capsys):
         # a 1 m grating spacing solves about 1.4e11 orders, so only the cap
         # bounds the pattern

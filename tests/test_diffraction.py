@@ -53,6 +53,8 @@ class TestMomentumAndWavelength:
             mechanical_momentum(0.0)
         with pytest.raises(DomainError):
             de_broglie_lambda(-1.0)
+        with pytest.raises(DomainError):
+            de_broglie_lambda(0.0)
 
 
 class TestEffectiveMomentum:

@@ -104,6 +104,42 @@ class TestLoadScenario:
         assert scen.coil.I == 2.0
 
 
+@pytest.mark.parametrize(
+    "content, reason",
+    [
+        (b"[" * 100000 + b"]" * 100000, "maximum recursion depth exceeded"),
+        (b'{"coil": ' + b"[" * 100000 + b"]" * 100000 + b"}", "maximum recursion depth exceeded"),
+        (b'\xff{"current_A": 1.0}', "'utf-8' codec can't decode byte 0xff"),
+    ],
+    ids=["nested", "nested-coil", "not-utf-8"],
+)
+def test_unreadable_scenario_is_a_configuration_error(tmp_path, capsys, content, reason):
+    path = tmp_path / "scenario.json"
+    path.write_bytes(content)
+    assert main(["validate-coil", "--config", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith(
+        f"configuration error: cannot read scenario file {path}: {reason}"
+    )
+    assert captured.err.count("\n") == 1
+    assert captured.out == ""
+
+
+@pytest.mark.parametrize("density", ['"abc"', "-1e400", "2000.0"])
+def test_ideal_coil_with_both_turn_keys_rejected(tmp_path, capsys, density):
+    # N_turns would win, and the density would never be read or checked
+    path = tmp_path / "scenario.json"
+    path.write_text(
+        f'{{"coil": {{"type": "ideal", "N_turns": 100, "turn_density_per_m": {density}}}}}'
+    )
+    assert main(["validate-coil", "--config", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == (
+        "configuration error: an ideal coil reads N_turns or turn_density_per_m, not both\n"
+    )
+    assert captured.out == ""
+
+
 @pytest.mark.parametrize("data", [[], [{"current_A": 1.0}]])
 def test_top_level_list_rejected(tmp_path, capsys, data):
     path = write_scenario(tmp_path, data)

@@ -39,6 +39,7 @@ def test_rows_match_pointwise_model():
 
 
 def test_non_positive_voltage_rejected():
-    sweep = SweepSpec("voltage", -100.0, 100.0, 50.0, paper_scenario())
-    with pytest.raises(DomainError):
-        run_sweep(sweep)
+    for start in (-100.0, 0.0):  # 0 V is a non-positive voltage, not a NaN row
+        sweep = SweepSpec("voltage", start, 100.0, 50.0, paper_scenario())
+        with pytest.raises(DomainError):
+            run_sweep(sweep)
