@@ -5,7 +5,8 @@ axial run near R1, a radial fragment out to R2 at one end, a return run
 near R2, and a radial fragment back at the other end. Helicity is the
 azimuthal advance of one turn spacing distributed along the turn path;
 layers may wind with opposite azimuthal sense so their net azimuthal
-advance cancels. A Winding holds the segments as arrays.
+advance cancels. A Winding holds each layer's turns as polylines, one
+vertex array, so the segments of a turn chain through shared vertices.
 
 Field evaluation sums closed forms over all segments, which are in
 series and carry the one current I. A segment of length Lseg, unit
@@ -21,9 +22,11 @@ finite-filament Biot-Savart field of Hanson & Hirshman, Phys. Plasmas
 9, 4410 (2002)). Both are linear in I, so mu0*I/(4pi) scales the sums
 once.
 
-field_at works on (points, segments) arrays of d1, d2 and the log's
-denominator gap = d1 + d2 - Lseg; B's denominator (d1 + d2)^2 - Lseg^2
-is taken as gap*(d1 + d2 + Lseg). Next to a wire gap cancels:
+field_at takes each point's distance to every vertex once, and a
+segment's d1 and d2 are those of its two consecutive vertices. It works
+on (points, segments) arrays of d1, d2 and the log's denominator
+gap = d1 + d2 - Lseg; B's denominator (d1 + d2)^2 - Lseg^2 is taken as
+gap*(d1 + d2 + Lseg). Next to a wire gap cancels:
 a distance rho from the middle of a segment, gap is about 4*rho^2/Lseg,
 which at rho = 1e-8*Lseg is below the rounding of d1 + d2. So a pair
 with gap < NEAR_GAP*Lseg gets gap recomputed from t = l_hat.(p - s), the
@@ -131,11 +134,13 @@ class Box(namedtuple("Box", "lo hi")):
         return np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, 3)
 
 
-class Winding(namedtuple("Winding", "starts ends I")):
-    """Straight current segments held as arrays.
+class Winding(namedtuple("Winding", "vertices I")):
+    """Straight current segments held as polylines.
 
-    Segment k runs from starts[k] to ends[k] (both (n, 3) arrays, meters);
-    every segment carries the current I (amperes).
+    vertices is an (n, m, 3) array (meters) of n polylines of m vertices;
+    piece i of polyline j, from vertices[j, i] to vertices[j, i + 1], is
+    segment k = j*(m - 1) + i. Every segment carries the current I
+    (amperes).
     """
 
     __slots__ = ()
@@ -174,7 +179,7 @@ def _layer_sizes(spec, max_copies):
 
 
 def _layers(spec, segments_per_turn, max_copies):
-    """Each layer of the winding as (M, Q, starts, ends).
+    """Each layer of the winding as (M, Q, vertices).
 
     The layer of M turns is built as Q copies of its first turn (see
     _layer_sizes), copy k rotated by k/Q of a full turn, so Q = M is the
@@ -182,7 +187,8 @@ def _layers(spec, segments_per_turn, max_copies):
     azimuth s*2pi*j/M plus a per-layer interleaving offset, and its
     turn advances by one turn spacing over the turn path: each turn ends
     where the next begins, and the last turn of the layer closes it.
-    The segment endpoints are (Q*segments_per_turn, 3) arrays.
+    vertices is a (Q, segments_per_turn + 1, 3) array: each copy is the
+    polyline of its turn, whose last vertex is where the next turn starts.
     """
     sub = segments_per_turn // 4
     R1, R2, L = spec.R1, spec.R2, spec.L
@@ -198,10 +204,11 @@ def _layers(spec, segments_per_turn, max_copies):
     perimeter = 2 * L + 2 * (R2 - R1)
     walked = np.concatenate(([[0.0]], np.cumsum(leg_len, axis=0)[:-1]))
     f = np.arange(sub) / sub
-    # radius, height and fraction of the turn path at each segment start
-    r = (ra + (rb - ra) * f).ravel()
-    z = (za + (zb - za) * f).ravel()
-    t = ((walked + leg_len * f) / perimeter).ravel()
+    # radius, height and fraction of the turn path at each vertex; the
+    # closing vertex, a full turn path on, is where the next turn starts
+    r = np.append(ra + (rb - ra) * f, R1)
+    z = np.append(za + (zb - za) * f, -L / 2)
+    t = np.append((walked + leg_len * f) / perimeter, 1.0)
 
     for layer, (M, Q) in enumerate(_layer_sizes(spec, max_copies)):
         s = spec.helicity_sign_per_layer[layer]
@@ -209,17 +216,10 @@ def _layers(spec, segments_per_turn, max_copies):
         # the turn index of each copy, which is k itself when Q = M
         turn = np.arange(Q) * M / Q
         phi = (s * 2 * math.pi * turn / M + offset)[:, None] + s * 2 * math.pi / M * t
-        starts = np.stack(
+        vertices = np.stack(
             [r * np.cos(phi), r * np.sin(phi), np.broadcast_to(z, phi.shape)], axis=-1
         )
-        # a turn ends where the turn after it starts, at r[0], z[0]; with
-        # Q = M the last turn ends exactly on the first turn's start
-        phi_next = s * 2 * math.pi * ((turn + 1) % M) / M + offset
-        next_start = np.stack(
-            [r[0] * np.cos(phi_next), r[0] * np.sin(phi_next), np.full(Q, z[0])], axis=-1
-        )
-        ends = np.concatenate([starts[:, 1:], next_start[:, None]], axis=1)
-        yield M, Q, starts.reshape(-1, 3), ends.reshape(-1, 3)
+        yield M, Q, vertices
 
 
 def build_winding(spec, segments_per_turn=8):
@@ -233,8 +233,8 @@ def build_winding(spec, segments_per_turn=8):
     built, MAX_SEGMENTS segments included, before anything is allocated.
     """
     check_constructible(spec, segments_per_turn)
-    _, _, starts, ends = zip(*_layers(spec, segments_per_turn, spec.N))
-    return Winding(starts=np.concatenate(starts), ends=np.concatenate(ends), I=float(spec.I))
+    vertices = [v for _, _, v in _layers(spec, segments_per_turn, spec.N)]
+    return Winding(vertices=np.concatenate(vertices), I=float(spec.I))
 
 
 def field_at(winding, points):
@@ -242,51 +242,54 @@ def field_at(winding, points):
 
     points is an (n, 3) array, or one 3-vector; A and B are returned as
     (n, 3) arrays. Raises DomainError if a point lies within
-    WIRE_GUARD of a segment.
+    WIRE_GUARD of a segment, naming the segment by its number k (see
+    Winding). Each point's distance to every vertex is taken once: the
+    pieces of a polyline share their inner vertices.
     """
     points = np.asarray(points, dtype=float).reshape(-1, 3)
-    starts, ends = winding.starts, winding.ends
-    seg = ends - starts
-    seg_len = np.linalg.norm(seg, axis=1)
-    unit = seg / seg_len[:, None]
-    end_x_start = np.cross(ends, starts)
+    vertices = winding.vertices
+    seg = np.diff(vertices, axis=1)
+    seg_len = np.linalg.norm(seg, axis=2)
+    unit = seg / seg_len[..., None]
+    end_x_start = np.cross(vertices[:, 1:], vertices[:, :-1]).reshape(-1, 3)
     # the pairs near a wire; as gap <= 2*distance, they hold those in the guard
     near_gap = np.maximum(NEAR_GAP * seg_len, 2 * WIRE_GUARD + 1e-12)
-    sx, sy, sz = starts.T
-    ex, ey, ez = ends.T
+    vx, vy, vz = np.moveaxis(vertices, 2, 0)
     A = np.empty_like(points)
     B = np.empty_like(points)
-    step = max(1, BATCH_PAIRS // len(seg))
+    step = max(1, BATCH_PAIRS // seg_len.size)
     for i in range(0, len(points), step):
         p = points[i:i + step]
-        x, y, z = p[:, 0:1], p[:, 1:2], p[:, 2:3]
-        d1 = np.sqrt((x - sx) ** 2 + (y - sy) ** 2 + (z - sz) ** 2)
-        d2 = np.sqrt((x - ex) ** 2 + (y - ey) ** 2 + (z - ez) ** 2)
+        x, y, z = p.T[..., None, None]
+        d = np.sqrt((x - vx) ** 2 + (y - vy) ** 2 + (z - vz) ** 2)
+        d1, d2 = d[..., :-1], d[..., 1:]
         dsum = d1 + d2
         gap = dsum - seg_len
         near = gap < near_gap
         if near.any():
-            c, k = np.nonzero(near)
-            r1 = p[c] - starts[k]
-            t = np.einsum("nk,nk->n", r1, unit[k])  # d1 - t = rho_sq / (d1 + t)
-            u = seg_len[k] - t  # d2 - u = rho_sq / (d2 + u)
-            rho_sq = np.sum(np.cross(unit[k], r1) ** 2, axis=1)
-            a, b = d1[c, k], d2[c, k]
+            pair = np.nonzero(near)  # (point, polyline, piece) of each near pair
+            c, piece = pair[0], pair[1:]
+            r1 = p[c] - vertices[piece]
+            t = np.einsum("nk,nk->n", r1, unit[piece])  # d1 - t = rho_sq / (d1 + t)
+            u = seg_len[piece] - t  # d2 - u = rho_sq / (d2 + u)
+            rho_sq = np.sum(np.cross(unit[piece], r1) ** 2, axis=1)
+            a, b = d1[pair], d2[pair]
             dist = np.where(t < 0, a, np.where(u < 0, b, np.sqrt(rho_sq)))
             j = np.argmin(dist)
             if dist[j] < WIRE_GUARD:
+                k = np.ravel_multi_index(piece, seg_len.shape)[j]
                 raise DomainError(
-                    f"point {p[c[j]].tolist()} within wire guard of segment {k[j]} "
+                    f"point {p[c[j]].tolist()} within wire guard of segment {k} "
                     f"(distance {dist[j]:.3e} m)"
                 )
             # a, b >= dist > 0, so no denominator below is 0
             g = np.where(t > 0, rho_sq / (a + np.abs(t)), a - t) + np.where(
                 u > 0, rho_sq / (b + np.abs(u)), b - u
             )
-            gap[c, k] = g
-        A[i:i + step] = np.log((dsum + seg_len) / gap) @ unit
-        coef = dsum / (d1 * d2 * gap * (dsum + seg_len))
-        B[i:i + step] = np.cross(coef @ seg, p) - coef @ end_x_start
+            gap[pair] = g
+        A[i:i + step] = np.log((dsum + seg_len) / gap).reshape(len(p), -1) @ unit.reshape(-1, 3)
+        coef = (dsum / (d1 * d2 * gap * (dsum + seg_len))).reshape(len(p), -1)
+        B[i:i + step] = np.cross(coef @ seg.reshape(-1, 3), p) - coef @ end_x_start
     scale = MU0 * winding.I / (4 * math.pi)
     return scale * A, 2 * scale * B
 
@@ -362,8 +365,8 @@ def homogeneity_report(coil, region, grid, segments_per_turn=8):
 
         points = region.grid_points(grid)
         A, B = np.zeros_like(points), np.zeros_like(points)
-        for M, Q, starts, ends in _layers(coil, segments_per_turn, max_copies):
-            A_layer, B_layer = field_at(Winding(starts, ends, M / Q), points)
+        for M, Q, vertices in _layers(coil, segments_per_turn, max_copies):
+            A_layer, B_layer = field_at(Winding(vertices, M / Q), points)
             A += A_layer
             B += B_layer
         mean_A = A.mean(axis=0)

@@ -30,7 +30,7 @@ RECORDS = [
     (ExperimentScenario, tuple(SCENARIO)),
     (SweepSpec, ("current", 0.0, 1.0, 0.5, SCENARIO)),
     (Box, ((-0.01, -0.01, -0.01), (0.01, 0.01, 0.01))),
-    (Winding, (POINTS, POINTS + 1.0, 1.0)),
+    (Winding, (POINTS[None], 1.0)),
     (HomogeneityReport, ((0.0, 0.0, 1.0), 0.0, 0.0, 1.0, 0.0, POINTS, POINTS, POINTS, (31,))),
 ]
 

@@ -45,11 +45,13 @@ def paper_coil(L=6.0, layers=2, helicity=(1, -1), I=1.0, turn_density=2000.0):
 
 def segment(start, end, I):
     """Winding of one straight segment."""
-    return Winding(
-        starts=np.array([start], dtype=float),
-        ends=np.array([end], dtype=float),
-        I=float(I),
-    )
+    return Winding(vertices=np.array([[start, end]], dtype=float), I=float(I))
+
+
+def segment_ends(winding):
+    """(starts, ends) of the winding's segments, (n, 3) arrays in segment order."""
+    v = winding.vertices
+    return v[:, :-1].reshape(-1, 3), v[:, 1:].reshape(-1, 3)
 
 
 def A_at(winding, p):
@@ -84,7 +86,7 @@ def _field_at_per_pair(winding, points):
     apart, so it does not cancel next to the wire.
     """
     points = np.asarray(points, dtype=float).reshape(-1, 3)
-    starts, ends = winding.starts, winding.ends
+    starts, ends = segment_ends(winding)
     seg = ends - starts
     seg_len_sq = np.einsum("ij,ij->i", seg, seg)
     seg_len = np.linalg.norm(seg, axis=1)
@@ -120,8 +122,9 @@ def _field_at_per_pair(winding, points):
 
 def _distances(winding, points):
     """(points, segments) distances from each point to each segment."""
-    seg = winding.ends - winding.starts
-    r1 = np.asarray(points, dtype=float)[:, None, :] - winding.starts
+    starts, ends = segment_ends(winding)
+    seg = ends - starts
+    r1 = np.asarray(points, dtype=float)[:, None, :] - starts
     t = np.clip(np.einsum("cmk,mk->cm", r1, seg) / np.einsum("mk,mk->m", seg, seg), 0.0, 1.0)
     return np.linalg.norm(r1 - t[..., None] * seg, axis=2)
 
@@ -131,37 +134,51 @@ class TestBuildWinding:
         assert paper_coil().N == 1257
 
     def test_segment_count(self):
-        spec = paper_coil()
-        w = build_winding(spec, segments_per_turn=4)
-        # each turn contributes segments_per_turn chained segments and
+        # each turn is a polyline of segments_per_turn chained segments and
         # every layer closes on itself with no extra closure segment
-        assert w.starts.shape == w.ends.shape == (spec.N * 4, 3)
-        assert w.I == spec.I
-        w8 = build_winding(spec, segments_per_turn=8)
-        assert len(w8.starts) == spec.N * 8
+        spec = paper_coil()
+        for segments_per_turn in (4, 8):
+            w = build_winding(spec, segments_per_turn)
+            assert w.vertices.shape == (spec.N, segments_per_turn + 1, 3)
+            assert w.I == spec.I
+
+    def test_turns_chain_and_layers_close(self):
+        # a turn's last vertex is the next turn's first, and the last turn
+        # of a layer ends on the layer's first vertex
+        spec = paper_coil(L=2.0, layers=3, helicity=(1, -1, 1))
+        v = build_winding(spec, 8).vertices
+        base, rem = divmod(spec.N, spec.layers)
+        first = 0
+        for layer in range(spec.layers):
+            layer_v = v[first:first + base + (layer < rem)]
+            first += len(layer_v)
+            assert np.max(np.abs(layer_v[:-1, -1] - layer_v[1:, 0])) <= 1e-15
+            assert np.max(np.abs(layer_v[-1, -1] - layer_v[0, 0])) <= 1e-15
+        assert first == spec.N
 
     def test_net_axial_ampere_turns_through_midplane(self):
         # signed crossings of z=0 inside the bore annulus: every inner
         # axial run carries +I upward once
         spec = paper_coil()
         w = build_winding(spec, segments_per_turn=4)
+        starts, ends = segment_ends(w)
         mid = (spec.R1 + spec.R2) / 2
-        za, zb = w.starts[:, 2], w.ends[:, 2]
+        za, zb = starts[:, 2], ends[:, 2]
         crossing = ((za < 0) & (0 <= zb)) | ((zb < 0) & (0 <= za))
-        inner = np.hypot(w.starts[:, 0], w.starts[:, 1]) < mid
+        inner = np.hypot(starts[:, 0], starts[:, 1]) < mid
         signed = np.where(zb > za, w.I, -w.I)
         net = signed[crossing & inner].sum()
         assert net == pytest.approx(spec.N * spec.I)
 
     def test_helicity_mirrored_axial_geometry(self):
-        a = build_winding(paper_coil(helicity=(1, -1)), 4)
-        b = build_winding(paper_coil(helicity=(1, 1)), 4)
+        a = build_winding(paper_coil(helicity=(1, -1)), 4).vertices.reshape(-1, 3)
+        b = build_winding(paper_coil(helicity=(1, 1)), 4).vertices.reshape(-1, 3)
         # same radii/z structure, only the azimuthal advance differs
-        za = np.sort(np.round(a.starts[:, 2], 12))
-        zb = np.sort(np.round(b.starts[:, 2], 12))
+        za = np.sort(np.round(a[:, 2], 12))
+        zb = np.sort(np.round(b[:, 2], 12))
         assert np.array_equal(za, zb)
-        ra = np.sort(np.round(np.hypot(a.starts[:, 0], a.starts[:, 1]), 9))
-        rb = np.sort(np.round(np.hypot(b.starts[:, 0], b.starts[:, 1]), 9))
+        ra = np.sort(np.round(np.hypot(a[:, 0], a[:, 1]), 9))
+        rb = np.sort(np.round(np.hypot(b[:, 0], b[:, 1]), 9))
         assert np.array_equal(ra, rb)
 
     def test_overlapping_turns_rejected(self):
@@ -197,7 +214,7 @@ class TestBuildWinding:
         )
         perimeter = 2 * 2.0 + 2 * (spec.R2 - spec.R1)
         base, rem = divmod(spec.N, spec.layers)
-        starts, ends = [], []
+        turns = []
         for layer, s in enumerate(spec.helicity_sign_per_layer):
             M = base + (1 if layer < rem else 0)
             pts = []
@@ -211,11 +228,11 @@ class TestBuildWinding:
                         r = ra + (rb - ra) * f
                         pts.append((r * math.cos(phi), r * math.sin(phi), za + (zb - za) * f))
                     walked += length
-            starts += pts
-            ends += pts[1:] + pts[:1]
+            # each turn ends on the next turn's first vertex, the last on the first turn's
+            pts.append(pts[0])
+            turns += [pts[8 * j:8 * j + 9] for j in range(M)]
         w = build_winding(spec, 8)
-        assert np.allclose(w.starts, starts, rtol=0, atol=1e-14)
-        assert np.allclose(w.ends, ends, rtol=0, atol=1e-14)
+        assert np.allclose(w.vertices, turns, rtol=0, atol=1e-14)
         assert w.I == spec.I
 
     def test_fewer_turns_than_layers_rejected(self):
@@ -258,7 +275,8 @@ class TestBuildWinding:
             with pytest.raises(type(exc), match=f"^{re.escape(str(exc))}$"):
                 check_constructible(spec, segments_per_turn)
         else:
-            assert check_constructible(spec, segments_per_turn) == len(winding.starts)
+            n, m, _ = winding.vertices.shape
+            assert check_constructible(spec, segments_per_turn) == n * (m - 1)
 
     def test_minimum_segments_per_turn(self):
         # the four legs are subdivided evenly, so only multiples of 4 work
@@ -319,18 +337,18 @@ class TestSegmentA:
         assert A[0, 2] > 0
 
     def test_guard_message_names_nearest_pair(self):
+        # two polylines of two pieces: segments 0 and 1 along x = 0, 2 and 3 along x = 1
         w = Winding(
-            starts=np.array([(0.0, 0.0, 0.0), (1.0, 0.0, 0.0)]),
-            ends=np.array([(0.0, 0.0, 1.0), (1.0, 0.0, 1.0)]),
+            vertices=np.array([[(x, 0.0, 0.0), (x, 0.0, 1.0), (x, 0.0, 2.0)] for x in (0.0, 1.0)]),
             I=1.0,
         )
-        points = [(0.5, 0.0, 0.5), (1.0, 5e-10, 0.25), (3e-10, 0.0, 0.5)]
+        points = [(0.5, 0.0, 0.5), (5e-10, 0.0, 0.25), (1.0, 3e-10, 1.5)]
         with pytest.raises(DomainError, match="within wire guard") as new:
             field_at(w, points)
         with pytest.raises(DomainError, match="within wire guard") as ref:
             _field_at_per_pair(w, points)
         assert str(new.value) == str(ref.value)
-        assert "segment 0 (distance 3.000e-10 m)" in str(new.value)
+        assert "segment 3 (distance 3.000e-10 m)" in str(new.value)
 
     @pytest.mark.parametrize("rho", [5e-9, 2e-8, 1e-7, 1e-6])
     def test_field_next_to_a_long_segment(self, rho):
@@ -410,24 +428,25 @@ vertex = st.tuples(*[st.floats(-1.0, 1.0, allow_nan=False)] * 3)
 def test_field_at_matches_per_pair_kernel(vertices, current, points):
     v = np.array(vertices)
     assume(np.all(np.linalg.norm(np.diff(v, axis=0), axis=1) > 1e-3))
-    w = Winding(starts=v[:-1], ends=v[1:], I=current)
+    w = Winding(vertices=v[None], I=current)
     points = np.array(points)
     assume(_distances(w, points).min() >= 1e-6)
     A, B = field_at(w, points)
     A_ref, B_ref = _field_at_per_pair(w, points)
     # size of the summed terms: |scale * log| for A, and for B
     # |coef| * (|p| + |s|), since B is summed as coef*(l_hat x p - l_hat x s)
-    r1 = points[:, None, :] - w.starts
+    starts, ends = segment_ends(w)
+    r1 = points[:, None, :] - starts
     d1 = np.linalg.norm(r1, axis=2)
-    d2 = np.linalg.norm(points[:, None, :] - w.ends, axis=2)
-    seg_len = np.linalg.norm(w.ends - w.starts, axis=1)
+    d2 = np.linalg.norm(points[:, None, :] - ends, axis=2)
+    seg_len = np.linalg.norm(ends - starts, axis=1)
     scale = MU0 * abs(current) / (4 * math.pi)
     dsum = d1 + d2
-    reach = np.linalg.norm(points, axis=1)[:, None] + np.linalg.norm(w.starts, axis=1) + seg_len
+    reach = np.linalg.norm(points, axis=1)[:, None] + np.linalg.norm(starts, axis=1) + seg_len
     A_size = np.sum(scale * np.log((dsum + seg_len) / (dsum - seg_len)), axis=1)
     coef = scale * 2 * seg_len * dsum / (d1 * d2 * (dsum**2 - seg_len**2))
     B_size = np.sum(
-        coef * (np.linalg.norm(points, axis=1)[:, None] + np.linalg.norm(w.starts, axis=1)),
+        coef * (np.linalg.norm(points, axis=1)[:, None] + np.linalg.norm(starts, axis=1)),
         axis=1,
     )
     # rounding moves a point or a segment end by about eps * reach, which
@@ -463,12 +482,12 @@ class TestCoilField:
     def test_marginal_fragments_cancel_transverse_at_midplane(self):
         # only the two end fragments, symmetric currents
         spec = paper_coil(L=2.0)
-        w = build_winding(spec, 8)
-        radial = (np.abs(np.abs(w.starts[:, 2]) - spec.L / 2) < 1e-12) & (
-            np.abs(np.abs(w.ends[:, 2]) - spec.L / 2) < 1e-12
+        starts, ends = segment_ends(build_winding(spec, 8))
+        radial = (np.abs(np.abs(starts[:, 2]) - spec.L / 2) < 1e-12) & (
+            np.abs(np.abs(ends[:, 2]) - spec.L / 2) < 1e-12
         )
-        ends = Winding(w.starts[radial], w.ends[radial], w.I)
-        A = A_at(ends, (0.0, 0.0, 0.0))
+        fragments = Winding(np.stack([starts[radial], ends[radial]], axis=1), spec.I)
+        A = A_at(fragments, (0.0, 0.0, 0.0))
         assert abs(A[0]) <= 1e-10 * max(abs(A[2]), 1e-12) + 1e-20
         assert abs(A[1]) <= 1e-10 * max(abs(A[2]), 1e-12) + 1e-20
 
@@ -551,7 +570,7 @@ class TestCoilB:
         # outside the coil is rounding noise of that size
         w = build_winding(paper_coil(L=2.0, I=1.5), 8)
         A, B = field_at(w, self.PROBES)
-        Ak, Bk = field_at(Winding(w.starts, w.ends, w.I * k), self.PROBES)
+        Ak, Bk = field_at(Winding(w.vertices, w.I * k), self.PROBES)
         for F, Fk in ((A, Ak), (B, Bk)):
             assert np.max(np.abs(Fk - k * F)) <= 1e-13 * k * np.max(np.abs(F))
 
@@ -560,7 +579,9 @@ class TestCoilB:
         # for its first start s and last end e, and 0 once it closes
         I = 1.5
         w = build_winding(paper_coil(L=2.0, I=I), 8)
-        chain = Winding(w.starts[:100], w.ends[:100], w.I)
+        # the first 100 segments: 12 turns, then half of the 13th
+        head = w.vertices[:12, :-1].reshape(-1, 3)
+        chain = Winding(np.concatenate([head, w.vertices[12, :5]])[None], w.I)
         c = MU0 * I / (4 * math.pi)
 
         def div_A(winding, p, h=1e-5):
@@ -572,8 +593,8 @@ class TestCoilB:
         tol = 1e-12  # T, about a millionth of c / R1
         largest_open = 0.0
         for p in np.array(self.PROBES):
-            open_div = c * (1 / np.linalg.norm(p - chain.starts[0])
-                            - 1 / np.linalg.norm(p - chain.ends[-1]))
+            open_div = c * (1 / np.linalg.norm(p - chain.vertices[0, 0])
+                            - 1 / np.linalg.norm(p - chain.vertices[-1, -1]))
             assert abs(div_A(chain, p) - open_div) <= tol, p
             assert abs(div_A(w, p)) <= tol, p
             largest_open = max(largest_open, abs(open_div))
@@ -635,7 +656,9 @@ class TestHomogeneityReport:
     def test_long_coil_rate(self):
         # rel_error_vs_ideal tends to (R2^2 - R1^2)/(L^2*ln(R2/R1)), whose
         # next term falls like 1/L^4; past 12 m an error near 1e-8 relative
-        # outweighs that term, so the ratio is bounded, not monotone
+        # outweighs that term, so the ratio is bounded, not monotone. That
+        # error comes from the straight chords that stand for the helical
+        # turn path: it falls like 1/N^2 in the turn count and roughly like 1/L
         region = Box(lo=(-0.01, -0.01, -0.01), hi=(0.01, 0.01, 0.01))
         gaps = {}
         for L in (3.0, 6.0, 12.0, 24.0, 48.0):
@@ -779,16 +802,23 @@ class TestHomogeneityReport:
         scale = MU0 * spec.N * abs(spec.I) / (2 * math.pi * spec.R1)
         assert np.max(np.abs(rep.B - B)) <= 1e-13 * scale
 
-    @pytest.mark.parametrize("turn_density", [2000.0, 200.0])
-    def test_benchmark_box_needs_fewer_copies_than_turns(self, turn_density):
-        # a box of half side 2 cm centred within 5 mm of the axis
+    @pytest.mark.parametrize(
+        "turn_density, centre, grid, copies",
+        [
+            (2000.0, (0.0, 0.0, 0.0), 5, (32, 32)),
+            (2000.0, (-0.005, -0.005, -0.5), 5, (39, 39)),
+            (200.0, (0.005, -0.005, 0.5), 2, (39, 39)),
+        ],
+        ids=["reference-centre", "reference-off-axis", "126-turns"],
+    )
+    def test_benchmark_box_needs_fewer_copies_than_turns(self, turn_density, centre, grid, copies):
+        # a box of half side 2 cm centred within 5 mm of the axis; the copies
+        # are those that MAX_FIELD_PAIRS's comment states
         spec = paper_coil(L=12.0, turn_density=turn_density)
-        centre = (0.005, -0.005, 0.5)
         region = Box(lo=tuple(c - 0.02 for c in centre), hi=tuple(c + 0.02 for c in centre))
-        rep = homogeneity_report(spec, region, 2)
-        base = spec.N // spec.layers
-        assert len(rep.copies) == spec.layers
-        assert all(Q < base for Q in rep.copies)
+        rep = homogeneity_report(spec, region, grid)
+        assert rep.copies == copies
+        assert all(Q < spec.N // spec.layers for Q in rep.copies)
 
     @pytest.mark.parametrize("I", [2.5, 0.0])
     def test_ideal_coil_report_is_exact(self, I):
@@ -855,8 +885,8 @@ def winding_axis_integral(spec, T=200.0, h=0.01):
     z = np.linspace(-T, T, round(2 * T / h) + 1)
     points = np.column_stack([np.zeros_like(z), np.zeros_like(z), z])
     Az = np.zeros_like(z)
-    for M, Q, starts, ends in _layers(spec, 8, 1):
-        Az += field_at(Winding(starts, ends, M * spec.I / Q), points)[0][:, 2]
+    for M, Q, vertices in _layers(spec, 8, 1):
+        Az += field_at(Winding(vertices, M * spec.I / Q), points)[0][:, 2]
     return h * (Az.sum() - (Az[0] + Az[-1]) / 2)
 
 
