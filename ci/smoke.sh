@@ -1,0 +1,52 @@
+#!/usr/bin/env bash
+# Smoke steps for the coilfringe command: exit codes, stderr lines and
+# the files each command leaves. Usage:
+#
+#   bash ci/smoke.sh DIR
+#
+# DIR is an empty directory for the files. COILFRINGE names the command,
+# split on spaces; it defaults to the installed script, and
+#   COILFRINGE="python -m coilfringe.cli" PYTHONPATH=src bash ci/smoke.sh DIR
+# runs the steps on a source checkout.
+set -euo pipefail
+
+dir=$1
+err="$dir/err"
+coilfringe() { command ${COILFRINGE:-coilfringe} "$@"; }
+
+coilfringe reproduce-paper
+coilfringe validate-coil
+coilfringe diffract
+# a stdout that cannot be written exits 2 with one stderr line
+status=0; coilfringe reproduce-paper > /dev/full 2> "$err" || status=$?
+test "$status" -eq 2
+test "$(wc -l < "$err")" -eq 1
+status=0; coilfringe diffract >&- 2> "$err" || status=$?
+test "$status" -eq 2
+test "$(wc -l < "$err")" -eq 1
+# the numpy commands; a sweep without a fit removes the fit
+# sidecar that an earlier sweep left beside the same --out
+echo '{"current_A": 2.5}' > "$dir/s.json"
+coilfringe field-map --config "$dir/s.json" --region=-0.01,0.01,-0.01,0.01,-0.01,0.01 --grid 2 --out "$dir/m.csv"
+# the column header and 2**3 rows, and the homogeneity sidecar
+test "$(grep -vc '^#' "$dir/m.csv")" -eq 9
+test -e "$dir/m.csv.homogeneity.json"
+coilfringe sweep --from -1 --to 1 --step 0.5 --out "$dir/sweep.csv"
+test -e "$dir/sweep.csv.fit.json"
+coilfringe sweep --variable voltage --from 1000 --to 2000 --step 500 --out "$dir/sweep.csv"
+test ! -e "$dir/sweep.csv.fit.json"
+# a negative value in exponent form is a value, not an unknown option
+coilfringe sweep --from -1e-05 --to 1e-05 --step 1e-06 --out "$dir/small.csv"
+# a stale sidecar that cannot be removed fails the run before
+# stdout is written, and the CSV it wrote is removed again
+mkdir "$dir/v.csv.fit.json"
+status=0; out=$(coilfringe sweep --variable voltage --from 1000 --to 2000 --step 500 --out "$dir/v.csv" 2> "$err") || status=$?
+test "$status" -eq 2
+test -z "$out"
+test "$(wc -l < "$err")" -eq 1
+test ! -e "$dir/v.csv"
+# a scenario nested too deeply to parse is a configuration error
+python -c "print('[' * 100000 + ']' * 100000)" > "$dir/deep.json"
+status=0; coilfringe validate-coil --config "$dir/deep.json" 2> "$err" || status=$?
+test "$status" -eq 2
+test "$(wc -l < "$err")" -eq 1

@@ -24,6 +24,7 @@ winding kernel, inside its command function.
 import argparse
 import math
 import os
+import re
 import sys
 
 from .errors import DomainError, ScenarioError
@@ -41,6 +42,11 @@ FRINGE_COLUMNS = ("k", "theta_k_rad", "y_k_m", "ring_radius_m")
 
 # Factor validate-coil demands of each ">>" setup relation by default.
 DEFAULT_GEOMETRY_FACTOR = 10.0
+# What argparse takes for a negative number, not an option, after an option
+# that wants a value. Its own pattern has no exponent, inf or nan, so
+# "--from -1e-05" would fail; no option of this CLI looks like a number.
+_NEGATIVE_NUMBER = re.compile(r"^-(\d+\.?\d*|\.\d+)(e[-+]?\d+)?$|^-(inf|infinity|nan)$",
+                              re.IGNORECASE)
 
 
 def _load(args):
@@ -262,6 +268,8 @@ def build_parser():
     )
     p.set_defaults(func=_cmd_validate_coil)
 
+    for p in (parser, *sub.choices.values()):
+        p._negative_number_matcher = _NEGATIVE_NUMBER
     return parser
 
 

@@ -222,11 +222,10 @@ def run_sweep(sweep):
             # held to those two bit for bit by test_rows_match_pointwise_model
             P_eff = np.sqrt(2 * M_E * E_CHARGE * U) + E_CHARGE * (K * I)
             valid = ~(P_eff <= 0)
-            lam = H / P_eff[valid]
+            P_eff[~valid] = np.nan  # so the columns below are NaN there
+            lam = H / P_eff
             interfringe = small_angle_interfringe(lam, scen.grating_screen)
-            rows = np.full((len(values), 5), np.nan)
-            rows[:, 0] = values
-            rows[valid, 1:] = np.column_stack([P_eff[valid], lam, interfringe, 1.0 / interfringe])
+            rows = np.column_stack([values, P_eff, lam, interfringe, 1.0 / interfringe])
             fit = None
             if sweep.variable == "current":
                 try:

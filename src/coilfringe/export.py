@@ -28,6 +28,14 @@ Python's "%.8e" instead; +-0 is written from m = 0, e = 0, and NaN as
 "nan", as Python does. Ryu printf (Adams, Proc. ACM Program.
 Lang. 3, OOPSLA, 169 (2019)) is the exact general method; at 9 of
 float64's 17 digits this scale, round and fall back scheme suffices.
+
+The one table is _scales, the powers of ten. Each field is spelled by
+arithmetic into 16 bytes: byte 0 is '-' or 0, bytes 1 and 3 to 10 the
+nine digits of m, taken by division by 10, last digit first, bytes 2,
+11 and 12 '.', 'e' and the exponent's sign, and bytes 13 to 15 the
+hundreds digit of |e| (0 below 100), its tens and its units. A fallback
+field is Python's "%.8e" followed by zero bytes. csv_rows then strips
+the zero bytes.
 """
 
 import contextlib
@@ -42,7 +50,7 @@ from .errors import ScenarioError
 _EXP_LIMIT = 290  # values of larger |exponent| use Python's "%.8e"
 _TIE_WINDOW = 1e-5  # and so do scaled values this close to a half-integer
 _EXPONENTS = range(-_EXP_LIMIT, _EXP_LIMIT + 1)
-_BLOCK_VALUES = 2**16  # values formatted at a time, which bounds the temporaries
+_BLOCK_VALUES = 2**14  # values formatted at a time, which bounds the temporaries
 
 
 def emitted(value):
@@ -63,36 +71,20 @@ def key_value_lines(pairs, prefix=""):
     return [f"{prefix}{key} = {emitted(value)}" for key, value in pairs.items()]
 
 
-def _words(texts):
-    """uint32 array holding the ASCII of each text, 0-padded to 4 bytes."""
-    import numpy as np
-
-    return np.frombuffer(b"".join(t.ljust(4, b"\0") for t in texts), dtype=np.uint32)
-
-
 @functools.cache
-def _tables():
-    """The double nearest 10**(8 - e) for each of _EXPONENTS, and the four
-    words of a "%.8e" field: sign, two digits and the point between them;
-    four digits; three digits and 'e'; the exponent's sign and digits."""
+def _scales():
+    """The double nearest 10**(8 - e) for each e of _EXPONENTS."""
     import numpy as np
 
-    scales = np.array([float(f"1e{8 - e}") for e in _EXPONENTS])
-    head = _words([b"%s%d.%d" % (sign, i // 10, i % 10) for sign in (b"", b"-")
-                   for i in range(100)])
-    digits = _words([b"%04d" % i for i in range(10000)])
-    tail = _words([b"%03de" % i for i in range(1000)])
-    exponent = _words([b"%+03d" % e for e in _EXPONENTS])
-    return scales, head, digits, tail, exponent
+    return np.array([float(f"1e{8 - e}") for e in _EXPONENTS])
 
 
 def _e8_fields(x, out):
     """Write "%.8e" % v for each non-NaN v of the 1-d array x into the
-    (len(x), 4) uint32 array out, as ASCII padded with zero bytes."""
+    (len(x), 16) uint8 array out: the byte layout of the module
+    docstring, or Python's "%.8e" padded with zero bytes."""
     import numpy as np
 
-    scales, head, digits, tail, exponent = _tables()
-    row0 = -_EXPONENTS[0]  # table row of exponent 0
     a = np.abs(x)
     e = np.zeros(len(x), dtype=np.int64)
     normal = np.isfinite(a) & (a > 0)
@@ -100,19 +92,25 @@ def _e8_fields(x, out):
     vectorised = normal & (np.abs(e) <= _EXP_LIMIT)
     a[~vectorised] = 0.0  # zeros, and placeholders for NaN and the fallback
     e[~vectorised] = 0
-    s = a * scales[e + row0]
+    s = a * _scales()[e - _EXPONENTS[0]]
     m = np.rint(s)
     fallback = (m >= 1e9) | (np.abs(s - m) > 0.5 - _TIE_WINDOW)
     fallback |= ~vectorised & (x != 0) & ~np.isnan(x)
-    m = m.astype(np.int64)
     m[fallback] = 0
-    hi, lo = np.divmod(m, 1000)
-    out[:, 0] = head[np.signbit(x) * 100 + hi // 10**4]
-    out[:, 1] = digits[hi % 10**4]
-    out[:, 2] = tail[lo]
-    out[:, 3] = exponent[e + row0]
+    out[:, 0] = np.signbit(x) * ord("-")
+    out[:, 2] = ord(".")
+    out[:, 11] = ord("e")
+    out[:, 12] = ord("+") + 2 * (e < 0)  # ord("-") == ord("+") + 2
+    # the digits of m and of |e|, the last first, by uint32 division
+    for n, columns in ((m, (10, 9, 8, 7, 6, 5, 4, 3, 1)), (np.abs(e), (15, 14, 13))):
+        n = n.astype(np.uint32)
+        for i in columns:
+            q = n // 10
+            out[:, i] = n - q * 10 + ord("0")
+            n = q
+    out[:, 13] *= np.abs(e) >= 100  # no hundreds digit below 100
     for i in np.flatnonzero(fallback).tolist():
-        out[i] = np.frombuffer((b"%.8e" % x[i]).ljust(16, b"\0"), dtype=np.uint32)
+        out[i] = np.frombuffer((b"%.8e" % x[i]).ljust(16, b"\0"), dtype=np.uint8)
 
 
 def csv_rows(rows, nan_text="nan"):
@@ -120,31 +118,25 @@ def csv_rows(rows, nan_text="nan"):
 
     Each value is written as emitted(value), and a NaN as nan_text. Returns
     the lines in blocks of consecutive rows, each block one string of
-    lines joined by '\\n'; no rows give no blocks.
+    lines joined by '\\n'; no rows give no blocks. A block is built as
+    bytes, one cell per value: its field, or nan_text, padded with zero
+    bytes, then ',' or '\\n'; the zero bytes are then stripped.
     """
     import numpy as np
 
     rows = np.asarray(rows, dtype=float)
     n, c = rows.shape
-    # a cell is 4-byte words: 4 for the field and 1 for its ',' or '\n',
-    # or as many as nan_text and its separator need
-    width = max(5, (len(nan_text) + 4) // 4)
-    comma, newline = _words([b",", b"\n"])
-    nan_comma, nan_newline = (
-        np.frombuffer((nan_text.encode("ascii") + sep).ljust(4 * width, b"\0"), np.uint32)
-        for sep in (b",", b"\n")
-    )
+    width = max(16, len(nan_text)) + 1
+    nan_cell = np.frombuffer(nan_text.encode("ascii").ljust(width, b"\0"), np.uint8)
     blocks = []
     step = max(1, _BLOCK_VALUES // c)
     for i in range(0, n, step):
         block = rows[i:i + step]
-        cells = np.zeros((len(block), c, width), dtype=np.uint32)
-        _e8_fields(block.ravel(), cells.reshape(-1, width)[:, :4])
-        cells[:, :, 4] = comma
-        cells[:, -1, 4] = newline
-        nan = np.isnan(block)
-        cells[:, :-1][nan[:, :-1]] = nan_comma
-        cells[:, -1][nan[:, -1]] = nan_newline
+        cells = np.zeros((len(block), c, width), dtype=np.uint8)
+        _e8_fields(block.ravel(), cells.reshape(-1, width)[:, :16])
+        cells[np.isnan(block)] = nan_cell
+        cells[:, :, -1] = ord(",")
+        cells[:, -1, -1] = ord("\n")
         blocks.append(cells.tobytes().translate(None, b"\0")[:-1].decode("ascii"))
     return blocks
 

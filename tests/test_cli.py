@@ -131,6 +131,15 @@ class TestSweep:
         assert read(a) == read(b)
         assert read(a + ".fit.json") == read(b + ".fit.json")
 
+    def test_negative_exponent_value_after_a_space(self, tmp_path, capsys):
+        # argparse's own pattern would read "-1e-05" as an unknown option
+        spaced, joined = str(tmp_path / "spaced.csv"), str(tmp_path / "joined.csv")
+        span = ["--to", "1e-05", "--step", "1e-06"]
+        assert main(["sweep", "--from", "-1e-05", *span, "--out", spaced]) == 0
+        assert main(["sweep", "--from=-1e-05", *span, "--out", joined]) == 0
+        assert read(spaced) == read(joined)
+        assert len([line for line in read(spaced).splitlines() if line[0] != "#"]) == 1 + 21
+
     def test_single_point_rejected(self, tmp_path, capsys):
         out_path = str(tmp_path / "bad.csv")
         args = ["sweep", "--from", "1", "--to", "1", "--step", "1", "--out", out_path]
@@ -600,6 +609,15 @@ class TestValidateCoil:
         assert "--geometry-factor" in captured.err
         assert captured.out == ""
 
+    @pytest.mark.parametrize("factor, shown", [("-1e-3", "-0.001"), ("-inf", "-inf"),
+                                               ("-nan", "nan")])
+    def test_negative_factor_after_a_space_reaches_the_check(self, factor, shown, capsys):
+        # a value after a space, not an unknown option
+        assert main(["validate-coil", "--geometry-factor", factor]) == 2
+        assert capsys.readouterr() == (
+            "", f"usage error: --geometry-factor must be finite and positive, got {shown}\n"
+        )
+
 
 class TestImport:
     def test_cli_import_leaves_scipy_integrate_unloaded(self):
@@ -887,3 +905,14 @@ def test_each_subcommand_declares_only_the_options_it_reads():
         "validate-coil": {"--config": False, "--geometry-factor": False},
     }
 
+
+def test_ci_smoke_script_passes(tmp_path):
+    # the workflow's smoke steps, run on this checkout with bash
+    repo = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    src = os.path.dirname(os.path.dirname(coilfringe.__file__))
+    env = dict(os.environ, PYTHONPATH=src, COILFRINGE=f"{sys.executable} -m coilfringe.cli")
+    result = subprocess.run(
+        ["bash", os.path.join(repo, "ci", "smoke.sh"), str(tmp_path)], env=env,
+        capture_output=True, text=True,
+    )
+    assert result.returncode == 0, result.stderr

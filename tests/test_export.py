@@ -8,7 +8,7 @@ import pytest
 
 from coilfringe.cli import ERROR_MARKER, main
 from coilfringe.diffraction import run_sweep
-from coilfringe.export import csv_rows, write_lines
+from coilfringe.export import _BLOCK_VALUES, csv_rows, write_lines
 from coilfringe.scenario import SweepSpec, scenario_from_dict
 from coilfringe.winding import Box, homogeneity_report
 
@@ -80,6 +80,7 @@ values = st.one_of(
 @example([5e-324, -2.2250738585072014e-308, 1.7976931348623157e308, -math.nan], 1)
 @example([9.9999999996, -9.9999999996e-3], 1)  # m rounds up to 1e9: the next exponent
 @example([9.999999999999999e-17, math.nextafter(1e3, math.inf)], 1)  # log10 may round up
+@example([-1.5e-150, 2.5e150, -9.99999999e-100], 3)  # a full 16-byte field before '\n'
 def test_csv_rows_equals_percent_format(xs, columns):
     xs += [0.0] * (-len(xs) % columns)  # whole rows
     rows = np.array(xs).reshape(-1, columns)
@@ -98,8 +99,9 @@ def test_csv_rows_nan_text_and_empty():
 
 def test_csv_rows_blocks_join_to_the_lines():
     rows = np.linspace(-1.0, 1.0, 3 * (10**5 + 1)).reshape(-1, 3)
-    # blocks of 2**16 // 3 rows: NaNs at both ends of the first boundary
-    rows[[0, 21844, 21845, -1], [0, 2, 0, 2]] = math.nan
+    # NaNs at both ends of the first block boundary
+    step = _BLOCK_VALUES // 3
+    rows[[0, step - 1, step, -1], [0, 2, 0, 2]] = math.nan
     blocks = csv_rows(rows)
     assert len(blocks) > 1
     expected = [",".join("%.8e" % x for x in r) for r in rows.tolist()]
