@@ -31,6 +31,9 @@ coilfringe field-map --config "$dir/s.json" --region=-0.01,0.01,-0.01,0.01,-0.01
 # the column header and 2**3 rows, and the homogeneity sidecar
 test "$(grep -vc '^#' "$dir/m.csv")" -eq 9
 test -e "$dir/m.csv.homogeneity.json"
+# a region that starts with a negative number may follow --region after a space
+coilfringe field-map --config "$dir/s.json" --region -0.01,0.01,-0.01,0.01,-0.01,0.01 --grid 2 --out "$dir/n.csv"
+test "$(grep -vc '^#' "$dir/n.csv")" -eq 9
 coilfringe sweep --from -1 --to 1 --step 0.5 --out "$dir/sweep.csv"
 test -e "$dir/sweep.csv.fit.json"
 coilfringe sweep --variable voltage --from 1000 --to 2000 --step 500 --out "$dir/sweep.csv"

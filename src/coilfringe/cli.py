@@ -32,7 +32,7 @@ from .export import csv_lines, csv_rows, emitted, json_text, key_value_lines, wr
 from .diffraction import fringe_pattern, run_sweep
 from .ideal_field import CoilWindingSpec, annular_coil_A, check_constructible, coil_constant_K
 from .report import TOLERANCE_PROFILES, reproduce_paper
-from .scenario import SweepSpec, geometry_ratios, load_scenario, paper_scenario
+from .scenario import FIELD_NAMES, SweepSpec, geometry_ratios, load_scenario, paper_scenario
 
 CONFIG_DIR_ENV = "COILFRINGE_CONFIG_DIR"
 # The sweep CSV's text for a value outside the model domain (P_eff <= 0).
@@ -43,10 +43,11 @@ FRINGE_COLUMNS = ("k", "theta_k_rad", "y_k_m", "ring_radius_m")
 # Factor validate-coil demands of each ">>" setup relation by default.
 DEFAULT_GEOMETRY_FACTOR = 10.0
 # What argparse takes for a negative number, not an option, after an option
-# that wants a value. Its own pattern has no exponent, inf or nan, so
-# "--from -1e-05" would fail; no option of this CLI looks like a number.
-_NEGATIVE_NUMBER = re.compile(r"^-(\d+\.?\d*|\.\d+)(e[-+]?\d+)?$|^-(inf|infinity|nan)$",
-                              re.IGNORECASE)
+# that wants a value: a comma list of numbers whose first one is negative.
+# Its own pattern has no exponent, inf, nan or list, so "--from -1e-05" and
+# "--region -1,1,..." would fail; no option of this CLI looks like a number.
+_NUMBER = r"((\d+\.?\d*|\.\d+)(e[-+]?\d+)?|inf|infinity|nan)"
+_NEGATIVE_NUMBER = re.compile(rf"^-{_NUMBER}(,[-+]?{_NUMBER})*$", re.IGNORECASE)
 
 
 def _load(args):
@@ -94,8 +95,8 @@ def _cmd_sweep(args):
     rows, fit = run_sweep(sweep)
     header = {"sweep_variable": sweep.variable, "start": sweep.start,
               "stop": sweep.stop, "step": sweep.step}
-    columns = ("I_A" if sweep.variable == "current" else "U_V", "P_eff", "lambda_eff_m",
-               "interfringe_m", "inverse_interfringe_per_m")
+    columns = (FIELD_NAMES["I" if sweep.variable == "current" else "U"], "P_eff",
+               "lambda_eff_m", "interfringe_m", "inverse_interfringe_per_m")
     # the NaNs of the model-domain rows are written as the marker
     files = [(args.out, csv_lines(header, columns, csv_rows(rows, nan_text=ERROR_MARKER)))]
     # without a fit, an earlier run's sidecar no longer describes the CSV: remove it
@@ -122,22 +123,10 @@ def _parse_grid(text):
 
 
 def _coil_header(coil):
-    """The parameters of a coil that head its field-map CSV."""
-    if isinstance(coil, CoilWindingSpec):
-        return {
-            "coil_type": "winding",
-            "R1_m": coil.R1,
-            "R2_m": coil.R2,
-            "L_m": coil.L,
-            "turn_density_per_m": coil.turn_density,
-            "layers": coil.layers,
-            "helicity": coil.helicity_sign_per_layer,
-            "wire_diameter_m": coil.wire_diameter,
-            "I_A": coil.I,
-        }
-    return {
-        "coil_type": "ideal", "R1_m": coil.R1, "R2_m": coil.R2, "N_turns": coil.N, "I_A": coil.I
-    }
+    """The coil_type and then every field of the coil, in field order and
+    under its FIELD_NAMES name, that head its field-map CSV."""
+    kind = "winding" if isinstance(coil, CoilWindingSpec) else "ideal"
+    return {"coil_type": kind, **{FIELD_NAMES[f]: v for f, v in zip(coil._fields, coil)}}
 
 
 def _cmd_field_map(args):
@@ -182,7 +171,8 @@ def _cmd_diffract(args):
         ]
     elif args.out is not None:
         gs = scen.grating_screen
-        setup = {"U_V": scen.beam.U, "I_A": scen.coil.I, "a_m": gs.a, "D_m": gs.D}
+        setup = {FIELD_NAMES[f]: v for f, v in
+                 (("U", scen.beam.U), ("I", scen.coil.I), ("a", gs.a), ("D", gs.D))}
         rows = [",".join(map(str, emitted(order))) for order in pattern.orders]
         files = [
             (args.out, csv_lines(setup, FRINGE_COLUMNS, rows)),

@@ -8,6 +8,10 @@ typos; omitted fields fall back to the reference defaults below
     a = 2.55e-10 m, D = 0.1 m, U = 30 kV, beam width = 1 mm,
     R1 = 0.1 m, R2 = 0.12 m, L = 12 m, turn density n = 2000 /m,
     2 layers with opposite helicity, 1 mm wire, I = 0 A.
+
+FIELD_NAMES is the one place that spells the name each record field has
+in a scenario file and in the `# key = value` header of a CSV that
+echoes the scenario; the loader and the CLI both read it.
 """
 
 from collections import namedtuple
@@ -24,6 +28,17 @@ SCHEMA_VERSION = 1
 
 # Largest number of values in one sweep.
 MAX_SWEEP_POINTS = 10**6
+
+# The scenario-file and CSV-header name of each record field. A winding's
+# helicity is read from helicity_sign_per_layer and echoed as helicity;
+# the current I is read from the top-level current_A.
+FIELD_NAMES = {
+    "R1": "R1_m", "R2": "R2_m", "L": "L_m", "turn_density": "turn_density_per_m",
+    "layers": "layers", "helicity_sign_per_layer": "helicity",
+    "wire_diameter": "wire_diameter_m", "N": "N_turns", "I": "I_A",
+    "U": "U_V", "beam_width_phi": "beam_width_m",
+    "a": "a_m", "D": "D_m",
+}
 
 PAPER_DEFAULTS = {
     "schema_version": SCHEMA_VERSION,
@@ -99,35 +114,26 @@ class SweepSpec(namedtuple("SweepSpec", "variable start stop step scenario")):
         return self.start + np.arange(self.count()) * self.step
 
 
-# The coil keys each coil type reads; a winding reads all of the defaults.
-_COIL_KEYS = {
-    "winding": frozenset(PAPER_DEFAULTS["coil"]),
-    "ideal": frozenset({"type", "R1_m", "R2_m", "turn_density_per_m", "N_turns"}),
-}
+# The coil keys an ideal coil reads; a winding reads those of the defaults.
+_IDEAL_COIL_KEYS = frozenset({"type", "R1_m", "R2_m", "turn_density_per_m", "N_turns"})
 
 
 def _merge_defaults(data):
     merged = {}
     for key, default in PAPER_DEFAULTS.items():
+        user = data.get(key, default)
         if isinstance(default, dict):
-            sub = dict(default)
-            user = data.get(key, {})
             if not isinstance(user, dict):
                 raise ScenarioError(f"field {key!r} must be an object")
-            known = default
-            if key == "coil":
-                ctype = user.get("type", "winding")
-                # _build_coil rejects an unknown type
-                known = _COIL_KEYS.get(ctype, default) if isinstance(ctype, str) else default
-            for k, v in user.items():
+            # _build_coil rejects an unknown type
+            known = _IDEAL_COIL_KEYS if key == "coil" and user.get("type") == "ideal" else default
+            for k in user:
                 if k not in known:
                     raise ScenarioError(f"unknown key {key}.{k!r}")
-                sub[k] = v
             if {"N_turns", "turn_density_per_m"} <= user.keys():  # N_turns passes only for ideal
                 raise ScenarioError("an ideal coil reads N_turns or turn_density_per_m, not both")
-            merged[key] = sub
-        else:
-            merged[key] = data.get(key, default)
+            user = {**default, **user}
+        merged[key] = user
     for key in data:
         if key not in PAPER_DEFAULTS:
             raise ScenarioError(f"unknown top-level key {key!r}")
@@ -151,6 +157,16 @@ def _number(value, name, integer=False):
     return x
 
 
+def _record(cls, section, values, **given):
+    """A cls record of the given fields; each other field is the number that
+    values holds under its FIELD_NAMES name, read in field order."""
+    for field in cls._fields:
+        if field not in given:
+            name = FIELD_NAMES[field]
+            given[field] = _number(values[name], f"{section}.{name}", integer=name == "layers")
+    return cls(**given)
+
+
 def _build_coil(coil_data, current):
     def num(key, integer=False):
         return _number(coil_data[key], f"coil.{key}", integer)
@@ -160,24 +176,15 @@ def _build_coil(coil_data, current):
         helicity = coil_data["helicity_sign_per_layer"]
         if not isinstance(helicity, list):
             raise ScenarioError("coil.helicity_sign_per_layer must be a list")
-        return CoilWindingSpec(
-            R1=num("R1_m"),
-            R2=num("R2_m"),
-            L=num("L_m"),
-            turn_density=num("turn_density_per_m"),
-            layers=num("layers", integer=True),
-            helicity_sign_per_layer=tuple(
-                _number(h, "coil.helicity_sign_per_layer", integer=True) for h in helicity
-            ),
-            wire_diameter=num("wire_diameter_m"),
-            I=current,
-        )
+        signs = tuple(_number(h, "coil.helicity_sign_per_layer", integer=True) for h in helicity)
+        return _record(CoilWindingSpec, "coil", coil_data, helicity_sign_per_layer=signs,
+                       I=current)
     if ctype == "ideal":
         if "N_turns" in coil_data:
             n_turns = num("N_turns", integer=True)
         else:
             n_turns = turn_count(num("R1_m"), num("turn_density_per_m"))
-        return AnnularCoilIdeal(R1=num("R1_m"), R2=num("R2_m"), N=n_turns, I=current)
+        return _record(AnnularCoilIdeal, "coil", coil_data, N=n_turns, I=current)
     raise ScenarioError(f"unknown coil type {ctype!r}")
 
 
@@ -190,17 +197,10 @@ def scenario_from_dict(data):
         raise ScenarioError(f"unsupported schema_version {version!r}")
     merged = _merge_defaults(data)
     current = _number(merged["current_A"], "current_A")
-    beam_data, screen_data = merged["beam"], merged["grating_screen"]
     try:
         coil = _build_coil(merged["coil"], current)
-        beam = BeamSpec(
-            U=_number(beam_data["U_V"], "beam.U_V"),
-            beam_width_phi=_number(beam_data["beam_width_m"], "beam.beam_width_m"),
-        )
-        gs = GratingScreenSpec(
-            a=_number(screen_data["a_m"], "grating_screen.a_m"),
-            D=_number(screen_data["D_m"], "grating_screen.D_m"),
-        )
+        beam = _record(BeamSpec, "beam", merged["beam"])
+        gs = _record(GratingScreenSpec, "grating_screen", merged["grating_screen"])
     except DomainError as exc:
         raise ScenarioError(str(exc)) from exc
     return ExperimentScenario(coil=coil, beam=beam, grating_screen=gs)

@@ -324,6 +324,57 @@ class TestFieldMap:
         assert captured.err == f"configuration error: {message}\n"
         assert os.listdir(tmp_path) == ["ideal.json"]
 
+    def test_negative_region_after_a_space(self, tmp_path, capsys):
+        # argparse's own pattern would read a list that starts with "-" as an option
+        config = tmp_path / "on.json"
+        config.write_text(json.dumps({"current_A": 1.0}))
+        region = "-0.02,0.02,-0.02,0.02,-0.02,0.02"
+        runs = {}
+        for form, flags in (("spaced", ["--region", region]), ("joined", [f"--region={region}"])):
+            out_path = str(tmp_path / f"{form}.csv")
+            args = ["field-map", "--config", str(config), *flags, "--grid", "2", "--out", out_path]
+            assert main(args) == 0
+            runs[form] = read(out_path), read(out_path + ".homogeneity.json")
+        assert runs["spaced"] == runs["joined"]
+
+    def test_negative_infinite_region_after_a_space_reaches_the_check(self, tmp_path, capsys):
+        args = ["field-map", "--region", "-inf,0.01,-0.01,0.01,-0.01,0.01", "--grid", "2",
+                "--out", str(tmp_path / "map.csv")]
+        assert main(args) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "configuration error: box corners must be finite\n"
+        assert os.listdir(tmp_path) == []
+
+    @pytest.mark.parametrize(
+        "coil",
+        [
+            # every winding key away from its default
+            {"type": "winding", "R1_m": 0.09, "R2_m": 0.13, "L_m": 3.0,
+             "turn_density_per_m": 300.0, "layers": 3, "helicity_sign_per_layer": [1, 1, -1],
+             "wire_diameter_m": 2e-3},
+            {"type": "ideal", "R1_m": 0.09, "R2_m": 0.13, "N_turns": 170},
+        ],
+        ids=["winding", "ideal"],
+    )
+    def test_header_echoes_the_scenario_names(self, tmp_path, capsys, coil):
+        config = tmp_path / "coil.json"
+        config.write_text(json.dumps({"coil": coil, "current_A": 1.75}))
+        out_path = str(tmp_path / "map.csv")
+        args = ["field-map", "--config", str(config),
+                "--region=-0.02,0.02,-0.02,0.02,-0.02,0.02", "--grid", "2", "--out", out_path]
+        assert main(args) == 0
+        written = dict(l[2:].split(" = ") for l in read(out_path).splitlines() if l[0] == "#")
+        # in record field order, under the scenario's names but for these three
+        names = {"type": "coil_type", "helicity_sign_per_layer": "helicity"}
+        expected = {names.get(k, k): v for k, v in {**coil, "I_A": 1.75}.items()}
+        assert list(written) == list(expected)
+        for key, value in expected.items():
+            if isinstance(value, (str, list)):
+                assert written[key] == str(value)
+            else:
+                assert float(written[key]) == value
+
     def test_huge_length_rejected_before_any_array(self, tmp_path, capsys):
         config = tmp_path / "long.json"
         config.write_text(json.dumps({"coil": {"L_m": 1e308}, "current_A": 1.0}))

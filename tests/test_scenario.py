@@ -5,10 +5,14 @@ import os
 import pytest
 
 from coilfringe.cli import DEFAULT_GEOMETRY_FACTOR, main
+from coilfringe.diffraction import BeamSpec, GratingScreenSpec
 from coilfringe.errors import ScenarioError
 from coilfringe.ideal_field import AnnularCoilIdeal, CoilWindingSpec
 from coilfringe.scenario import (
+    _IDEAL_COIL_KEYS,
+    FIELD_NAMES,
     MAX_SWEEP_POINTS,
+    PAPER_DEFAULTS,
     SweepSpec,
     geometry_ratios,
     load_scenario,
@@ -197,6 +201,25 @@ def test_malformed_numbers_rejected(tmp_path, text):
     path.write_text(text)
     with pytest.raises(ScenarioError, match="must be"):
         load_scenario(str(path))
+
+
+class TestFieldNames:
+    @pytest.mark.parametrize(
+        "section, record",
+        [("coil", CoilWindingSpec), ("beam", BeamSpec), ("grating_screen", GratingScreenSpec)],
+    )
+    def test_each_default_key_names_one_field(self, section, record):
+        keys = set(PAPER_DEFAULTS[section]) - {"type", "helicity_sign_per_layer"}
+        for key in keys:
+            assert sum(FIELD_NAMES.get(f) == key for f in record._fields) == 1, key
+        # and every field read from the section is read under a default's key
+        read = set(record._fields) - {"helicity_sign_per_layer", "I"}
+        assert {FIELD_NAMES[f] for f in read} == keys
+
+    def test_ideal_coil_keys(self):
+        r1, r2, n = (FIELD_NAMES[f] for f in ("R1", "R2", "N"))
+        assert n == "N_turns"
+        assert _IDEAL_COIL_KEYS == {"type", "N_turns", "turn_density_per_m", r1, r2}
 
 
 class TestGeometryChecks:
