@@ -34,6 +34,12 @@ test -e "$dir/m.csv.homogeneity.json"
 # a region that starts with a negative number may follow --region after a space
 coilfringe field-map --config "$dir/s.json" --region -0.01,0.01,-0.01,0.01,-0.01,0.01 --grid 2 --out "$dir/n.csv"
 test "$(grep -vc '^#' "$dir/n.csv")" -eq 9
+# a coil of 200000 turns, past the segment limit, maps from the few
+# turn copies the bore needs
+echo '{"coil": {"turn_density_per_m": 318310.0, "wire_diameter_m": 1e-6}, "current_A": 1.0}' > "$dir/t.json"
+coilfringe field-map --config "$dir/t.json" --region=-0.01,0.01,-0.01,0.01,-0.01,0.01 --grid 2 --out "$dir/t.csv"
+test "$(grep -vc '^#' "$dir/t.csv")" -eq 9
+test -e "$dir/t.csv.homogeneity.json"
 coilfringe sweep --from -1 --to 1 --step 0.5 --out "$dir/sweep.csv"
 test -e "$dir/sweep.csv.fit.json"
 coilfringe sweep --variable voltage --from 1000 --to 2000 --step 500 --out "$dir/sweep.csv"

@@ -153,28 +153,43 @@ def check_constructible(spec, segments_per_turn):
     """Check that the winding of spec can be built; returns its segment count.
 
     The count is turns * segments_per_turn, and nothing is allocated.
-    The count may not exceed MAX_SEGMENTS (ScenarioError). Each of these
-    is a DomainError: segments_per_turn not a positive multiple of 4,
-    overlapping turns, a layer without a turn, and a turn path
-    2*L + 2*(R2 - R1), from which the segment endpoints are computed,
-    that is not finite.
+    segments_per_turn must be a positive multiple of 4 (DomainError), the
+    count may not exceed MAX_SEGMENTS (check_segment_count), and the turns
+    must fit their layers (check_winding_geometry), in that order.
     """
     check_segments_per_turn(segments_per_turn)
-    turns = spec.N
-    segments = turns * segments_per_turn
+    segments = check_segment_count(spec.N * segments_per_turn)
+    check_winding_geometry(spec)
+    return segments
+
+
+def check_segment_count(segments):
+    """A winding of more than MAX_SEGMENTS segments is a ScenarioError;
+    returns segments."""
     if segments > MAX_SEGMENTS:
         raise ScenarioError(f"winding exceeds {MAX_SEGMENTS} segments")
+    return segments
+
+
+def check_winding_geometry(spec):
+    """Check the turns of spec whatever their count.
+
+    Each of these is a DomainError: overlapping turns, a layer without a
+    turn, and a turn path that is not finite. The path is the sum
+    L + (R2 - R1) + L + (R2 - R1) of its four legs, added in the order in
+    which the winding's construction adds them before dividing by the
+    sum, so a spec that passes gives finite vertices.
+    """
     per_layer_density = spec.turn_density / spec.layers
     if spec.wire_diameter * per_layer_density > 1.0 + 1e-12:
         raise DomainError(
             "turns overlap: wire_diameter * per-layer turn density = "
             f"{spec.wire_diameter * per_layer_density:.3f} > 1"
         )
-    if turns < spec.layers:
-        raise DomainError(f"{turns} turns cannot fill {spec.layers} layers")
-    if not math.isfinite(2 * spec.L + 2 * (spec.R2 - spec.R1)):
+    if spec.N < spec.layers:
+        raise DomainError(f"{spec.N} turns cannot fill {spec.layers} layers")
+    if not math.isfinite(spec.L + (spec.R2 - spec.R1) + spec.L + (spec.R2 - spec.R1)):
         raise DomainError("segment endpoints must be finite")
-    return segments
 
 
 def single_wire_Az(r, I):

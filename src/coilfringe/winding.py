@@ -1,12 +1,15 @@
 """Finite annular coil as closed circuits of straight current segments.
 
-A constructible coil is modeled as closed wire loops: for each turn an
-axial run near R1, a radial fragment out to R2 at one end, a return run
-near R2, and a radial fragment back at the other end. Helicity is the
-azimuthal advance of one turn spacing distributed along the turn path;
-layers may wind with opposite azimuthal sense so their net azimuthal
-advance cancels. A Winding holds each layer's turns as polylines, one
-vertex array, so the segments of a turn chain through shared vertices.
+A constructible coil is modeled as closed wire loops. In the (r, z)
+half-plane each turn walks the closed path through the four corners
+(R1, -L/2) -> (R1, L/2) -> (R2, L/2) -> (R2, -L/2) -> (R1, -L/2): an axial
+run at R1, a radial leg out to R2 at one end, a return run at R2, and a
+radial leg back at the other end. Helicity is the azimuthal advance of
+one turn spacing distributed along the turn path in proportion to the
+length walked; layers may wind with opposite azimuthal sense so their
+net azimuthal advance cancels. A Winding holds each layer's turns as
+polylines, one vertex array, so the segments of a turn chain through
+shared vertices.
 
 Field evaluation sums closed forms over all segments, which are in
 series and carry the one current I. A segment of length Lseg, unit
@@ -80,7 +83,9 @@ from .ideal_field import (
     AnnularCoilIdeal,
     annular_coil_A,
     check_constructible,
+    check_segment_count,
     check_segments_per_turn,
+    check_winding_geometry,
     coil_constant_K,
 )
 
@@ -183,32 +188,26 @@ def _layers(spec, segments_per_turn, max_copies):
 
     The layer of M turns is built as Q copies of its first turn (see
     _layer_sizes), copy k rotated by k/Q of a full turn, so Q = M is the
-    layer itself. Layer with helicity sign s places turn j at
-    azimuth s*2pi*j/M plus a per-layer interleaving offset, and its
-    turn advances by one turn spacing over the turn path: each turn ends
-    where the next begins, and the last turn of the layer closes it.
-    vertices is a (Q, segments_per_turn + 1, 3) array: each copy is the
-    polyline of its turn, whose last vertex is where the next turn starts.
+    layer itself. A turn's vertices split each of the four legs between
+    the corners (R1, -L/2), (R1, L/2), (R2, L/2) and (R2, -L/2) into
+    segments_per_turn // 4 equal pieces, and the last vertex is the first
+    corner again. Layer with helicity sign s places turn j at azimuth
+    s*2pi*j/M plus a per-layer interleaving offset, and its turn advances
+    by one turn spacing over the turn path, in proportion to the length
+    walked from the first corner: each turn ends where the next begins,
+    and the last turn of the layer closes it. vertices is a
+    (Q, segments_per_turn + 1, 3) array: each copy is the polyline of its
+    turn, whose last vertex is where the next turn starts.
     """
-    sub = segments_per_turn // 4
     R1, R2, L = spec.R1, spec.R2, spec.L
-    # (r_start, z_start, r_end, z_end, length) for the four legs of a turn
-    ra, za, rb, zb, leg_len = np.array(
-        [
-            (R1, -L / 2, R1, +L / 2, L),
-            (R1, +L / 2, R2, +L / 2, R2 - R1),
-            (R2, +L / 2, R2, -L / 2, L),
-            (R2, -L / 2, R1, -L / 2, R2 - R1),
-        ]
-    ).T[:, :, None]
-    perimeter = 2 * L + 2 * (R2 - R1)
-    walked = np.concatenate(([[0.0]], np.cumsum(leg_len, axis=0)[:-1]))
-    f = np.arange(sub) / sub
-    # radius, height and fraction of the turn path at each vertex; the
-    # closing vertex, a full turn path on, is where the next turn starts
-    r = np.append(ra + (rb - ra) * f, R1)
-    z = np.append(za + (zb - za) * f, -L / 2)
-    t = np.append((walked + leg_len * f) / perimeter, 1.0)
+    # vertex i lies i/(segments_per_turn // 4) legs along the corner path;
+    # radius, height and fraction t of the path walked go linearly between
+    # corners, and the closing vertex, at t = 1, is where the next turn starts
+    legs = np.arange(segments_per_turn + 1) / (segments_per_turn // 4)
+    r = np.interp(legs, range(5), (R1, R1, R2, R2, R1))
+    z = np.interp(legs, range(5), (-L / 2, L / 2, L / 2, -L / 2, -L / 2))
+    walked = np.cumsum((0.0, L, R2 - R1, L, R2 - R1))
+    t = np.interp(legs, range(5), walked) / walked[-1]
 
     for layer, (M, Q) in enumerate(_layer_sizes(spec, max_copies)):
         s = spec.helicity_sign_per_layer[layer]
@@ -225,12 +224,15 @@ def _layers(spec, segments_per_turn, max_copies):
 def build_winding(spec, segments_per_turn=8):
     """Construct the coil as a Winding of closed layer circuits.
 
-    Each turn contributes segments_per_turn segments (the four legs,
-    subdivided evenly), so segments_per_turn must be a positive multiple
-    of 4. Turns of one layer chain head to tail, and each layer closes
+    Each turn is the closed path through the corners (R1, -L/2),
+    (R1, L/2), (R2, L/2) and (R2, -L/2) of the coil's (r, z) section, and
+    contributes segments_per_turn segments, its four legs subdivided
+    evenly, so segments_per_turn must be a positive multiple of 4. Turns
+    of one layer chain head to tail, and each layer closes
     on itself with net azimuthal advance s*2pi for its helicity sign s
     (see _layers). check_constructible rejects a winding that cannot be
-    built, MAX_SEGMENTS segments included, before anything is allocated.
+    built, before anything is allocated: MAX_SEGMENTS bounds its turns
+    times segments_per_turn.
     """
     check_constructible(spec, segments_per_turn)
     vertices = [v for _, _, v in _layers(spec, segments_per_turn, spec.N)]
@@ -326,15 +328,17 @@ def homogeneity_report(coil, region, grid, segments_per_turn=8):
     grid and region are checked by check_bore_grid and the bore value K*I
     must be finite (annular_coil_A). The ideal coil's segments_per_turn
     is checked by check_segments_per_turn, and its bore holds exactly
-    A = (0, 0, K*I) and B = 0, at any such current. A winding of
-    segments_per_turn segments per turn must be constructible
-    (check_constructible), its current must be non-zero, and the region
-    must also lie inside the coil length. Every input is checked before
-    anything is allocated. Each layer of M turns is evaluated as Q copies
-    of its first turn carrying M/Q amperes, with Q the least count that
-    puts the aliasing error (r_max/R1)**(Q - 1) under 1e-17, at most M,
-    and the pairs evaluated, grid points times segments_per_turn times
-    the copies summed over the layers, may not exceed MAX_FIELD_PAIRS.
+    A = (0, 0, K*I) and B = 0, at any such current. A winding's
+    segments_per_turn is checked the same way, its turns must fit their
+    layers (check_winding_geometry), its current must be non-zero, and
+    the region must also lie inside the coil length. Each layer of M
+    turns is evaluated as Q copies of its first turn carrying M/Q
+    amperes, with Q the least count that puts the aliasing error
+    (r_max/R1)**(Q - 1) under 1e-17, at most M. The segments built,
+    segments_per_turn times the copies summed over the layers, may not
+    exceed MAX_SEGMENTS (check_segment_count), and the pairs evaluated,
+    grid points times those segments, may not exceed MAX_FIELD_PAIRS.
+    Every input is checked before anything is allocated.
 
     The field is linear in I, so the winding's statistics are taken from
     its field at 1 A, and A, B, mean_A and max_B_magnitude are then
@@ -342,29 +346,30 @@ def homogeneity_report(coil, region, grid, segments_per_turn=8):
     current, and the relative ones do not depend on I.
     """
     grid, r_max = check_bore_grid(coil.R1, region, grid)
+    check_segments_per_turn(segments_per_turn)
     if isinstance(coil, AnnularCoilIdeal):
-        check_segments_per_turn(segments_per_turn)
-        ideal = annular_coil_A(coil)
-        points = region.grid_points(grid)
-        A = np.zeros_like(points)
-        A[:, 2] = ideal
-        B = np.zeros_like(points)
-        mean_A, max_rel_dev, max_B, rel_err, copies = (0.0, 0.0, ideal), 0.0, 0.0, 0.0, ()
+        copies = ()
     else:
-        check_constructible(coil, segments_per_turn)
+        check_winding_geometry(coil)
         if coil.I == 0.0:
             raise DomainError("relative field deviations are undefined at zero current")
         if abs(region.lo[2]) >= coil.L / 2 or abs(region.hi[2]) >= coil.L / 2:
             raise DomainError("region must lie inside the coil length")
-        ideal = annular_coil_A(coil)
         # logs taken apart: r_max/R1 can underflow to 0, r_max cannot
         max_copies = 1 + math.ceil(math.log(1e-17) / (math.log(r_max) - math.log(coil.R1)))
         copies = tuple(Q for _, Q in _layer_sizes(coil, max_copies))
-        if math.prod(grid) * sum(copies) * segments_per_turn > MAX_FIELD_PAIRS:
+        segments = check_segment_count(sum(copies) * segments_per_turn)
+        if math.prod(grid) * segments > MAX_FIELD_PAIRS:
             raise ScenarioError(f"field evaluation exceeds {MAX_FIELD_PAIRS} point-segment pairs")
 
-        points = region.grid_points(grid)
-        A, B = np.zeros_like(points), np.zeros_like(points)
+    ideal = annular_coil_A(coil)
+    points = region.grid_points(grid)
+    A, B = np.zeros_like(points), np.zeros_like(points)
+    if not copies:
+        # the ideal bore: exact, with no reduction to round
+        A[:, 2] = ideal
+        mean_A, max_rel_dev, max_B, rel_err = (0.0, 0.0, ideal), 0.0, 0.0, 0.0
+    else:
         for M, Q, vertices in _layers(coil, segments_per_turn, max_copies):
             A_layer, B_layer = field_at(Winding(vertices, M / Q), points)
             A += A_layer

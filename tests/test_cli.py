@@ -302,6 +302,37 @@ class TestFieldMap:
         assert not os.path.exists(out_path + ".homogeneity.json")
 
     @pytest.mark.parametrize(
+        "region, status",
+        [
+            # 200000 turns, 800000 segments at 4 per turn, but a map of
+            # 2 * 22 copies of 8 segments
+            ("-0.01,0.01,-0.01,0.01,-0.01,0.01", 0),
+            # 2 * 68026 copies of 8 segments pass MAX_SEGMENTS
+            ("-0.07067,0.07067,-0.07067,0.07067,-0.01,0.01", 2),
+        ],
+        ids=["few-copies", "near-the-wires"],
+    )
+    def test_segment_limit_counts_the_copies_built(self, tmp_path, capsys, region, status):
+        config = tmp_path / "many.json"
+        config.write_text(json.dumps(
+            {"coil": {"turn_density_per_m": 318310.0, "wire_diameter_m": 1e-6}, "current_A": 1.0}
+        ))
+        assert main(["validate-coil", "--config", str(config)]) == 0
+        assert capsys.readouterr().out.startswith("winding constructible: 800000 segments")
+        out_path = str(tmp_path / "map.csv")
+        args = ["field-map", "--config", str(config), f"--region={region}", "--grid", "2",
+                "--out", out_path]
+        assert main(args) == status
+        if status:
+            err = capsys.readouterr().err
+            assert err == "configuration error: winding exceeds 1000000 segments\n"
+            assert os.listdir(tmp_path) == ["many.json"]
+        else:
+            # the column header and 2**3 rows
+            assert len([l for l in read(out_path).splitlines() if not l.startswith("#")]) == 9
+            assert os.path.exists(out_path + ".homogeneity.json")
+
+    @pytest.mark.parametrize(
         "region, message",
         [
             ("-0.01,0.01,-0.01,0.01,-inf,inf", "box corners must be finite"),
@@ -615,7 +646,8 @@ class TestValidateCoil:
         assert main(["validate-coil", "--config", str(config)]) == 1
 
     def test_huge_length_rejected_before_any_array(self, tmp_path, capsys):
-        # 2*L + 2*(R2 - R1) overflows: no winding, and no numpy warnings
+        # the turn path L + (R2 - R1) + L + (R2 - R1) overflows: no winding,
+        # and no numpy warnings
         config = tmp_path / "long.json"
         config.write_text(json.dumps({"coil": {"type": "winding", "L_m": 1e308}}))
         assert main(["validate-coil", "--config", str(config)]) == 1

@@ -142,11 +142,12 @@ class TestBuildWinding:
             assert w.vertices.shape == (spec.N, segments_per_turn + 1, 3)
             assert w.I == spec.I
 
-    def test_turns_chain_and_layers_close(self):
+    @pytest.mark.parametrize("segments_per_turn", [4, 8, 16, 64])
+    def test_turns_chain_and_layers_close(self, segments_per_turn):
         # a turn's last vertex is the next turn's first, and the last turn
         # of a layer ends on the layer's first vertex
         spec = paper_coil(L=2.0, layers=3, helicity=(1, -1, 1))
-        v = build_winding(spec, 8).vertices
+        v = build_winding(spec, segments_per_turn).vertices
         base, rem = divmod(spec.N, spec.layers)
         first = 0
         for layer in range(spec.layers):
@@ -203,7 +204,8 @@ class TestBuildWinding:
             check_constructible(spec, 4)
         assert check_constructible(spec._replace(wire_diameter=1e-3), 4) == spec.N * 4
 
-    def test_matches_turn_by_turn_construction(self):
+    @pytest.mark.parametrize("segments_per_turn", [4, 8, 16, 64])
+    def test_matches_turn_by_turn_construction(self, segments_per_turn):
         # reference: walk each layer turn by turn, leg by leg
         spec = paper_coil(L=2.0, layers=3, helicity=(1, -1, 1))
         legs = (
@@ -213,6 +215,7 @@ class TestBuildWinding:
             (spec.R2, -1.0, spec.R1, -1.0, spec.R2 - spec.R1),
         )
         perimeter = 2 * 2.0 + 2 * (spec.R2 - spec.R1)
+        pieces = segments_per_turn // 4
         base, rem = divmod(spec.N, spec.layers)
         turns = []
         for layer, s in enumerate(spec.helicity_sign_per_layer):
@@ -222,16 +225,17 @@ class TestBuildWinding:
                 phi0 = s * 2 * math.pi * j / M + 2 * math.pi * layer / (spec.layers * M)
                 walked = 0.0
                 for ra, za, rb, zb, length in legs:
-                    for k in range(2):
-                        f = k / 2
+                    for k in range(pieces):
+                        f = k / pieces
                         phi = phi0 + s * 2 * math.pi / M * (walked + length * f) / perimeter
                         r = ra + (rb - ra) * f
                         pts.append((r * math.cos(phi), r * math.sin(phi), za + (zb - za) * f))
                     walked += length
             # each turn ends on the next turn's first vertex, the last on the first turn's
             pts.append(pts[0])
-            turns += [pts[8 * j:8 * j + 9] for j in range(M)]
-        w = build_winding(spec, 8)
+            n = segments_per_turn
+            turns += [pts[n * j:n * j + n + 1] for j in range(M)]
+        w = build_winding(spec, segments_per_turn)
         assert np.allclose(w.vertices, turns, rtol=0, atol=1e-14)
         assert w.I == spec.I
 
@@ -252,6 +256,17 @@ class TestBuildWinding:
     def test_non_finite_geometry_rejected(self):
         with pytest.raises(DomainError):
             build_winding(paper_coil(L=float("nan")), 4)
+
+    def test_turn_path_checked_as_it_is_summed(self):
+        # 2*L + 2*(R2 - R1) is finite here, but the corner-to-corner sum
+        # that each vertex's share of the turn path is divided by overflows
+        spec = paper_coil()._replace(L=2.0**1023 - 2.0**973, R2=2.0**973 - 2.0**970)
+        assert math.isfinite(2 * spec.L + 2 * (spec.R2 - spec.R1))
+        with pytest.raises(DomainError, match="^segment endpoints must be finite$"):
+            check_constructible(spec, 4)
+        region = Box(lo=(-0.01, -0.01, -0.01), hi=(0.01, 0.01, 0.01))
+        with pytest.raises(DomainError, match="^segment endpoints must be finite$"):
+            homogeneity_report(spec, region, 2)
 
     @pytest.mark.parametrize(
         "spec, segments_per_turn",
@@ -689,6 +704,15 @@ class TestHomogeneityReport:
         with pytest.raises(DomainError):
             homogeneity_report(spec, region, 2)
 
+    @pytest.mark.parametrize("lo, hi", [(-3.0, 0.01), (-0.01, 3.0)])
+    def test_region_ending_on_the_coil_end_rejected(self, lo, hi):
+        # the end planes z = +-L/2 hold the radial legs: a box must lie
+        # strictly between them
+        spec = paper_coil(L=6.0)
+        region = Box(lo=(-0.01, -0.01, lo), hi=(0.01, 0.01, hi))
+        with pytest.raises(DomainError, match="^region must lie inside the coil length$"):
+            homogeneity_report(spec, region, 2)
+
     def test_grid_minimum(self):
         spec = paper_coil(L=6.0)
         region = Box(lo=(-0.01, -0.01, -0.01), hi=(0.01, 0.01, 0.01))
@@ -731,6 +755,32 @@ class TestHomogeneityReport:
         assert homogeneity_report(spec, region, 2).copies == rep.copies
         monkeypatch.setattr("coilfringe.winding.MAX_FIELD_PAIRS", pairs - 1)
         with pytest.raises(ScenarioError, match=f"exceeds {pairs - 1} point-segment pairs"):
+            homogeneity_report(spec, region, 2)
+
+    def test_segment_limit_counts_the_built_segments(self, monkeypatch):
+        # the report builds segments per turn * copies, not every turn: a
+        # coil of 200000 turns, past MAX_SEGMENTS in all, is mapped from
+        # 2 * 22 copies, and the limit applies to those
+        spec = paper_coil(L=12.0, turn_density=318310.0)._replace(wire_diameter=1e-6)
+        region = Box(lo=(-0.01, -0.01, -0.01), hi=(0.01, 0.01, 0.01))
+        with pytest.raises(ScenarioError, match="winding exceeds"):
+            check_constructible(spec, 8)
+        rep = homogeneity_report(spec, region, 2)
+        assert rep.copies == (22, 22)
+        segments = 8 * sum(rep.copies)
+        monkeypatch.setattr("coilfringe.ideal_field.MAX_SEGMENTS", segments)
+        assert homogeneity_report(spec, region, 2).copies == rep.copies
+        monkeypatch.setattr("coilfringe.ideal_field.MAX_SEGMENTS", segments - 1)
+        with pytest.raises(ScenarioError, match=f"^winding exceeds {segments - 1} segments$"):
+            homogeneity_report(spec, region, 2)
+
+    def test_report_checks_the_turns_before_counting_segments(self):
+        # the segment limit counts the copies, so the faults that do not
+        # depend on them come first: here the current, on a coil whose
+        # turns are past MAX_SEGMENTS
+        spec = paper_coil(L=12.0, turn_density=318310.0, I=0.0)._replace(wire_diameter=1e-6)
+        region = Box(lo=(-0.07067, -0.07067, -0.01), hi=(0.07067, 0.07067, 0.01))
+        with pytest.raises(DomainError, match="undefined at zero current"):
             homogeneity_report(spec, region, 2)
 
     def test_report_carries_the_sampled_grid(self):
