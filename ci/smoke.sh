@@ -40,6 +40,16 @@ echo '{"coil": {"turn_density_per_m": 318310.0, "wire_diameter_m": 1e-6}, "curre
 coilfringe field-map --config "$dir/t.json" --region=-0.01,0.01,-0.01,0.01,-0.01,0.01 --grid 2 --out "$dir/t.csv"
 test "$(grep -vc '^#' "$dir/t.csv")" -eq 9
 test -e "$dir/t.csv.homogeneity.json"
+# three layers of 420, 420 and 419 turns map in one evaluation
+echo '{"coil": {"turn_density_per_m": 2003.0, "layers": 3, "helicity_sign_per_layer": [1, -1, 1]}, "current_A": 2.5}' > "$dir/l.json"
+coilfringe field-map --config "$dir/l.json" --region=-0.01,0.01,-0.01,0.01,-0.01,0.01 --grid 2 --out "$dir/l.csv"
+test "$(grep -vc '^#' "$dir/l.csv")" -eq 9
+test -e "$dir/l.csv.homogeneity.json"
+# a box whose radius is below R1 = 1e10 m but rounds to it in the log
+# copies every turn
+echo '{"coil": {"R1_m": 1e10, "R2_m": 2e10, "L_m": 1e12, "turn_density_per_m": 1e-9, "layers": 1, "helicity_sign_per_layer": [1]}, "current_A": 1}' > "$dir/r.json"
+out=$(coilfringe field-map --config "$dir/r.json" --region=9999999998.999998,9999999999.999998,-0.001,0.001,-1,1 --grid 2 --out "$dir/r.csv")
+test "$(echo "$out" | wc -l)" -eq 1
 coilfringe sweep --from -1 --to 1 --step 0.5 --out "$dir/sweep.csv"
 test -e "$dir/sweep.csv.fit.json"
 coilfringe sweep --variable voltage --from 1000 --to 2000 --step 500 --out "$dir/sweep.csv"

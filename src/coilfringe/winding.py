@@ -9,12 +9,12 @@ one turn spacing distributed along the turn path in proportion to the
 length walked; layers may wind with opposite azimuthal sense so their
 net azimuthal advance cancels. A Winding holds each layer's turns as
 polylines, one vertex array, so the segments of a turn chain through
-shared vertices.
+shared vertices, and one current per polyline: the segments of a
+polyline are in series and carry its current I.
 
-Field evaluation sums closed forms over all segments, which are in
-series and carry the one current I. A segment of length Lseg, unit
-direction l_hat, start s and end e, whose ends lie at distances d1 and
-d2 from the point, contributes
+Field evaluation sums closed forms over all segments. A segment of
+length Lseg, unit direction l_hat, start s and end e, whose ends lie at
+distances d1 and d2 from the point, contributes
 
     A = mu0*I/(4pi) * l_hat * ln((d1 + d2 + Lseg) / (d1 + d2 - Lseg)),
     B = mu0*I/(4pi) * 2*Lseg*(d1 + d2) / (d1*d2*((d1 + d2)^2 - Lseg^2))
@@ -23,7 +23,8 @@ d2 from the point, contributes
 with r1 the vector from the segment start to the point (the
 finite-filament Biot-Savart field of Hanson & Hirshman, Phys. Plasmas
 9, 4410 (2002)). Both are linear in I, so mu0*I/(4pi) scales the sums
-once.
+once per run of consecutive polylines that carry one current, not each
+term: scaling a term would round it once more.
 
 field_at takes each point's distance to every vertex once, and a
 segment's d1 and d2 are those of its two consecutive vertices. It works
@@ -69,7 +70,10 @@ full layer is thus about (r_max/R1)**(Q - 1) for sample points within
 r_max of the axis: the geometric convergence of the periodic
 trapezoidal rule (Trefethen & Weideman, SIAM Rev. 56, 385 (2014)). The
 report takes Q = min(M, 1 + ceil(ln(1e-17) / ln(r_max/R1))), a
-difference below double rounding; Q = M is the layer itself.
+difference below double rounding; Q = M is the layer itself, and is
+taken where r_max is so close to R1 that their logs are equal. The
+copies of all layers form one Winding at 1 A a turn, copy by copy I =
+M/Q, so the report evaluates the field in one call of field_at.
 """
 
 from collections import namedtuple
@@ -144,8 +148,9 @@ class Winding(namedtuple("Winding", "vertices I")):
 
     vertices is an (n, m, 3) array (meters) of n polylines of m vertices;
     piece i of polyline j, from vertices[j, i] to vertices[j, i + 1], is
-    segment k = j*(m - 1) + i. Every segment carries the current I
-    (amperes).
+    segment k = j*(m - 1) + i. I is the current (amperes) of each polyline:
+    one float for all of them, or an (n,) array, one for each; the pieces
+    of a polyline are in series and carry its current.
     """
 
     __slots__ = ()
@@ -177,27 +182,28 @@ class HomogeneityReport(
 def _layer_sizes(spec, max_copies):
     """(M, Q) for each layer: its M turns, the turn count spread over the
     layers, and the Q = min(M, max_copies) copies of its first turn that
-    stand for them (see _layers)."""
+    stand for them (see _turn_copies)."""
     base, rem = divmod(spec.N, spec.layers)
     sizes = [base + 1] * rem + [base] * (spec.layers - rem)
     return [(M, min(M, max_copies)) for M in sizes]
 
 
-def _layers(spec, segments_per_turn, max_copies):
-    """Each layer of the winding as (M, Q, vertices).
+def _turn_copies(spec, segments_per_turn, max_copies):
+    """A Winding of every layer's turn copies, at 1 A a turn.
 
-    The layer of M turns is built as Q copies of its first turn (see
-    _layer_sizes), copy k rotated by k/Q of a full turn, so Q = M is the
-    layer itself. A turn's vertices split each of the four legs between
-    the corners (R1, -L/2), (R1, L/2), (R2, L/2) and (R2, -L/2) into
-    segments_per_turn // 4 equal pieces, and the last vertex is the first
-    corner again. Layer with helicity sign s places turn j at azimuth
-    s*2pi*j/M plus a per-layer interleaving offset, and its turn advances
-    by one turn spacing over the turn path, in proportion to the length
-    walked from the first corner: each turn ends where the next begins,
-    and the last turn of the layer closes it. vertices is a
-    (Q, segments_per_turn + 1, 3) array: each copy is the polyline of its
-    turn, whose last vertex is where the next turn starts.
+    A layer of M turns is built as Q copies of its first turn (see
+    _layer_sizes), copy k rotated by k/Q of a full turn and carrying M/Q
+    amperes, so Q = M is the layer itself. A turn's vertices split each of
+    the four legs between the corners (R1, -L/2), (R1, L/2), (R2, L/2) and
+    (R2, -L/2) into segments_per_turn // 4 equal pieces, and the last vertex
+    is the first corner again. Layer with helicity sign s places turn j at
+    azimuth s*2pi*j/M plus a per-layer interleaving offset, and its turn
+    advances by one turn spacing over the turn path, in proportion to the
+    length walked from the first corner: each turn ends where the next
+    begins, and the last turn of the layer closes it. The vertices are a
+    (sum of Q, segments_per_turn + 1, 3) array, layer after layer: each
+    copy is the polyline of its turn, whose last vertex is where the next
+    turn starts. I holds each copy's current M/Q.
     """
     R1, R2, L = spec.R1, spec.R2, spec.L
     # vertex i lies i/(segments_per_turn // 4) legs along the corner path;
@@ -209,16 +215,18 @@ def _layers(spec, segments_per_turn, max_copies):
     walked = np.cumsum((0.0, L, R2 - R1, L, R2 - R1))
     t = np.interp(legs, range(5), walked) / walked[-1]
 
+    vertices, currents = [], []
     for layer, (M, Q) in enumerate(_layer_sizes(spec, max_copies)):
         s = spec.helicity_sign_per_layer[layer]
         offset = 2 * math.pi * layer / (spec.layers * M)
         # the turn index of each copy, which is k itself when Q = M
         turn = np.arange(Q) * M / Q
         phi = (s * 2 * math.pi * turn / M + offset)[:, None] + s * 2 * math.pi / M * t
-        vertices = np.stack(
-            [r * np.cos(phi), r * np.sin(phi), np.broadcast_to(z, phi.shape)], axis=-1
+        vertices.append(
+            np.stack([r * np.cos(phi), r * np.sin(phi), np.broadcast_to(z, phi.shape)], axis=-1)
         )
-        yield M, Q, vertices
+        currents += [M / Q] * Q
+    return Winding(np.concatenate(vertices), np.array(currents))
 
 
 def build_winding(spec, segments_per_turn=8):
@@ -229,14 +237,14 @@ def build_winding(spec, segments_per_turn=8):
     contributes segments_per_turn segments, its four legs subdivided
     evenly, so segments_per_turn must be a positive multiple of 4. Turns
     of one layer chain head to tail, and each layer closes
-    on itself with net azimuthal advance s*2pi for its helicity sign s
-    (see _layers). check_constructible rejects a winding that cannot be
-    built, before anything is allocated: MAX_SEGMENTS bounds its turns
-    times segments_per_turn.
+    on itself with net azimuthal advance s*2pi for its helicity sign s:
+    these are the turn copies of _turn_copies with every turn copied,
+    carrying the spec's current. check_constructible rejects a winding
+    that cannot be built, before anything is allocated: MAX_SEGMENTS
+    bounds its turns times segments_per_turn.
     """
     check_constructible(spec, segments_per_turn)
-    vertices = [v for _, _, v in _layers(spec, segments_per_turn, spec.N)]
-    return Winding(vertices=np.concatenate(vertices), I=float(spec.I))
+    return Winding(_turn_copies(spec, segments_per_turn, spec.N).vertices, float(spec.I))
 
 
 def field_at(winding, points):
@@ -246,54 +254,63 @@ def field_at(winding, points):
     (n, 3) arrays. Raises DomainError if a point lies within
     WIRE_GUARD of a segment, naming the segment by its number k (see
     Winding). Each point's distance to every vertex is taken once: the
-    pieces of a polyline share their inner vertices.
+    pieces of a polyline share their inner vertices. The current is one
+    per polyline, and it scales the summed terms, not the segments: each
+    run of consecutive polylines with one current is summed on its own and
+    scaled by that current once, so a current rounds no single term.
     """
     points = np.asarray(points, dtype=float).reshape(-1, 3)
-    vertices = winding.vertices
-    seg = np.diff(vertices, axis=1)
-    seg_len = np.linalg.norm(seg, axis=2)
-    unit = seg / seg_len[..., None]
-    end_x_start = np.cross(vertices[:, 1:], vertices[:, :-1]).reshape(-1, 3)
-    # the pairs near a wire; as gap <= 2*distance, they hold those in the guard
-    near_gap = np.maximum(NEAR_GAP * seg_len, 2 * WIRE_GUARD + 1e-12)
-    vx, vy, vz = np.moveaxis(vertices, 2, 0)
-    A = np.empty_like(points)
-    B = np.empty_like(points)
-    step = max(1, BATCH_PAIRS // seg_len.size)
-    for i in range(0, len(points), step):
-        p = points[i:i + step]
-        x, y, z = p.T[..., None, None]
-        d = np.sqrt((x - vx) ** 2 + (y - vy) ** 2 + (z - vz) ** 2)
-        d1, d2 = d[..., :-1], d[..., 1:]
-        dsum = d1 + d2
-        gap = dsum - seg_len
-        near = gap < near_gap
-        if near.any():
-            pair = np.nonzero(near)  # (point, polyline, piece) of each near pair
-            c, piece = pair[0], pair[1:]
-            r1 = p[c] - vertices[piece]
-            t = np.einsum("nk,nk->n", r1, unit[piece])  # d1 - t = rho_sq / (d1 + t)
-            u = seg_len[piece] - t  # d2 - u = rho_sq / (d2 + u)
-            rho_sq = np.sum(np.cross(unit[piece], r1) ** 2, axis=1)
-            a, b = d1[pair], d2[pair]
-            dist = np.where(t < 0, a, np.where(u < 0, b, np.sqrt(rho_sq)))
-            j = np.argmin(dist)
-            if dist[j] < WIRE_GUARD:
-                k = np.ravel_multi_index(piece, seg_len.shape)[j]
-                raise DomainError(
-                    f"point {p[c[j]].tolist()} within wire guard of segment {k} "
-                    f"(distance {dist[j]:.3e} m)"
+    I = np.broadcast_to(winding.I, len(winding.vertices))
+    # the first polyline of each run of one current, then the polyline count
+    cut = np.flatnonzero(np.r_[True, I[1:] != I[:-1], True])
+    A, B = np.zeros_like(points), np.zeros_like(points)
+    for first, end in zip(cut[:-1], cut[1:]):
+        vertices = winding.vertices[first:end]
+        seg = np.diff(vertices, axis=1)
+        seg_len = np.linalg.norm(seg, axis=2)
+        unit = seg / seg_len[..., None]
+        end_x_start = np.cross(vertices[:, 1:], vertices[:, :-1]).reshape(-1, 3)
+        # the pairs near a wire; as gap <= 2*distance, they hold those in the guard
+        near_gap = np.maximum(NEAR_GAP * seg_len, 2 * WIRE_GUARD + 1e-12)
+        vx, vy, vz = np.moveaxis(vertices, 2, 0)
+        scale = MU0 * I[first] / (4 * math.pi)
+        step = max(1, BATCH_PAIRS // seg_len.size)
+        for i in range(0, len(points), step):
+            p = points[i:i + step]
+            x, y, z = p.T[..., None, None]
+            d = np.sqrt((x - vx) ** 2 + (y - vy) ** 2 + (z - vz) ** 2)
+            d1, d2 = d[..., :-1], d[..., 1:]
+            dsum = d1 + d2
+            gap = dsum - seg_len
+            near = gap < near_gap
+            if near.any():
+                pair = np.nonzero(near)  # (point, polyline, piece) of each near pair
+                c, piece = pair[0], pair[1:]
+                r1 = p[c] - vertices[piece]
+                t = np.einsum("nk,nk->n", r1, unit[piece])  # d1 - t = rho_sq / (d1 + t)
+                u = seg_len[piece] - t  # d2 - u = rho_sq / (d2 + u)
+                rho_sq = np.sum(np.cross(unit[piece], r1) ** 2, axis=1)
+                a, b = d1[pair], d2[pair]
+                dist = np.where(t < 0, a, np.where(u < 0, b, np.sqrt(rho_sq)))
+                j = np.argmin(dist)
+                if dist[j] < WIRE_GUARD:
+                    k = first * seg_len.shape[1] + np.ravel_multi_index(piece, seg_len.shape)[j]
+                    raise DomainError(
+                        f"point {p[c[j]].tolist()} within wire guard of segment {k} "
+                        f"(distance {dist[j]:.3e} m)"
+                    )
+                # a, b >= dist > 0, so no denominator below is 0
+                gap[pair] = np.where(t > 0, rho_sq / (a + np.abs(t)), a - t) + np.where(
+                    u > 0, rho_sq / (b + np.abs(u)), b - u
                 )
-            # a, b >= dist > 0, so no denominator below is 0
-            g = np.where(t > 0, rho_sq / (a + np.abs(t)), a - t) + np.where(
-                u > 0, rho_sq / (b + np.abs(u)), b - u
-            )
-            gap[pair] = g
-        A[i:i + step] = np.log((dsum + seg_len) / gap).reshape(len(p), -1) @ unit.reshape(-1, 3)
-        coef = (dsum / (d1 * d2 * gap * (dsum + seg_len))).reshape(len(p), -1)
-        B[i:i + step] = np.cross(coef @ seg.reshape(-1, 3), p) - coef @ end_x_start
-    scale = MU0 * winding.I / (4 * math.pi)
-    return scale * A, 2 * scale * B
+            # the log's array stays a temporary: held in a name across the
+            # batch, it slowed the loop by 15-20 %
+            A[i:i + step] += scale * (np.log((dsum + seg_len) / gap).reshape(len(p), -1)
+                                      @ unit.reshape(-1, 3))
+            coef = (dsum / (d1 * d2 * gap * (dsum + seg_len))).reshape(len(p), -1)
+            B[i:i + step] += 2 * scale * (np.cross(coef @ seg.reshape(-1, 3), p)
+                                          - coef @ end_x_start)
+    return A, B
 
 
 def check_bore_grid(R1, region, grid):
@@ -334,7 +351,9 @@ def homogeneity_report(coil, region, grid, segments_per_turn=8):
     the region must also lie inside the coil length. Each layer of M
     turns is evaluated as Q copies of its first turn carrying M/Q
     amperes, with Q the least count that puts the aliasing error
-    (r_max/R1)**(Q - 1) under 1e-17, at most M. The segments built,
+    (r_max/R1)**(Q - 1) under 1e-17, at most M, and M where r_max rounds
+    so close to R1 that their logs are equal; the copies of all layers are
+    one Winding, evaluated by one field_at call. The segments built,
     segments_per_turn times the copies summed over the layers, may not
     exceed MAX_SEGMENTS (check_segment_count), and the pairs evaluated,
     grid points times those segments, may not exceed MAX_FIELD_PAIRS.
@@ -355,8 +374,10 @@ def homogeneity_report(coil, region, grid, segments_per_turn=8):
             raise DomainError("relative field deviations are undefined at zero current")
         if abs(region.lo[2]) >= coil.L / 2 or abs(region.hi[2]) >= coil.L / 2:
             raise DomainError("region must lie inside the coil length")
-        # logs taken apart: r_max/R1 can underflow to 0, r_max cannot
-        max_copies = 1 + math.ceil(math.log(1e-17) / (math.log(r_max) - math.log(coil.R1)))
+        # logs taken apart: r_max/R1 can underflow to 0, r_max cannot; where
+        # r_max is so near R1 that the logs are one, only all turns meet the bound
+        log_ratio = math.log(r_max) - math.log(coil.R1)
+        max_copies = 1 + math.ceil(math.log(1e-17) / log_ratio) if log_ratio < 0 else coil.N
         copies = tuple(Q for _, Q in _layer_sizes(coil, max_copies))
         segments = check_segment_count(sum(copies) * segments_per_turn)
         if math.prod(grid) * segments > MAX_FIELD_PAIRS:
@@ -364,20 +385,15 @@ def homogeneity_report(coil, region, grid, segments_per_turn=8):
 
     ideal = annular_coil_A(coil)
     points = region.grid_points(grid)
-    A, B = np.zeros_like(points), np.zeros_like(points)
     if not copies:
         # the ideal bore: exact, with no reduction to round
+        A, B = np.zeros_like(points), np.zeros_like(points)
         A[:, 2] = ideal
         mean_A, max_rel_dev, max_B, rel_err = (0.0, 0.0, ideal), 0.0, 0.0, 0.0
     else:
-        for M, Q, vertices in _layers(coil, segments_per_turn, max_copies):
-            A_layer, B_layer = field_at(Winding(vertices, M / Q), points)
-            A += A_layer
-            B += B_layer
+        A, B = field_at(_turn_copies(coil, segments_per_turn, max_copies), points)
         mean_A = A.mean(axis=0)
-        max_rel_dev = float(
-            np.max(np.linalg.norm(A - mean_A, axis=1)) / np.linalg.norm(mean_A)
-        )
+        max_rel_dev = float(np.max(np.linalg.norm(A - mean_A, axis=1)) / np.linalg.norm(mean_A))
         max_B = float(np.max(np.linalg.norm(B, axis=1))) * abs(coil.I)
         K = coil_constant_K(coil)
         rel_err = abs(float(mean_A[2]) - K) / abs(K)

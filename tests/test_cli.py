@@ -332,6 +332,24 @@ class TestFieldMap:
             assert len([l for l in read(out_path).splitlines() if not l.startswith("#")]) == 9
             assert os.path.exists(out_path + ".homogeneity.json")
 
+    def test_box_whose_radius_rounds_to_the_bore_radius(self, tmp_path, capsys):
+        # r_max lies below R1 = 1e10 m, but its log is R1's: every turn is
+        # copied, where the copy rule divided by zero and raised a traceback
+        config = tmp_path / "far.json"
+        config.write_text(json.dumps({
+            "coil": {"R1_m": 1e10, "R2_m": 2e10, "L_m": 1e12, "turn_density_per_m": 1e-9,
+                     "layers": 1, "helicity_sign_per_layer": [1]},
+            "current_A": 1.0,
+        }))
+        out_path = str(tmp_path / "map.csv")
+        args = ["field-map", "--config", str(config),
+                "--region=9999999998.999998,9999999999.999998,-0.001,0.001,-1,1",
+                "--grid", "2", "--out", out_path]
+        assert main(args) == 0
+        out, err = capsys.readouterr()
+        assert (out, err) == (f"wrote 8 field samples to {out_path}\n", "")
+        assert len([l for l in read(out_path).splitlines() if not l.startswith("#")]) == 9
+
     @pytest.mark.parametrize(
         "region, message",
         [

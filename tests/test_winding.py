@@ -22,7 +22,7 @@ from coilfringe.winding import (
     WIRE_GUARD,
     Box,
     Winding,
-    _layers,
+    _turn_copies,
     build_winding,
     check_bore_grid,
     field_at,
@@ -476,6 +476,87 @@ def test_field_at_matches_per_pair_kernel(vertices, current, points):
     assert np.all(np.abs(B - B_ref) <= 1e-12 * B_size[:, None] + 1e-20)
 
 
+class TestTurnCopies:
+    """_turn_copies: each layer's Q turn copies as one Winding at 1 A a turn."""
+
+    # 1257 turns fill two layers as 629 and 628, and 1259 three as 420, 420
+    # and 419
+    SPECS = {
+        "1-layer": paper_coil(L=2.0, layers=1, helicity=(1,), I=2.5)._replace(wire_diameter=4e-4),
+        "2-layers": paper_coil(L=2.0, I=-1.5),
+        "3-layers": paper_coil(L=2.0, layers=3, helicity=(1, -1, 1), turn_density=2003.0, I=2.5),
+    }
+
+    @pytest.mark.parametrize("segments_per_turn", [4, 8])
+    @pytest.mark.parametrize("name", SPECS)
+    def test_every_turn_copied_is_the_winding(self, name, segments_per_turn):
+        # max_copies = N copies every turn of every layer at 1 A, here Q =
+        # (420, 420, 419) for three layers: build_winding's vertices bit for bit
+        spec = self.SPECS[name]
+        copies = _turn_copies(spec, segments_per_turn, spec.N)
+        w = build_winding(spec, segments_per_turn)
+        assert np.array_equal(copies.vertices, w.vertices)
+        assert np.array_equal(copies.I, np.ones(spec.N))
+
+    @pytest.mark.parametrize("max_copies", [16, 40, None])
+    @pytest.mark.parametrize("name", SPECS)
+    def test_copies_field_matches_the_winding(self, name, max_copies):
+        # points within 7.1 mm of the axis, r/R1 <= 0.071: 16 copies put the
+        # aliasing (r/R1)**(Q - 1) below 1e-17, so at 16 copies, at 40 and at
+        # every turn (None) the sum differs from the winding's only by
+        # rounding. The direct map's own rounding is 2-7e-14 of |A|; B, zero
+        # in the bore, is rounding alone, against a scale mu0*N*I/(2pi*R1)
+        # of the field inside the winding.
+        spec = self.SPECS[name]
+        copies = _turn_copies(spec, 8, max_copies or spec.N)
+        points = Box(lo=(-0.005, -0.005, 0.2), hi=(0.005, 0.005, 0.3)).grid_points((3, 3, 3))
+        A_ref, B_ref = field_at(build_winding(spec, 8), points)
+        A, B = field_at(copies, points)
+        A, B = spec.I * A, spec.I * B
+        A_norm = np.linalg.norm(A_ref, axis=1)
+        assert np.all(np.linalg.norm(A - A_ref, axis=1) <= 1e-13 * A_norm)
+        scale = MU0 * spec.N * abs(spec.I) / (2 * math.pi * spec.R1)
+        assert np.max(np.abs(B - B_ref)) <= 1e-13 * scale
+
+    def test_copies_carry_their_layer_current(self):
+        # 629 and 628 turns as 16 copies each: 629/16 and 628/16 A a copy
+        spec = self.SPECS["2-layers"]
+        copies = _turn_copies(spec, 8, 16)
+        assert copies.vertices.shape == (32, 9, 3)
+        assert np.array_equal(copies.I, [629 / 16] * 16 + [628 / 16] * 16)
+
+
+class TestCurrentPerPolyline:
+    # five polylines of the three-layer winding, from two layers, and
+    # points in the bore and beside the wires
+    POLYLINES = build_winding(paper_coil(L=2.0, layers=3, helicity=(1, -1, 1)), 4).vertices[417:422]
+    POINTS = np.array([[0.0, 0.0, 0.0], [0.03, -0.02, 0.4], [0.11, 0.0, 0.2], [0.0, 0.15, -1.2]])
+
+    def test_currents_sum_the_polylines(self):
+        # polylines 2 and 3 carry one current, so they form one run
+        I = np.array([1.5, -2.0, 0.25, 0.25, 3.0])
+        A, B = field_at(Winding(self.POLYLINES, I), self.POINTS)
+        parts = [field_at(Winding(v[None], float(c)), self.POINTS) for v, c in zip(self.POLYLINES, I)]
+        for total, terms in ((A, [a for a, _ in parts]), (B, [b for _, b in parts])):
+            # rounding: a few eps of the summed parts' sizes
+            size = np.sum(np.abs(terms), axis=0)
+            assert np.all(np.abs(total - np.sum(terms, axis=0)) <= 16 * np.finfo(float).eps * size)
+
+    def test_float_current_is_an_array_of_it(self):
+        for current in (2.5, -1e-3):
+            A, B = field_at(Winding(self.POLYLINES, current), self.POINTS)
+            A_arr, B_arr = field_at(Winding(self.POLYLINES, np.full(5, current)), self.POINTS)
+            assert np.array_equal(A, A_arr) and np.array_equal(B, B_arr)
+
+    def test_guard_names_the_segment_in_a_later_run(self):
+        # a point on piece 2 of polyline 3, which starts the fourth run:
+        # segment 3*4 + 2
+        v = self.POLYLINES
+        point = (v[3, 2] + v[3, 3]) / 2
+        with pytest.raises(DomainError, match="within wire guard of segment 14 "):
+            field_at(Winding(v, np.array([1.0, 2.0, 3.0, 4.0, 5.0])), point)
+
+
 class TestCoilField:
     def test_center_matches_ideal_at_L_over_R2_50(self):
         spec = paper_coil(L=50 * 0.12)
@@ -838,6 +919,20 @@ class TestHomogeneityReport:
         assert rep.copies == (1, 1)
         assert np.isfinite(rep.A).all() and np.isfinite(rep.B).all()
 
+    def test_box_whose_radius_rounds_to_the_bore_radius(self):
+        # r_max lies below R1, but within the rounding of its log, so the
+        # log ratio is 0: no fewer copies than the 63 turns meet the bound
+        spec = CoilWindingSpec(
+            R1=1e10, R2=2e10, L=1e12, turn_density=1e-9, layers=1,
+            helicity_sign_per_layer=(1,), wire_diameter=1e-3, I=1.0,
+        )
+        region = Box(lo=(9999999998.999998, -0.001, -1.0), hi=(9999999999.999998, 0.001, 1.0))
+        r_max = check_bore_grid(spec.R1, region, 2)[1]
+        assert r_max < spec.R1 and math.log(r_max) == math.log(spec.R1)
+        rep = homogeneity_report(spec, region, 2)
+        assert rep.copies == (spec.N,) == (63,)
+        assert np.isfinite(rep.A).all() and np.isfinite(rep.B).all()
+
     def test_all_turn_copies_reproduce_the_winding(self):
         # 63 turns per layer are fewer copies than the region needs, so every
         # turn is summed and the report is the full winding's field
@@ -934,9 +1029,7 @@ def winding_axis_integral(spec, T=200.0, h=0.01):
     """
     z = np.linspace(-T, T, round(2 * T / h) + 1)
     points = np.column_stack([np.zeros_like(z), np.zeros_like(z), z])
-    Az = np.zeros_like(z)
-    for M, Q, vertices in _layers(spec, 8, 1):
-        Az += field_at(Winding(vertices, M * spec.I / Q), points)[0][:, 2]
+    Az = spec.I * field_at(_turn_copies(spec, 8, 1), points)[0][:, 2]
     return h * (Az.sum() - (Az[0] + Az[-1]) / 2)
 
 
