@@ -17,6 +17,8 @@ coilfringe() { command ${COILFRINGE:-coilfringe} "$@"; }
 coilfringe reproduce-paper
 coilfringe validate-coil
 coilfringe diffract
+# without --out, diffract --format json prints its JSON document alone
+coilfringe diffract --format json | python -c "import json, sys; json.load(sys.stdin)"
 # a stdout that cannot be written exits 2 with one stderr line
 status=0; coilfringe reproduce-paper > /dev/full 2> "$err" || status=$?
 test "$status" -eq 2
@@ -31,6 +33,11 @@ coilfringe field-map --config "$dir/s.json" --region=-0.01,0.01,-0.01,0.01,-0.01
 # the column header and 2**3 rows, and the homogeneity sidecar
 test "$(grep -vc '^#' "$dir/m.csv")" -eq 9
 test -e "$dir/m.csv.homogeneity.json"
+# an ideal coil's 8000 rows, formatted in several blocks as they are written
+echo '{"coil": {"type": "ideal"}, "current_A": 1.0}' > "$dir/i.json"
+coilfringe field-map --config "$dir/i.json" --region=-0.01,0.01,-0.01,0.01,-0.01,0.01 --grid 20,20,20 --out "$dir/i.csv"
+test "$(grep -vc '^#' "$dir/i.csv")" -eq 8001
+test -e "$dir/i.csv.homogeneity.json"
 # a region that starts with a negative number may follow --region after a space
 coilfringe field-map --config "$dir/s.json" --region -0.01,0.01,-0.01,0.01,-0.01,0.01 --grid 2 --out "$dir/n.csv"
 test "$(grep -vc '^#' "$dir/n.csv")" -eq 9

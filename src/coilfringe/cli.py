@@ -17,8 +17,9 @@ on stdout.
 The environment variable COILFRINGE_CONFIG_DIR names a directory that
 is searched for relative --config paths that do not exist locally.
 
-Only field-map and sweep import numpy; field-map also imports the
-winding kernel, inside its command function.
+Only field-map and sweep load numpy, through the modules they call;
+cli.py itself imports no numpy. field-map also imports the winding
+kernel, inside its command function.
 """
 
 import argparse
@@ -130,8 +131,6 @@ def _coil_header(coil):
 
 
 def _cmd_field_map(args):
-    import numpy as np
-
     from .winding import homogeneity_report
 
     scen = _load(args)
@@ -141,7 +140,7 @@ def _cmd_field_map(args):
         scen.coil, region, grid, segments_per_turn=args.segments_per_turn
     )
     columns = ("x", "y", "z", "Ax", "Ay", "Az", "Bx", "By", "Bz")
-    rows = csv_rows(np.hstack([rep.points, rep.A, rep.B]))
+    rows = csv_rows(rep.points, rep.A, rep.B)
     # the sidecar holds the report's five statistics
     summary = dict(zip(rep._fields[:5], rep))
     files = [
@@ -162,13 +161,14 @@ def _cmd_diffract(args):
         "interfringe_exact_m": pattern.interfringe_i,
         "small_angle_valid": pattern.small_angle_valid,
     }
-    files = []
-    if args.out is not None and args.format == "json":
+    files, text = [], key_value_lines(summary)
+    if args.format == "json":
         orders = [dict(zip(FRINGE_COLUMNS, o)) for o in pattern.orders]
-        files = [
-            (args.out, [json_text({"orders": orders, "summary": summary})]),
-            (args.out + ".summary.json", None),  # a CSV run's sidecar is stale
-        ]
+        document = [json_text({"orders": orders, "summary": summary})]
+        if args.out is None:
+            text = document
+        else:  # a CSV run's sidecar is stale
+            files = [(args.out, document), (args.out + ".summary.json", None)]
     elif args.out is not None:
         gs = scen.grating_screen
         setup = {FIELD_NAMES[f]: v for f, v in
@@ -178,7 +178,7 @@ def _cmd_diffract(args):
             (args.out, csv_lines(setup, FRINGE_COLUMNS, rows)),
             (args.out + ".summary.json", [json_text(summary)]),
         ]
-    return 0, files, key_value_lines(summary)
+    return 0, files, text
 
 
 def _cmd_validate_coil(args):

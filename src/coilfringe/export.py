@@ -5,9 +5,12 @@ One rule writes every emitted number, emitted(value): a float is
 independent, and an int, bool or string stays as it is; dicts,
 lists and tuples are written item by item. Callers pass raw values:
 json_text, key_value_lines and the fringe rows apply the rule, and
-csv_rows gives its bytes for whole float arrays. Identical inputs thus
-yield byte-identical files. CSV files, built by csv_lines, carry a
+csv_rows gives its bytes for float arrays side by side. Identical inputs
+thus yield byte-identical files. CSV files, built by csv_lines, carry a
 '#'-prefixed "key = value" header echoing the originating parameters.
+csv_rows and csv_lines are generators, so a CSV is formatted a block of
+rows at a time while write_lines writes it, and its whole text is never
+held.
 Every file is written to a temporary file beside its resolved path and
 then moved into place, so a failed write leaves no partial file. write_all
 takes a command's files in order, writing each or removing the stale
@@ -50,7 +53,7 @@ from .errors import ScenarioError
 _EXP_LIMIT = 290  # values of larger |exponent| use Python's "%.8e"
 _TIE_WINDOW = 1e-5  # and so do scaled values this close to a half-integer
 _EXPONENTS = range(-_EXP_LIMIT, _EXP_LIMIT + 1)
-_BLOCK_VALUES = 2**14  # values formatted at a time, which bounds the temporaries
+_BLOCK_VALUES = 2**14  # values formatted at a time: bounds the temporaries and the text held
 
 
 def emitted(value):
@@ -113,38 +116,38 @@ def _e8_fields(x, out):
         out[i] = np.frombuffer((b"%.8e" % x[i]).ljust(16, b"\0"), dtype=np.uint8)
 
 
-def csv_rows(rows, nan_text="nan"):
-    """The lines of an (n, c) float array as CSV, for csv_lines.
+def csv_rows(*arrays, nan_text="nan"):
+    """The lines of (n, c_k) float arrays, side by side, as CSV, for csv_lines.
 
-    Each value is written as emitted(value), and a NaN as nan_text. Returns
+    Each value is written as emitted(value), and a NaN as nan_text. Yields
     the lines in blocks of consecutive rows, each block one string of
-    lines joined by '\\n'; no rows give no blocks. A block is built as
-    bytes, one cell per value: its field, or nan_text, padded with zero
-    bytes, then ',' or '\\n'; the zero bytes are then stripped.
+    lines joined by '\\n'; no rows give no blocks. A block stacks only its
+    own rows of the arrays, and is built as bytes, one cell per value: its
+    field, or nan_text, padded with zero bytes, then ',' or '\\n'; the zero
+    bytes are then stripped.
     """
     import numpy as np
 
-    rows = np.asarray(rows, dtype=float)
-    n, c = rows.shape
+    c = sum(a.shape[1] for a in arrays)
     width = max(16, len(nan_text)) + 1
     nan_cell = np.frombuffer(nan_text.encode("ascii").ljust(width, b"\0"), np.uint8)
-    blocks = []
     step = max(1, _BLOCK_VALUES // c)
-    for i in range(0, n, step):
-        block = rows[i:i + step]
+    for i in range(0, len(arrays[0]), step):
+        block = np.hstack([a[i:i + step] for a in arrays])
         cells = np.zeros((len(block), c, width), dtype=np.uint8)
         _e8_fields(block.ravel(), cells.reshape(-1, width)[:, :16])
         cells[np.isnan(block)] = nan_cell
         cells[:, :, -1] = ord(",")
         cells[:, -1, -1] = ord("\n")
-        blocks.append(cells.tobytes().translate(None, b"\0")[:-1].decode("ascii"))
-    return blocks
+        yield cells.tobytes().translate(None, b"\0")[:-1].decode("ascii")
 
 
 def csv_lines(header, columns, body):
     """The lines of a CSV file: the dict header as "# key = value"
     comments, the column names joined by ',', then the lines of body."""
-    return key_value_lines(header, prefix="# ") + [",".join(columns), *body]
+    yield from key_value_lines(header, prefix="# ")
+    yield ",".join(columns)
+    yield from body
 
 
 def write_lines(path, lines):

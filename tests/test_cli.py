@@ -513,6 +513,17 @@ class TestDiffract:
         assert len(data["orders"]) == 4
         assert "lambda_m" in data["summary"]
 
+    def test_json_to_stdout_without_out(self, tmp_path, capsys):
+        # the document that --out would hold is the only stdout
+        out_path = str(tmp_path / "fringes.json")
+        assert main(["diffract", "--format", "json", "--out", out_path]) == 0
+        capsys.readouterr()
+        assert main(["diffract", "--format", "json"]) == 0
+        out = capsys.readouterr().out
+        assert json.loads(out) == json.loads(read(out_path))
+        assert out == read(out_path)
+        assert os.listdir(tmp_path) == ["fringes.json"]
+
     def test_json_removes_stale_csv_summary(self, tmp_path, capsys):
         # the 0 A run's sidecar would sit beside, and contradict, the 5 A JSON
         out_path = str(tmp_path / "f")

@@ -1,14 +1,20 @@
+import itertools
 import json
 import math
 import os
+import subprocess
+import sys
 
 from hypothesis import example, given, strategies as st
 import numpy as np
 import pytest
 
+import coilfringe
+from coilfringe import export
 from coilfringe.cli import ERROR_MARKER, main
 from coilfringe.diffraction import run_sweep
-from coilfringe.export import _BLOCK_VALUES, csv_rows, write_lines
+from coilfringe.errors import ScenarioError
+from coilfringe.export import _BLOCK_VALUES, csv_rows, write_all, write_lines
 from coilfringe.scenario import SweepSpec, scenario_from_dict
 from coilfringe.winding import Box, homogeneity_report
 
@@ -90,11 +96,11 @@ def test_csv_rows_equals_percent_format(xs, columns):
 
 def test_csv_rows_nan_text_and_empty():
     rows = np.array([[1.0, math.nan], [math.nan, -2.0]])
-    assert csv_rows(rows, nan_text=ERROR_MARKER) == [
+    assert list(csv_rows(rows, nan_text=ERROR_MARKER)) == [
         f"1.00000000e+00,{ERROR_MARKER}\n{ERROR_MARKER},-2.00000000e+00"
     ]
-    assert csv_rows(rows, nan_text="x" * 30)[0].count("x" * 30) == 2
-    assert csv_rows(np.empty((0, 5))) == []
+    assert next(csv_rows(rows, nan_text="x" * 30)).count("x" * 30) == 2
+    assert list(csv_rows(np.empty((0, 5)))) == []
 
 
 def test_csv_rows_blocks_join_to_the_lines():
@@ -102,10 +108,22 @@ def test_csv_rows_blocks_join_to_the_lines():
     # NaNs at both ends of the first block boundary
     step = _BLOCK_VALUES // 3
     rows[[0, step - 1, step, -1], [0, 2, 0, 2]] = math.nan
-    blocks = csv_rows(rows)
+    blocks = list(csv_rows(rows))
     assert len(blocks) > 1
     expected = [",".join("%.8e" % x for x in r) for r in rows.tolist()]
     assert "\n".join(blocks).split("\n") == expected
+
+
+def test_csv_rows_of_arrays_side_by_side_equal_their_hstack():
+    # 3 + 1 + 2 columns: a block of _BLOCK_VALUES // 6 rows, so 2.5 blocks
+    n = 5 * _BLOCK_VALUES // 12
+    a = np.linspace(-1.0, 1.0, 3 * n).reshape(-1, 3)
+    b = np.geomspace(1e-300, 1e300, n).reshape(-1, 1)
+    c = -np.arange(2.0 * n).reshape(-1, 2)
+    c[_BLOCK_VALUES // 6, 1] = math.nan  # the first row of the second block
+    blocks = list(csv_rows(a, b, c, nan_text="x"))
+    assert len(blocks) == 3
+    assert "\n".join(blocks) == "\n".join(csv_rows(np.hstack([a, b, c]), nan_text="x"))
 
 
 @pytest.mark.parametrize(
@@ -136,12 +154,14 @@ def test_field_map_matches_row_by_row_writer(tmp_path, capsys):
     ideal = {"type": "ideal", "R1_m": 0.1, "R2_m": 0.12, "N_turns": 1257}
     box = Box((-0.02, -0.01, -0.3), (0.01, 0.02, 0.2))
     region = ",".join(f"{lo!r},{hi!r}" for lo, hi in zip(box.lo, box.hi))
-    for coil in (winding, ideal):
+    # 64 rows, and 4000 rows in three blocks
+    grids = (("4", 4), ("20,20,10", (20, 20, 10)))
+    for coil, (grid, shape) in itertools.product((winding, ideal), grids):
         config = {"coil": coil, "current_A": -3.3}
         argv = ["field-map", "--config", write_config(tmp_path, config), f"--region={region}",
-                "--grid", "4", "--out", str(tmp_path / "a.csv")]
+                "--grid", grid, "--out", str(tmp_path / "a.csv")]
         assert main(argv) == 0
-        rep = homogeneity_report(scenario_from_dict(config).coil, box, 4)
+        rep = homogeneity_report(scenario_from_dict(config).coil, box, shape)
         rows = np.hstack([rep.points, rep.A, rep.B])
         header = read_bytes(tmp_path / "a.csv").decode().split("\nx,y,z")[0].split("\n")
         _write_field_map_by_row(tmp_path / "b.csv", header, rows)
@@ -165,3 +185,75 @@ class TestWriteLines:
         write_lines(path, ["new"])
         assert read_bytes(path) == b"new\n"
 
+
+
+class TestWriteAll:
+    def test_failure_mid_stream_removes_every_file(self, tmp_path, capsys):
+        def lines():
+            yield "first line"
+            raise ScenarioError("block failed")
+
+        files = [(str(tmp_path / "a.csv"), ["a"]), (str(tmp_path / "b.csv"), lines())]
+        with pytest.raises(ScenarioError, match="block failed"):
+            write_all(files, ["stdout line"])
+        assert os.listdir(tmp_path) == []  # neither file, nor a .tmp
+        assert capsys.readouterr().out == ""
+
+
+def test_field_map_failing_mid_stream_keeps_the_earlier_map(tmp_path, capsys, monkeypatch):
+    fields, calls = export._e8_fields, []
+
+    def second_block_fails(x, out):
+        calls.append(len(x))
+        if len(calls) == 2:
+            raise ScenarioError("block failed")
+        fields(x, out)
+
+    monkeypatch.setattr(export, "_e8_fields", second_block_fails)
+    out = tmp_path / "map.csv"
+    out.write_bytes(b"an earlier run's map\n")
+    config = write_config(tmp_path, {"coil": {"type": "ideal"}, "current_A": 1.0})
+    argv = ["field-map", "--config", config, "--region=-0.02,0.02,-0.02,0.02,-0.02,0.02",
+            "--grid", "20,20,10", "--out", str(out)]
+    assert main(argv) == 2
+    assert len(calls) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "configuration error: block failed\n"
+    assert sorted(os.listdir(tmp_path)) == ["map.csv", "scenario.json"]
+    assert read_bytes(out) == b"an earlier run's map\n"
+
+
+def test_million_point_map_is_written_without_its_whole_text(tmp_path):
+    # points, A and B take 72 MB and the CSV 136.5 MB; a writer that held
+    # the text and a stacked copy of the arrays peaked near 300 MB
+    try:
+        with open("/proc/self/status", encoding="ascii") as fh:
+            has_hwm = "VmHWM:" in fh.read()
+    except OSError:
+        has_hwm = False
+    if not has_hwm:
+        pytest.skip("no VmHWM in /proc/self/status")
+    config = write_config(tmp_path, {"coil": {"type": "ideal"}, "current_A": 1.0})
+    out = tmp_path / "map.csv"
+    argv = ["field-map", "--config", config, "--region=-0.02,0.02,-0.02,0.02,-0.02,0.02",
+            "--grid", "100,100,100", "--out", str(out)]
+    code = (
+        "import sys\n"
+        "from coilfringe.cli import main\n"
+        f"status = main({argv!r})\n"
+        "with open('/proc/self/status', encoding='ascii') as fh:\n"
+        "    hwm = [line.split()[1] for line in fh if line.startswith('VmHWM:')]\n"
+        "print(status, hwm[0], file=sys.stderr)\n"
+    )
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(coilfringe.__file__)))
+    done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                          text=True, check=True)
+    status, hwm_kb = done.stderr.split()
+    assert status == "0"
+    assert done.stdout == f"wrote {10**6} field samples to {out}\n"
+    with open(out, "rb") as fh:
+        rows = sum(not line.startswith(b"#") for line in fh) - 1
+    os.remove(out)
+    assert rows == 10**6
+    assert int(hwm_kb) / 1024 < 150
