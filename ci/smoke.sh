@@ -76,3 +76,9 @@ python -c "print('[' * 100000 + ']' * 100000)" > "$dir/deep.json"
 status=0; coilfringe validate-coil --config "$dir/deep.json" 2> "$err" || status=$?
 test "$status" -eq 2
 test "$(wc -l < "$err")" -eq 1
+# turns that overlap and are past the segment limit: the geometry is
+# checked first, so the coil is reported NOT constructible (exit 1)
+echo '{"coil": {"turn_density_per_m": 400000.0}}' > "$dir/o.json"
+status=0; out=$(coilfringe validate-coil --config "$dir/o.json") || status=$?
+test "$status" -eq 1
+[[ $(echo "$out" | head -n 1) == "winding NOT constructible: turns overlap"* ]]

@@ -149,37 +149,20 @@ def check_segments_per_turn(segments_per_turn):
         )
 
 
-def check_constructible(spec, segments_per_turn):
-    """Check that the winding of spec can be built; returns its segment count.
+def check_constructible(spec, segments_per_turn, turns=None):
+    """Check that `turns` turns of the winding of spec can be built; returns
+    their segment count, turns * segments_per_turn.
 
-    The count is turns * segments_per_turn, and nothing is allocated.
-    segments_per_turn must be a positive multiple of 4 (DomainError), the
-    count may not exceed MAX_SEGMENTS (check_segment_count), and the turns
-    must fit their layers (check_winding_geometry), in that order.
+    turns defaults to all spec.N turns; the bore report passes the turn
+    copies it builds. Nothing is allocated, and the checks run in one
+    order: segments_per_turn must be a positive multiple of 4
+    (check_segments_per_turn); the turns may not overlap, every layer
+    needs a turn, and the turn path L + (R2 - R1) + L + (R2 - R1), summed
+    corner to corner as the winding's construction sums it before
+    dividing by it, must be finite (each a DomainError); and the segment
+    count may not exceed MAX_SEGMENTS (ScenarioError).
     """
     check_segments_per_turn(segments_per_turn)
-    segments = check_segment_count(spec.N * segments_per_turn)
-    check_winding_geometry(spec)
-    return segments
-
-
-def check_segment_count(segments):
-    """A winding of more than MAX_SEGMENTS segments is a ScenarioError;
-    returns segments."""
-    if segments > MAX_SEGMENTS:
-        raise ScenarioError(f"winding exceeds {MAX_SEGMENTS} segments")
-    return segments
-
-
-def check_winding_geometry(spec):
-    """Check the turns of spec whatever their count.
-
-    Each of these is a DomainError: overlapping turns, a layer without a
-    turn, and a turn path that is not finite. The path is the sum
-    L + (R2 - R1) + L + (R2 - R1) of its four legs, added in the order in
-    which the winding's construction adds them before dividing by the
-    sum, so a spec that passes gives finite vertices.
-    """
     per_layer_density = spec.turn_density / spec.layers
     if spec.wire_diameter * per_layer_density > 1.0 + 1e-12:
         raise DomainError(
@@ -190,6 +173,10 @@ def check_winding_geometry(spec):
         raise DomainError(f"{spec.N} turns cannot fill {spec.layers} layers")
     if not math.isfinite(spec.L + (spec.R2 - spec.R1) + spec.L + (spec.R2 - spec.R1)):
         raise DomainError("segment endpoints must be finite")
+    segments = (spec.N if turns is None else turns) * segments_per_turn
+    if segments > MAX_SEGMENTS:
+        raise ScenarioError(f"winding exceeds {MAX_SEGMENTS} segments")
+    return segments
 
 
 def single_wire_Az(r, I):

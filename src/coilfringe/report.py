@@ -2,9 +2,13 @@
 
 Every quantity from the reference estimate set is recomputed from the
 model and compared against the printed value at a per-row tolerance.
-Two of the printed momentum endpoints are internally inconsistent with
-their own summands at the ~1% level; those rows carry a widened, flagged
-tolerance and the artifact reports its own arithmetic.
+The deviations have named causes: the paper computes with h = 6.62e-34
+J*s, e = 1.6e-19 C and N = 400*pi turns, not 1257 whole turns, feeds
+each step the printed value before it and truncates each result to its
+printed digits. The two printed momentum endpoints also carry a digit
+slip in Eq. 3, which adds and subtracts e*K*I = 7.311e-23 at 10 A where
+Eq. 10 prints e*K = 7.331e-24 per ampere; those rows carry a widened,
+flagged tolerance and the artifact reports its own arithmetic.
 """
 
 from collections import namedtuple
@@ -18,7 +22,10 @@ from .scenario import paper_scenario
 # itself is the built-in paper scenario.
 REF_I_MAX = 10.0
 
-# (name, equation tag, printed value, relative tolerance, flagged)
+# (name, equation tag, printed value, relative tolerance, flagged). The
+# deviations come from the paper's h, e and N and its truncation; the
+# flagged P_eff rows carry the Eq. 3 slip, 9.351 -+ 7.311, and i_eff_max
+# and inverse_i_min inherit it from the printed P_eff_min they were fed.
 _PAPER_ROWS = (
     ("p_mec", "Eq2", 9.351e-23, 0.002, False),
     ("K", "Eq10", 7.331e-24 / 1.602176634e-19, 0.005, False),
@@ -51,7 +58,7 @@ class ReportRow(
     reference      printed value
     rel_deviation  |computed - reference| / |reference|
     tolerance      allowed relative deviation
-    flagged        whether the band was widened for an inconsistent printed value
+    flagged        whether the band was widened for the Eq. 3 digit slip
     """
 
     __slots__ = ()

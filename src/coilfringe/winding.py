@@ -78,6 +78,7 @@ M/Q, so the report evaluates the field in one call of field_at.
 
 from collections import namedtuple
 import math
+import numbers
 
 import numpy as np
 
@@ -87,9 +88,7 @@ from .ideal_field import (
     AnnularCoilIdeal,
     annular_coil_A,
     check_constructible,
-    check_segment_count,
     check_segments_per_turn,
-    check_winding_geometry,
     coil_constant_K,
 )
 
@@ -316,14 +315,18 @@ def field_at(winding, points):
 def check_bore_grid(R1, region, grid):
     """Check a sampling grid of the bore; returns (grid, r_max).
 
-    grid is the per-axis point count (>= 2), one int or a 3-tuple, with
-    at most MAX_GRID_POINTS points in all; the returned grid is a
-    3-tuple. The region must stay strictly inside the bore cylinder of
-    radius R1: r_max, its largest distance from the axis, is below
-    R1 - WIRE_GUARD.
+    grid is the per-axis point count (>= 2), one integer or a tuple or list
+    of three (any other grid is a DomainError), with at most
+    MAX_GRID_POINTS points in all; the returned grid is a 3-tuple of ints.
+    The region must stay strictly inside the bore cylinder of radius R1:
+    r_max, its largest distance from the axis, is below R1 - WIRE_GUARD.
     """
-    if isinstance(grid, int):
+    if isinstance(grid, numbers.Integral):
         grid = (grid, grid, grid)
+    if not (isinstance(grid, (tuple, list)) and len(grid) == 3
+            and all(isinstance(g, numbers.Integral) for g in grid)):
+        raise DomainError(f"grid must be one integer or three integers, got {grid!r}")
+    grid = tuple(map(int, grid))
     if any(g < 2 for g in grid):
         raise DomainError("grid must have >= 2 points per axis")
     if math.prod(grid) > MAX_GRID_POINTS:
@@ -341,23 +344,22 @@ def check_bore_grid(R1, region, grid):
 def homogeneity_report(coil, region, grid, segments_per_turn=8):
     """Sample A and B on a grid inside the bore and report uniformity.
 
-    coil is a CoilWindingSpec or an AnnularCoilIdeal, and for both the
-    grid and region are checked by check_bore_grid and the bore value K*I
-    must be finite (annular_coil_A). The ideal coil's segments_per_turn
-    is checked by check_segments_per_turn, and its bore holds exactly
-    A = (0, 0, K*I) and B = 0, at any such current. A winding's
-    segments_per_turn is checked the same way, its turns must fit their
-    layers (check_winding_geometry), its current must be non-zero, and
-    the region must also lie inside the coil length. Each layer of M
-    turns is evaluated as Q copies of its first turn carrying M/Q
-    amperes, with Q the least count that puts the aliasing error
-    (r_max/R1)**(Q - 1) under 1e-17, at most M, and M where r_max rounds
-    so close to R1 that their logs are equal; the copies of all layers are
-    one Winding, evaluated by one field_at call. The segments built,
-    segments_per_turn times the copies summed over the layers, may not
-    exceed MAX_SEGMENTS (check_segment_count), and the pairs evaluated,
-    grid points times those segments, may not exceed MAX_FIELD_PAIRS.
-    Every input is checked before anything is allocated.
+    coil is a CoilWindingSpec or an AnnularCoilIdeal. Every input is
+    checked before anything is allocated, in this order: the grid and
+    region (check_bore_grid); for the ideal coil, segments_per_turn
+    (check_segments_per_turn); for a winding, a non-zero current, a region
+    inside the coil length, then check_constructible on the turn copies
+    it builds (segments_per_turn, the turns' fit in their layers, and at
+    most MAX_SEGMENTS segments, segments_per_turn times the copies summed
+    over the layers), then at most MAX_FIELD_PAIRS pairs evaluated, grid
+    points times those segments; last, for both, a finite bore value K*I
+    (annular_coil_A). The ideal coil's bore holds exactly A = (0, 0, K*I)
+    and B = 0, at any such current. Each layer of M turns of a winding is
+    evaluated as Q copies of its first turn carrying M/Q amperes, with Q
+    the least count that puts the aliasing error (r_max/R1)**(Q - 1)
+    under 1e-17, at most M, and M where r_max rounds so close to R1 that
+    their logs are equal; the copies of all layers are one Winding,
+    evaluated by one field_at call.
 
     The field is linear in I, so the winding's statistics are taken from
     its field at 1 A, and A, B, mean_A and max_B_magnitude are then
@@ -365,11 +367,10 @@ def homogeneity_report(coil, region, grid, segments_per_turn=8):
     current, and the relative ones do not depend on I.
     """
     grid, r_max = check_bore_grid(coil.R1, region, grid)
-    check_segments_per_turn(segments_per_turn)
     if isinstance(coil, AnnularCoilIdeal):
+        check_segments_per_turn(segments_per_turn)
         copies = ()
     else:
-        check_winding_geometry(coil)
         if coil.I == 0.0:
             raise DomainError("relative field deviations are undefined at zero current")
         if abs(region.lo[2]) >= coil.L / 2 or abs(region.hi[2]) >= coil.L / 2:
@@ -379,7 +380,7 @@ def homogeneity_report(coil, region, grid, segments_per_turn=8):
         log_ratio = math.log(r_max) - math.log(coil.R1)
         max_copies = 1 + math.ceil(math.log(1e-17) / log_ratio) if log_ratio < 0 else coil.N
         copies = tuple(Q for _, Q in _layer_sizes(coil, max_copies))
-        segments = check_segment_count(sum(copies) * segments_per_turn)
+        segments = check_constructible(coil, segments_per_turn, sum(copies))
         if math.prod(grid) * segments > MAX_FIELD_PAIRS:
             raise ScenarioError(f"field evaluation exceeds {MAX_FIELD_PAIRS} point-segment pairs")
 

@@ -706,6 +706,16 @@ class TestValidateCoil:
         assert main(["validate-coil", "--config", str(config)]) == 2
         assert "exceeds" in capsys.readouterr().err
 
+    def test_overlap_comes_before_the_segment_limit(self, tmp_path, capsys):
+        # 251 327 turns, 1 005 308 segments at 4 per turn, that also
+        # overlap: the geometry is checked first, so this exits 1, not 2
+        config = tmp_path / "dense.json"
+        config.write_text(json.dumps({"coil": {"turn_density_per_m": 400000.0}}))
+        assert main(["validate-coil", "--config", str(config)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out.startswith("winding NOT constructible: turns overlap: ")
+        assert captured.err == ""
+
     def test_factor_equal_to_smallest_ratio_is_ok(self, capsys):
         # a ratio equal to the factor meets it
         factor = min(geometry_ratios(paper_scenario()).values())

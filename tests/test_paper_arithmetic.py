@@ -15,7 +15,8 @@ import math
 
 import pytest
 
-from coilfringe.report import _PAPER_ROWS
+from coilfringe.constants import E_CHARGE, H, M_E
+from coilfringe.report import _PAPER_ROWS, reproduce_paper
 from coilfringe.scenario import paper_scenario
 
 H_PAPER = 6.62e-34
@@ -76,3 +77,52 @@ def test_flagged_rows_carry_the_eq3_digit_slip():
     assert p_mec + ten_amperes != Decimal("16.662e-23")
     flagged = {name for name, _, _, _, flag in _PAPER_ROWS if flag}
     assert flagged == {"P_eff_min", "P_eff_max"}
+
+
+# Eq. 3's e*K*I at 10 A as the paper printed it, a digit off 10 * 7.331e-24
+SLIPPED_EKI = 7.311e-23
+
+
+def factor_products():
+    """Each row's computed/printed ratio, as the product of its named factors.
+
+    The factors are the model's constants over the paper's (e, h, m_e and
+    N; mu0 differs by 5.5e-10), each row's truncation, value before
+    truncation over printed value, and the Eq. 3 slip; a row derived from
+    printed values carries the factors of the values it was fed.
+    """
+    e, h, m_e = E_CHARGE / E_PAPER, H / H_PAPER, M_E / M_E_PAPER
+    n = SETUP.coil.N / N_PAPER  # 1257 whole turns over 400*pi
+    cut_off = {name: value / REFERENCE[name] for name, _, value, _ in CHAIN}
+    f = {}
+    # sqrt(2*m_e*e*U)
+    f["p_mec"] = math.sqrt(m_e * e) * cut_off["p_mec"]
+    # e*mu0*N/(2*pi)*ln(R2/R1)
+    f["p_add_coeff"] = e * n * cut_off["p_add_coeff"]
+    # the printed e*K over the exact e: p_add_coeff's factors
+    f["K"] = f["p_add_coeff"]
+    # Eq. 3, p_mec -+ 10 A * e*K: fed the printed p_mec and e*K, whose
+    # factors weigh in as the terms do; the slip turns the paper's
+    # p_mec -+ 10*e*K into the printed p_mec -+ SLIPPED_EKI
+    p, eKI = REFERENCE["p_mec"], 10 * REFERENCE["p_add_coeff"]
+    for name, sign in (("P_eff_min", -1), ("P_eff_max", +1)):
+        fed = (p * f["p_mec"] + sign * eKI * f["p_add_coeff"]) / (p + sign * eKI)
+        slip = (p + sign * eKI) / (p + sign * SLIPPED_EKI)
+        f[name] = fed * slip
+    # h/P * D/a, fed the printed P: p_mec at 0 A, P_eff_max and P_eff_min at -+10 A
+    f["i_zero_field"] = h / f["p_mec"] * cut_off["i_zero_field"]
+    f["i_eff_min"] = h / f["P_eff_max"] * cut_off["i_eff_min"]
+    f["i_eff_max"] = h / f["P_eff_min"] * cut_off["i_eff_max"]
+    # 1/i, fed the printed i_eff_max and i_eff_min
+    f["inverse_i_min"] = cut_off["inverse_i_min"] / f["i_eff_max"]
+    f["inverse_i_max"] = cut_off["inverse_i_max"] / f["i_eff_min"]
+    return f
+
+
+@pytest.mark.parametrize("row", reproduce_paper().rows, ids=lambda row: row.name)
+def test_each_deviation_is_the_product_of_its_named_factors(row):
+    # all the named factors leave is mu0's ratio, 5.4e-10, which the
+    # subtraction in P_eff_min makes 2e-9
+    ratio = row.computed / row.reference
+    product = factor_products()[row.name]
+    assert abs(ratio - product) <= 2e-4 * product

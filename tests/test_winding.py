@@ -9,6 +9,7 @@ import pytest
 from coilfringe.constants import MU0
 from coilfringe.errors import DomainError, ScenarioError
 from coilfringe.ideal_field import (
+    MAX_SEGMENTS,
     AnnularCoilIdeal,
     CoilWindingSpec,
     annular_coil_A,
@@ -280,6 +281,8 @@ class TestBuildWinding:
             (CoilWindingSpec(0.1, 0.12, 1.0, 2000.0, 1, (1,), 1e-3, 1.0), 4),  # overlap
             (CoilWindingSpec(0.1, 0.12, 1.0, 1.0, 2, (1, -1), 1e-3, 1.0), 4),  # 1 turn
             (CoilWindingSpec(0.1, 0.12, 1.0, 1e6, 2, (1, -1), 1e-9, 1.0), 4),  # 2.5e6 segments
+            # overlap, and 1 005 308 segments
+            (CoilWindingSpec(0.1, 0.12, 12.0, 4e5, 2, (1, -1), 1e-3, 1.0), 4),
         ],
     )
     def test_constructibility_check_agrees_with_build(self, spec, segments_per_turn):
@@ -292,6 +295,25 @@ class TestBuildWinding:
         else:
             n, m, _ = winding.vertices.shape
             assert check_constructible(spec, segments_per_turn) == n * (m - 1)
+
+    def test_geometry_is_checked_before_the_segment_count(self):
+        # one order: a coil whose turns overlap and are past MAX_SEGMENTS
+        # reports the overlap, whether it is checked or built
+        spec = CoilWindingSpec(0.1, 0.12, 12.0, 4e5, 2, (1, -1), 1e-3, 1.0)
+        assert spec.N * 4 == 1_005_308 > MAX_SEGMENTS
+        for check in (check_constructible, build_winding):
+            with pytest.raises(DomainError, match="^turns overlap: "):
+                check(spec, 4)
+
+    def test_turns_counts_the_turns_to_build(self):
+        # the segment limit counts the turns it is given, all spec.N by default
+        spec = paper_coil(L=12.0, turn_density=318310.0)._replace(wire_diameter=1e-6)
+        assert check_constructible(spec, 8, 22) == 176
+        assert check_constructible(spec, 8, MAX_SEGMENTS // 8) == MAX_SEGMENTS
+        with pytest.raises(ScenarioError, match="^winding exceeds"):
+            check_constructible(spec, 8, MAX_SEGMENTS // 8 + 1)
+        with pytest.raises(ScenarioError, match="^winding exceeds"):
+            check_constructible(spec, 8)
 
     def test_minimum_segments_per_turn(self):
         # the four legs are subdivided evenly, so only multiples of 4 work
@@ -824,6 +846,25 @@ class TestHomogeneityReport:
         with pytest.raises(ScenarioError, match="exceeds"):
             homogeneity_report(spec, wide, (2, 2, 24861))
 
+    @pytest.mark.parametrize("grid", [(2, 2), (2, 2, 2, 2), (2.5, 2, 2), 3.0, "222", None])
+    def test_malformed_grid_rejected(self, grid):
+        # one integer or three, nothing else: a short grid lacks an axis,
+        # and a long one would be sampled on three axes but counted on four
+        spec = paper_coil(L=6.0)
+        region = Box(lo=(-0.01, -0.01, -0.01), hi=(0.01, 0.01, 0.01))
+        for coil in (spec, AnnularCoilIdeal(spec.R1, spec.R2, spec.N, spec.I)):
+            with pytest.raises(DomainError, match="^grid must be one integer or three integers"):
+                homogeneity_report(coil, region, grid)
+
+    def test_numpy_integer_grid_accepted(self):
+        spec = paper_coil(L=6.0)
+        region = Box(lo=(-0.01, -0.01, -0.01), hi=(0.01, 0.01, 0.01))
+        grid = check_bore_grid(spec.R1, region, np.int64(3))[0]
+        assert grid == (3, 3, 3) and all(type(g) is int for g in grid)
+        assert check_bore_grid(spec.R1, region, [np.int32(2), 3, np.int64(4)])[0] == (2, 3, 4)
+        rep = homogeneity_report(spec, region, np.int64(3))
+        assert np.array_equal(rep.A, homogeneity_report(spec, region, 3).A)
+
     def test_pair_limit_counts_the_evaluated_pairs(self, monkeypatch):
         # Q < M copies per layer: the limit applies to the pairs evaluated,
         # points * segments per turn * copies, not to all turns
@@ -863,6 +904,16 @@ class TestHomogeneityReport:
         region = Box(lo=(-0.07067, -0.07067, -0.01), hi=(0.07067, 0.07067, 0.01))
         with pytest.raises(DomainError, match="undefined at zero current"):
             homogeneity_report(spec, region, 2)
+
+    def test_report_checks_the_current_before_segments_per_turn(self):
+        # a winding's segments per turn are checked with its turns, after
+        # the current and the region
+        spec = paper_coil(L=6.0, I=0.0)
+        region = Box(lo=(-0.01, -0.01, -0.01), hi=(0.01, 0.01, 0.01))
+        with pytest.raises(DomainError, match="undefined at zero current"):
+            homogeneity_report(spec, region, 2, segments_per_turn=3)
+        with pytest.raises(DomainError, match="multiple of 4"):
+            homogeneity_report(spec._replace(I=1.0), region, 2, segments_per_turn=3)
 
     def test_report_carries_the_sampled_grid(self):
         spec = paper_coil(L=2.0)
