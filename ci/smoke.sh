@@ -57,8 +57,25 @@ test -e "$dir/l.csv.homogeneity.json"
 echo '{"coil": {"R1_m": 1e10, "R2_m": 2e10, "L_m": 1e12, "turn_density_per_m": 1e-9, "layers": 1, "helicity_sign_per_layer": [1]}, "current_A": 1}' > "$dir/r.json"
 out=$(coilfringe field-map --config "$dir/r.json" --region=9999999998.999998,9999999999.999998,-0.001,0.001,-1,1 --grid 2 --out "$dir/r.csv")
 test "$(echo "$out" | wc -l)" -eq 1
+# a winding whose field is inf - inf in floats exits 1 with one stderr
+# line and no file
+echo '{"coil": {"R2_m": 1e155}, "current_A": 1}' > "$dir/h.json"
+status=0; coilfringe field-map --config "$dir/h.json" --region=-0.01,0.01,-0.01,0.01,-0.01,0.01 --grid 2 --out "$dir/h.csv" 2> "$err" || status=$?
+test "$status" -eq 1
+test "$(wc -l < "$err")" -eq 1
+test ! -e "$dir/h.csv"
+test ! -e "$dir/h.csv.homogeneity.json"
+# at 1e19 turns a metre the turn index k*M of a copy passes 2**63; the
+# copies stay evenly spaced, so the bore stays uniform
+echo '{"coil": {"turn_density_per_m": 1e19, "wire_diameter_m": 1e-21}, "current_A": 1}' > "$dir/d.json"
+coilfringe field-map --config "$dir/d.json" --region=-0.01,0.01,-0.01,0.01,-0.01,0.01 --grid 2 --out "$dir/d.csv"
+python -c "import json, sys; assert float(json.load(open(sys.argv[1]))['max_rel_deviation']) < 1e-6" "$dir/d.csv.homogeneity.json"
 coilfringe sweep --from -1 --to 1 --step 0.5 --out "$dir/sweep.csv"
 test -e "$dir/sweep.csv.fit.json"
+# currents of 0, 1e-13 and 2e-13 A move the inverse interfringe by a few
+# rounding steps, which still determine a fit
+coilfringe sweep --from 0 --to 2e-13 --step 1e-13 --out "$dir/tiny.csv"
+test -e "$dir/tiny.csv.fit.json"
 coilfringe sweep --variable voltage --from 1000 --to 2000 --step 500 --out "$dir/sweep.csv"
 test ! -e "$dir/sweep.csv.fit.json"
 # a negative value in exponent form is a value, not an unknown option

@@ -5,10 +5,11 @@ y_k = D*tan(theta_k). The de Broglie wavelength uses the canonical
 momentum mv + e*A, with the sign of A carried by the coil current
 polarity. The model is non-relativistic. It comes in two forms:
 fringe_pattern for one setup, and run_sweep for an array of currents or
-voltages, whose inverse interfringe linear_response_fit fits against
-(sqrt(U), I). mechanical_momentum and de_broglie_lambda take floats, so
-the scalar form needs no numpy; run_sweep restates their two formulas on
-arrays rather than have one function branch on its argument's type.
+voltages. At the one voltage U of a current sweep, linear_response_fit
+fits its inverse interfringe as a line in I. mechanical_momentum and
+de_broglie_lambda take floats, so the scalar form needs no numpy;
+run_sweep restates their two formulas on arrays rather than have one
+function branch on its argument's type.
 """
 
 from collections import namedtuple
@@ -170,28 +171,31 @@ def fringe_pattern(beam, gs, A, k_max):
 
 
 def linear_response_fit(U, I, f):
-    """Least squares of inverse interfringe f against (sqrt(U), I).
+    """Fit inverse interfringe f = alpha*sqrt(U) + beta*I, a line in I.
 
-    U, I and f are equal-length sequences of samples. Returns (alpha,
-    beta, r_squared) where alpha multiplies sqrt(U) and beta multiplies I.
+    U is the one voltage of the samples (a float); I and f are
+    equal-length sequences of currents and inverse interfringes. beta
+    and the intercept alpha*sqrt(U) come from the sums of I and f
+    centred on their means, and r_squared = 1 - (residual sum of
+    squares)/Syy, so it never exceeds 1. A fit needs at least 3 samples,
+    2 distinct currents and 2 distinct values of f, with centred sums of
+    squares Sxx and Syy that do not underflow to 0; otherwise it is a
+    DomainError. Returns (alpha, beta, r_squared).
     """
     import numpy as np
 
-    U, I, f = (np.asarray(x, dtype=float) for x in (U, I, f))
+    I, f = np.asarray(I, dtype=float), np.asarray(f, dtype=float)
     if len(f) < 3:
         raise DomainError("need at least 3 samples")
-    if not I.min() < I.max():
-        raise DomainError("samples must span at least 2 distinct currents")
-    X = np.column_stack([np.sqrt(U), I])
-    # rank counts the singular values above max(M, N) * eps * the largest
-    coef, _, rank, _ = np.linalg.lstsq(X, f, rcond=None)
-    if rank < 2:
-        raise DomainError("rank-deficient design: sqrt(U) and I columns are degenerate")
-    resid = f - X @ coef
-    ss_res = float(resid @ resid)
-    ss_tot = float(np.sum((f - f.mean()) ** 2))
-    r_squared = 1.0 if ss_tot == 0.0 else 1.0 - ss_res / ss_tot
-    return float(coef[0]), float(coef[1]), r_squared
+    x, y = I - I.mean(), f - f.mean()
+    Sxx, Syy = x @ x, y @ y
+    # the mean of equal values can round, so that Sxx or Syy is not 0
+    if not (I.min() < I.max() and f.min() < f.max() and Sxx > 0 and Syy > 0):
+        raise DomainError("samples must span at least 2 distinct currents and values of f")
+    beta = x @ y / Sxx
+    y -= beta * x  # the residuals
+    alpha = (f.mean() - beta * I.mean()) / math.sqrt(U)
+    return float(alpha), float(beta), float(1 - y @ y / Syy)
 
 
 def run_sweep(sweep):
@@ -207,16 +211,14 @@ def run_sweep(sweep):
     import numpy as np
 
     scen = sweep.scenario
-    message = "sweep values overflow the float range"
     try:
         with np.errstate(over="raise", divide="raise"):
-            K = coil_constant_K(scen.coil)
+            # a numpy scalar, so that K*I overflows under errstate for a scalar I too
+            K = np.float64(coil_constant_K(scen.coil))
             values = sweep.values()
-            if sweep.variable == "current":
-                U, I = np.full_like(values, scen.beam.U), values
-            else:
-                U, I = values, np.full_like(values, scen.coil.I)
-            if (U <= 0).any():
+            current = sweep.variable == "current"
+            U, I = (scen.beam.U, values) if current else (values, scen.coil.I)
+            if np.any(U <= 0):
                 raise DomainError("accelerating voltage U must be positive")
             # mechanical_momentum and de_broglie_lambda on arrays; the rows are
             # held to those two bit for bit by test_rows_match_pointwise_model
@@ -225,15 +227,16 @@ def run_sweep(sweep):
             P_eff[~valid] = np.nan  # so the columns below are NaN there
             lam = H / P_eff
             interfringe = small_angle_interfringe(lam, scen.grating_screen)
-            rows = np.column_stack([values, P_eff, lam, interfringe, 1.0 / interfringe])
+            inverse = 1.0 / interfringe
             fit = None
-            if sweep.variable == "current":
+            if current:
+                # before the rows are stacked, so that the fit's copies and
+                # the stacked rows do not take memory at the same time
                 try:
-                    fit = linear_response_fit(U[valid], I[valid], rows[valid, 4])
+                    fit = linear_response_fit(U, I[valid], inverse[valid])
                 except DomainError:
                     pass
+            rows = np.column_stack([values, P_eff, lam, interfringe, inverse])
     except FloatingPointError as exc:
-        raise DomainError(f"{message} ({exc})") from None
-    if fit is not None and not np.isfinite(fit).all():  # lstsq ignores overflow
-        raise DomainError(f"{message} (the fit is not finite)")
+        raise DomainError(f"sweep values overflow the float range ({exc})") from None
     return rows, fit

@@ -219,7 +219,7 @@ def _turn_copies(spec, segments_per_turn, max_copies):
         s = spec.helicity_sign_per_layer[layer]
         offset = 2 * math.pi * layer / (spec.layers * M)
         # the turn index of each copy, which is k itself when Q = M
-        turn = np.arange(Q) * M / Q
+        turn = np.arange(Q) * float(M) / Q
         phi = (s * 2 * math.pi * turn / M + offset)[:, None] + s * 2 * math.pi / M * t
         vertices.append(
             np.stack([r * np.cos(phi), r * np.sin(phi), np.broadcast_to(z, phi.shape)], axis=-1)
@@ -392,10 +392,17 @@ def homogeneity_report(coil, region, grid, segments_per_turn=8):
         A[:, 2] = ideal
         mean_A, max_rel_dev, max_B, rel_err = (0.0, 0.0, ideal), 0.0, 0.0, 0.0
     else:
-        A, B = field_at(_turn_copies(coil, segments_per_turn, max_copies), points)
-        mean_A = A.mean(axis=0)
-        max_rel_dev = float(np.max(np.linalg.norm(A - mean_A, axis=1)) / np.linalg.norm(mean_A))
-        max_B = float(np.max(np.linalg.norm(B, axis=1))) * abs(coil.I)
+        try:
+            # a denominator that overflows to inf gives its term's exact limit,
+            # 0; a NaN or a division by 0 leaves the field undefined
+            with np.errstate(over="ignore", divide="raise", invalid="raise"):
+                A, B = field_at(_turn_copies(coil, segments_per_turn, max_copies), points)
+                mean_A = A.mean(axis=0)
+                max_rel_dev = float(np.max(np.linalg.norm(A - mean_A, axis=1))
+                                    / np.linalg.norm(mean_A))
+                max_B = float(np.max(np.linalg.norm(B, axis=1))) * abs(coil.I)
+        except FloatingPointError as exc:
+            raise DomainError(f"field values leave the float range ({exc})") from None
         K = coil_constant_K(coil)
         rel_err = abs(float(mean_A[2]) - K) / abs(K)
         A *= coil.I

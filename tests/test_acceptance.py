@@ -140,7 +140,7 @@ def test_criterion_5_linearity_and_pattern_scaling():
     K = coil_constant_K(scen.coil)
     # f(U, I) as the sweep writes it, in its fifth column, at I = -10, -9, ..., 10 A
     rows, _ = run_sweep(SweepSpec("current", -10.0, 10.0, 1.0, scen))
-    alpha, beta, r2 = linear_response_fit(np.full(len(rows), 30e3), rows[:, 0], rows[:, 4])
+    alpha, beta, r2 = linear_response_fit(30e3, rows[:, 0], rows[:, 4])
     beta_expected = gs.a * E_CHARGE * K / (H * gs.D)
     beta_ok = abs(beta - beta_expected) / beta_expected <= 1e-10
     report(

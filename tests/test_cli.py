@@ -88,6 +88,16 @@ class TestSweep:
         fit = json.loads(read(out_path + ".fit.json"))
         assert float(fit["r_squared"]) >= 1 - 1e-12
 
+    def test_fit_of_currents_below_the_rounding_of_f(self, tmp_path, capsys):
+        # at 0, 1e-13 and 2e-13 A the inverse interfringe moves by a few
+        # rounding steps of its 360 /m: f takes 2 values, so there is a fit
+        out_path = str(tmp_path / "s.csv")
+        assert main(["sweep", "--from", "0", "--to", "2e-13", "--step", "1e-13",
+                     "--out", out_path]) == 0
+        fit = json.loads(read(out_path + ".fit.json"))
+        assert fit["beta_I_coeff"] == "2.84217094e+01"
+        assert fit["r_squared"] == "9.99800040e-01"
+
     def test_sweep_without_fit_removes_stale_fit_sidecar(self, tmp_path, capsys, monkeypatch):
         # a voltage sweep has no fit, so the current sweep's sidecar
         # would no longer describe the CSV it sits beside
@@ -174,11 +184,11 @@ class TestSweep:
             ({"current_A": 1e308}, VOLTAGES, "overflow encountered in divide"),
             # the interfringe underflows to 0
             ({"grating_screen": {"D_m": 1e-320}}, CURRENTS, "divide by zero encountered in divide"),
-            # lstsq returns an inf coefficient without raising
+            # the slope Sxy/Sxx, whose Sxx is subnormal
             (
                 {"beam": {"U_V": 3.4e-312}, "grating_screen": {"a_m": 1e289, "D_m": 1e-10}},
                 ["--from", "1e-157", "--to", "3e-157", "--step", "1e-157"],
-                "the fit is not finite",
+                "overflow encountered in scalar divide",
             ),
         ],
         ids=["a_m", "D_m", "current_A", "D_m-subnormal", "fit"],
@@ -197,6 +207,47 @@ class TestSweep:
 
 
 class TestFieldMap:
+    @pytest.mark.parametrize(
+        "coil, message",
+        [
+            # the terms of the legs out to R2 overflow to inf - inf
+            ({"R2_m": 1e155}, "invalid value encountered in subtract"),
+            # the bore sees no field at all, so max |A - mean_A|/|mean_A| is 0/0
+            (
+                {"R1_m": 1e150, "R2_m": 2e150, "turn_density_per_m": 1e-9, "layers": 1,
+                 "helicity_sign_per_layer": [1]},
+                "invalid value encountered in scalar divide",
+            ),
+        ],
+        ids=["R2", "R1"],
+    )
+    def test_field_beyond_the_float_range_exits_1(self, tmp_path, capsys, coil, message):
+        config = tmp_path / "c.json"
+        config.write_text(json.dumps({"coil": coil, "current_A": 1}))
+        args = ["field-map", "--config", str(config), "--region=-0.01,0.01,-0.01,0.01,-0.01,0.01",
+                "--grid", "2", "--out", str(tmp_path / "m.csv")]
+        assert main(args) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: field values leave the float range ({message})\n"
+        assert os.listdir(tmp_path) == ["c.json"]
+
+    @pytest.mark.parametrize("R2", [1e100, 1e154])
+    def test_term_with_an_infinite_denominator_is_0(self, tmp_path, capsys, R2):
+        # the suite's "error" warning filter fails the overflow warning that
+        # these denominators raised before
+        config = tmp_path / "c.json"
+        config.write_text(json.dumps({"coil": {"R2_m": R2}, "current_A": 1}))
+        out_path = str(tmp_path / "m.csv")
+        args = ["field-map", "--config", str(config), "--region=-0.01,0.01,-0.01,0.01,-0.01,0.01",
+                "--grid", "2", "--out", out_path]
+        assert main(args) == 0
+        assert capsys.readouterr().err == ""
+        rows = [line.split(",") for line in read(out_path).splitlines()[-8:]]
+        assert all(math.isfinite(float(x)) for row in rows for x in row)
+        summary = json.loads(read(out_path + ".homogeneity.json"))
+        assert all(math.isfinite(float(x)) for x in [*summary.pop("mean_A"), *summary.values()])
+
     def test_ideal_coil_rows_identical(self, tmp_path, capsys):
         config = tmp_path / "ideal.json"
         config.write_text(json.dumps({"coil": {"type": "ideal"}, "current_A": 1.0}))

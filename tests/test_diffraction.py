@@ -1,6 +1,7 @@
 import math
 import re
 
+from hypothesis import given, settings, strategies as st
 import numpy as np
 import pytest
 
@@ -195,7 +196,7 @@ class TestLinearResponseFit:
         I = np.linspace(-10, 10, 21)
         f = [1.0 / fringe_pattern(BEAM, GS, REF_K * i, k_max=1).interfringe_small_angle
              for i in I]
-        alpha, beta, r2 = linear_response_fit(np.full_like(I, 30e3), I, f)
+        alpha, beta, r2 = linear_response_fit(30e3, I, f)
         assert r2 >= 1 - 1e-12
         beta_expected = GS.a * E_CHARGE * REF_K / (H * GS.D)
         alpha_expected = GS.a * math.sqrt(2 * M_E * E_CHARGE) / (H * GS.D)
@@ -204,16 +205,54 @@ class TestLinearResponseFit:
 
     def test_degenerate_design_rejected(self):
         with pytest.raises(DomainError, match="at least 2 distinct currents"):
-            linear_response_fit([10e3, 20e3, 30e3], [0.0, 0.0, 0.0], [100.0, 150.0, 180.0])
+            linear_response_fit(30e3, [0.0, 0.0, 0.0], [100.0, 150.0, 180.0])
 
-    def test_collinear_design_rejected(self):
-        # sqrt(U) equals I, so the design has rank 1
-        with pytest.raises(DomainError, match="rank-deficient design"):
-            linear_response_fit([1.0, 4.0, 9.0], [1.0, 2.0, 3.0], [100.0, 150.0, 180.0])
+    @pytest.mark.parametrize(
+        "I, f",
+        [
+            ([0.1, 0.1, 0.1], [100.0, 150.0, 180.0]),  # Sxx > 0: the mean of 0.1s rounds
+            ([0.0, 1.0, 2.0], [0.1, 0.1, 0.1]),  # likewise Syy > 0
+            ([0.0, 1.0, 2.0], [360.0, 360.0, 360.0]),
+            ([1e-170, 2e-170, 3e-170], [100.0, 150.0, 180.0]),  # Sxx underflows to 0
+            ([0.0, 1.0, 2.0], [1e-200, 2e-200, 3e-200]),  # Syy underflows to 0
+        ],
+        ids=["equal-currents", "equal-f", "equal-f-exact-mean", "Sxx-underflow", "Syy-underflow"],
+    )
+    def test_line_needs_two_currents_and_two_values(self, I, f):
+        with pytest.raises(DomainError, match="at least 2 distinct currents and values of f"):
+            linear_response_fit(30e3, I, f)
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        U=st.floats(1e3, 1e5),
+        n=st.integers(3, 2000),
+        start=st.floats(-12.0, 10.0),
+        step=st.floats(1e-4, 10.0),
+        noise=st.sampled_from([0.0, 1e-9, 1e-3]),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_line_is_the_least_squares_fit(self, U, n, start, step, noise, seed):
+        # the model's inverse interfringe at currents start + k*step, with
+        # relative noise, against LAPACK least squares on the (sqrt(U), I)
+        # design; r^2 is a fraction, so it is held to an absolute bound too,
+        # as noise that swamps the slope leaves it near 0
+        I = start + step * np.arange(n)
+        P_eff = math.sqrt(2 * M_E * E_CHARGE * U) + E_CHARGE * REF_K * I
+        f = GS.a * P_eff / (H * GS.D)
+        f *= 1 + noise * np.random.default_rng(seed).standard_normal(n)
+        X = np.column_stack([np.full(n, math.sqrt(U)), I])
+        (alpha_ref, beta_ref), *_ = np.linalg.lstsq(X, f, rcond=None)
+        resid = f - X @ (alpha_ref, beta_ref)
+        r2_ref = 1 - (resid @ resid) / np.sum((f - f.mean()) ** 2)
+        alpha, beta, r2 = linear_response_fit(U, I, f)
+        assert alpha == pytest.approx(alpha_ref, rel=1e-8)
+        assert beta == pytest.approx(beta_ref, rel=1e-8)
+        assert r2 == pytest.approx(r2_ref, rel=1e-8, abs=1e-10)
+        assert r2 <= 1.0
 
     def test_too_few_samples_rejected(self):
         with pytest.raises(DomainError, match="need at least 3 samples"):
-            linear_response_fit([30e3, 30e3], [0.0, 1.0], [1.0, 2.0])
+            linear_response_fit(30e3, [0.0, 1.0], [1.0, 2.0])
 
     def test_reference_endpoint_slope(self):
         # difference quotient over the printed interval endpoints

@@ -224,9 +224,11 @@ def test_field_map_failing_mid_stream_keeps_the_earlier_map(tmp_path, capsys, mo
     assert read_bytes(out) == b"an earlier run's map\n"
 
 
-def test_million_point_map_is_written_without_its_whole_text(tmp_path):
-    # points, A and B take 72 MB and the CSV 136.5 MB; a writer that held
-    # the text and a stacked copy of the arrays peaked near 300 MB
+def run_for_peak_memory(argv):
+    """Run main(argv) in a child process; its stdout and VmHWM in MB.
+
+    Skips the test where /proc/self/status has no VmHWM.
+    """
     try:
         with open("/proc/self/status", encoding="ascii") as fh:
             has_hwm = "VmHWM:" in fh.read()
@@ -234,10 +236,6 @@ def test_million_point_map_is_written_without_its_whole_text(tmp_path):
         has_hwm = False
     if not has_hwm:
         pytest.skip("no VmHWM in /proc/self/status")
-    config = write_config(tmp_path, {"coil": {"type": "ideal"}, "current_A": 1.0})
-    out = tmp_path / "map.csv"
-    argv = ["field-map", "--config", config, "--region=-0.02,0.02,-0.02,0.02,-0.02,0.02",
-            "--grid", "100,100,100", "--out", str(out)]
     code = (
         "import sys\n"
         "from coilfringe.cli import main\n"
@@ -251,9 +249,40 @@ def test_million_point_map_is_written_without_its_whole_text(tmp_path):
                           text=True, check=True)
     status, hwm_kb = done.stderr.split()
     assert status == "0"
-    assert done.stdout == f"wrote {10**6} field samples to {out}\n"
-    with open(out, "rb") as fh:
-        rows = sum(not line.startswith(b"#") for line in fh) - 1
+    return done.stdout, int(hwm_kb) / 1024
+
+
+def data_rows(path):
+    """The CSV rows of path below its comment lines and column line."""
+    with open(path, "rb") as fh:
+        return sum(not line.startswith(b"#") for line in fh) - 1
+
+
+def test_million_point_map_is_written_without_its_whole_text(tmp_path):
+    # points, A and B take 72 MB and the CSV 136.5 MB; a writer that held
+    # the text and a stacked copy of the arrays peaked near 300 MB
+    config = write_config(tmp_path, {"coil": {"type": "ideal"}, "current_A": 1.0})
+    out = tmp_path / "map.csv"
+    stdout, peak_mb = run_for_peak_memory(
+        ["field-map", "--config", config, "--region=-0.02,0.02,-0.02,0.02,-0.02,0.02",
+         "--grid", "100,100,100", "--out", str(out)])
+    assert stdout == f"wrote {10**6} field samples to {out}\n"
+    rows = data_rows(out)
     os.remove(out)
     assert rows == 10**6
-    assert int(hwm_kb) / 1024 < 150
+    assert peak_mb < 150
+
+
+def test_million_row_sweep_peaks_below_150_mb(tmp_path):
+    # the fit takes centred sums of the sweep's currents and inverse
+    # interfringes before the rows are stacked, and peaks near 115 MB; a
+    # least-squares fit on whole-sweep (sqrt(U), I) arrays beside the
+    # stacked rows peaked at 164 to 183 MB
+    out = tmp_path / "sweep.csv"
+    _, peak_mb = run_for_peak_memory(
+        ["sweep", "--from", "0", "--to", "999999", "--step", "1", "--out", str(out)])
+    rows = data_rows(out)
+    os.remove(out)
+    assert rows == 10**6
+    assert os.path.exists(str(out) + ".fit.json")
+    assert peak_mb < 150

@@ -3,8 +3,9 @@
 Each case runs cli.main in an empty directory and compares its exit
 code, stdout, stderr and every file it writes with tests/data/golden.json.
 Most outputs come from correctly rounded IEEE operations and are compared
-by sha256. The sweep's .fit.json goes through LAPACK and a winding's field
-map through BLAS sums, so those files are compared by value:
+by sha256. The sweep's .fit.json and a winding's field map go through
+BLAS dot products and sums, whose rounding can differ between builds,
+so those files are compared by value:
 
 - A within 1e-13 of the largest |A| of the file;
 - B and max_B_magnitude within 1e-14 T (the bore B is rounding noise

@@ -959,6 +959,16 @@ class TestHomogeneityReport:
         assert np.max(np.abs(rep.A - A)) <= 1e-13 * np.max(np.abs(A))
         assert np.max(np.abs(rep.B - B)) <= 1e-16
 
+    @pytest.mark.parametrize("turn_density", [1e18, 1e19, 2e19, 1e30])
+    def test_turn_index_of_a_copy_does_not_wrap(self, turn_density):
+        # from 1e19 turns a metre k*M passes 2**63, and from 1e30 M is past
+        # int64 itself; the turn index k*M/Q is taken in floats, so the
+        # copies stay evenly spaced and the bore stays as uniform as at 1e18
+        spec = paper_coil(turn_density=turn_density)._replace(wire_diameter=1 / turn_density)
+        region = Box(lo=(-0.01, -0.01, -0.01), hi=(0.01, 0.01, 0.01))
+        rep = homogeneity_report(spec, region, 2)
+        assert rep.max_rel_deviation < 1e-6
+
     def test_box_far_smaller_than_the_bore(self):
         # r_max/R1 = 1.4e-330 underflows to 0; one copy per one-turn layer
         spec = CoilWindingSpec(
